@@ -10,7 +10,7 @@ Subcommands
 
 Exit codes: 0 success, 1 computational failure, 2 usage error.  Every
 subcommand accepts --json for machine-readable output.  The environment
-variable BND_THREADS caps solver parallelism.
+variable BND_THREADS (a positive integer) sets solver parallelism.
 
 Variety input files (for system/solve) use the system text format: a
 `vars:` line naming the coordinates, then one defining polynomial per
@@ -246,13 +246,11 @@ def cmd_solve(args) -> int:
 
     result = find_bottlenecks(fs, config)
 
-    bound = None
     degrees = tuple(sorted(f.total_degree() for f in fs))
-    if all(d >= 1 for d in degrees):
-        try:
-            bound = bnd_variety(VarietySpec(n, degrees, affine=True)) // 2
-        except ValueError:
-            bound = None
+    try:
+        bound = bnd_variety(VarietySpec(n, degrees, affine=True)) // 2
+    except ValueError:
+        bound = None
 
     if args.output:
         write_json(result, args.output)

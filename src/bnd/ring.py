@@ -1,4 +1,5 @@
-"""Exact arithmetic in truncated graded-commutative rings of cycle classes.
+"""Exact sparse polynomials over Q, in truncated graded rings of cycle classes
+and in plain coordinate rings.
 
 Elements are sparse polynomials over Q in a fixed set of graded symbols.
 Two normalization rules make the ring model a Chow ring:
@@ -7,6 +8,9 @@ Two normalization rules make the ring model a Chow ring:
   * the factor of a monomial built from pullback-flagged symbols vanishes
     when its codimension exceeds the pullback bound (classes pulled back
     from a base of that dimension are zero beyond it).
+
+A coordinate ring (`coordinate_ring`) has neither rule: its elements are
+the polynomials that the bottleneck systems are written in.
 
 Coefficients are `fractions.Fraction` throughout; nothing here ever touches
 floating point.
@@ -17,9 +21,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from functools import lru_cache
+from operator import add, mul
+from typing import Iterable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
+
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
 @dataclass(frozen=True)
@@ -38,24 +46,37 @@ class SymbolSpec:
     def __post_init__(self) -> None:
         if self.codim < 1:
             raise ValueError(f"symbol {self.name!r}: codim must be >= 1, got {self.codim}")
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", self.name):
+        if not IDENTIFIER.fullmatch(self.name):
             raise ValueError(f"symbol name {self.name!r} is not an identifier")
 
 
 class RingContext:
-    """Symbol table plus truncation/pullback rules; defines what zero means."""
+    """Symbol table plus truncation/pullback rules; defines what zero means.
 
-    __slots__ = ("symbols", "truncation", "pullback_bound", "_index")
+    truncation None means no truncation (a coordinate ring).
+    """
 
-    def __init__(self, symbols: tuple[SymbolSpec, ...], truncation: int, pullback_bound: int | None):
+    __slots__ = (
+        "symbols", "truncation", "pullback_bound", "bounded", "_index", "_codims", "_pullback_codims"
+    )
+
+    def __init__(
+        self, symbols: tuple[SymbolSpec, ...], truncation: int | None, pullback_bound: int | None
+    ):
         self.symbols = symbols
         self.truncation = truncation
         self.pullback_bound = pullback_bound
+        # whether normalization can drop a nonzero term at all
+        self.bounded = truncation is not None or pullback_bound is not None
         self._index = {s.name: i for i, s in enumerate(symbols)}
+        self._codims = tuple(s.codim for s in symbols)
+        self._pullback_codims = tuple(s.codim if s.pullback else 0 for s in symbols)
 
     def __eq__(self, other: object) -> bool:
         # Structural equality: rings declared the same way are the same ring,
         # so classes computed in independently built contexts can be compared.
+        if self is other:
+            return True
         if not isinstance(other, RingContext):
             return NotImplemented
         return (
@@ -81,36 +102,43 @@ class RingContext:
             raise KeyError(f"no symbol {name!r} in {self!r}") from None
 
     def codim_of(self, expts: Exponents) -> int:
-        return sum(e * s.codim for e, s in zip(expts, self.symbols))
+        return sum(map(mul, expts, self._codims))
 
     def pullback_codim_of(self, expts: Exponents) -> int:
-        return sum(e * s.codim for e, s in zip(expts, self.symbols) if s.pullback)
+        return sum(map(mul, expts, self._pullback_codims))
 
     def _dies(self, expts: Exponents) -> bool:
-        if self.codim_of(expts) > self.truncation:
+        if self.truncation is not None and self.codim_of(expts) > self.truncation:
             return True
         if self.pullback_bound is not None and self.pullback_codim_of(expts) > self.pullback_bound:
             return True
         return False
 
+    def normalize(self, raw: Mapping[Exponents, Fraction]) -> dict[Exponents, Fraction]:
+        """The terms of raw that are nonzero in this ring."""
+        if self.bounded:
+            return {e: c for e, c in raw.items() if c != 0 and not self._dies(e)}
+        return {e: c for e, c in raw.items() if c != 0}
+
     # -- constructors -------------------------------------------------------
 
     def zero(self) -> "ClassPoly":
-        return ClassPoly(self, {})
+        return ClassPoly._of(self, {})
 
     def one(self) -> "ClassPoly":
         return self.constant(1)
 
     def constant(self, c) -> "ClassPoly":
-        c = Fraction(c)
-        if c == 0:
-            return self.zero()
-        return ClassPoly(self, {(0,) * len(self.symbols): c})
+        return self.poly({(0,) * len(self.symbols): Fraction(c)})
+
+    def var(self, i: int) -> "ClassPoly":
+        """The i-th symbol."""
+        expts = [0] * len(self.symbols)
+        expts[i] = 1
+        return self.poly({tuple(expts): Fraction(1)})
 
     def sym(self, name: str) -> "ClassPoly":
-        expts = [0] * len(self.symbols)
-        expts[self.index(name)] = 1
-        return self.poly({tuple(expts): Fraction(1)})
+        return self.var(self.index(name))
 
     def monomial(self, coeff, **powers: int) -> "ClassPoly":
         expts = [0] * len(self.symbols)
@@ -119,12 +147,7 @@ class RingContext:
         return self.poly({tuple(expts): Fraction(coeff)})
 
     def poly(self, raw: Mapping[Exponents, Fraction]) -> "ClassPoly":
-        terms = {}
-        for expts, c in raw.items():
-            if c == 0 or self._dies(expts):
-                continue
-            terms[expts] = c
-        return ClassPoly(self, terms)
+        return ClassPoly(self, raw)
 
 
 def declare_ring(
@@ -141,8 +164,26 @@ def declare_ring(
     return RingContext(symbols, truncation, pullback_bound)
 
 
+@lru_cache(maxsize=None)
+def coordinate_ring(nvars: int) -> RingContext:
+    """Q[v0..v(nvars-1)]: codim-1 symbols, no truncation, no pullback bound.
+
+    Polynomials in positional coordinates live here; their coordinate names
+    are supplied where text is parsed or rendered.
+    """
+    return RingContext(tuple(SymbolSpec(f"v{i}", 1) for i in range(nvars)), None, None)
+
+
+def _context(ctx: RingContext | int) -> RingContext:
+    # an int stands for the coordinate ring with that many variables
+    return coordinate_ring(ctx) if isinstance(ctx, int) else ctx
+
+
 class ClassPoly:
-    """Immutable sparse polynomial of cycle classes over a RingContext.
+    """Immutable sparse polynomial over a RingContext.
+
+    The one exact polynomial type: cycle classes in a truncated ring, and
+    (as `bnd.systems.Poly`) polynomials in the coordinate ring of a system.
 
     Example::
 
@@ -150,16 +191,37 @@ class ClassPoly:
         h = ctx.sym("h")
         (1 + h) * (1 + h)        # 1 + 2*h + h^2
         graded_piece(_, 1)       # 2*h
+
+        f = ClassPoly(2, {(2, 0): 1, (0, 0): -1})   # v0^2 - 1 in coordinate_ring(2)
     """
 
     __slots__ = ("ctx", "terms")
 
-    def __init__(self, ctx: RingContext, terms: dict[Exponents, Fraction]):
-        # terms must already be normalized; use ctx.poly() to build from raw data
-        self.ctx = ctx
-        self.terms = terms
+    def __init__(self, ctx: RingContext | int, terms: Mapping[Exponents, Fraction]):
+        self.ctx = _context(ctx)
+        self.terms = self.ctx.normalize(terms)
+
+    @classmethod
+    def _of(cls, ctx: RingContext, terms: dict[Exponents, Fraction]) -> "ClassPoly":
+        """Wrap terms that are already normalized in ctx."""
+        p = object.__new__(cls)
+        p.ctx = ctx
+        p.terms = terms
+        return p
+
+    @classmethod
+    def const(cls, ctx: RingContext | int, c) -> "ClassPoly":
+        return _context(ctx).constant(c)
+
+    @classmethod
+    def var(cls, ctx: RingContext | int, i: int) -> "ClassPoly":
+        return _context(ctx).var(i)
 
     # -- predicates ---------------------------------------------------------
+
+    @property
+    def nvars(self) -> int:
+        return len(self.ctx.symbols)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -175,6 +237,10 @@ class ClassPoly:
         if k is None:
             return len(cds) <= 1
         return cds <= {k}
+
+    def total_degree(self) -> int:
+        """Highest exponent sum; -1 for the zero polynomial."""
+        return max((sum(e) for e in self.terms), default=-1)
 
     def degree_in(self, name: str) -> int:
         """Highest power of a symbol; -1 for the zero polynomial."""
@@ -194,7 +260,7 @@ class ClassPoly:
 
     def _coerce(self, other) -> "ClassPoly | None":
         if isinstance(other, ClassPoly):
-            if other.ctx != self.ctx:
+            if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise ValueError(f"context mismatch: {self.ctx!r} vs {other.ctx!r}")
             return other
         if isinstance(other, (int, Fraction)):
@@ -207,17 +273,17 @@ class ClassPoly:
             return NotImplemented
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
+            s = out.get(e, 0) + c
             if s == 0:
-                out.pop(e, None)
+                del out[e]
             else:
                 out[e] = s
-        return ClassPoly(self.ctx, out)
+        return ClassPoly._of(self.ctx, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ClassPoly":
-        return ClassPoly(self.ctx, {e: -c for e, c in self.terms.items()})
+        return ClassPoly._of(self.ctx, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "ClassPoly":
         other = self._coerce(other)
@@ -229,25 +295,25 @@ class ClassPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return (-self) + other
 
     def __mul__(self, other) -> "ClassPoly":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         ctx = self.ctx
+        dies = ctx._dies if ctx.bounded else None
         out: dict[Exponents, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if ctx._dies(e):
+                e = tuple(map(add, e1, e2))
+                if dies is not None and dies(e):
                     continue
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
+                if e in out:
+                    out[e] += c1 * c2
                 else:
-                    out[e] = s
-        return ClassPoly(ctx, out)
+                    out[e] = c1 * c2
+        return ClassPoly._of(ctx, {e: c for e, c in out.items() if c != 0})
 
     __rmul__ = __mul__
 
@@ -259,8 +325,9 @@ class ClassPoly:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def __eq__(self, other) -> bool:
@@ -268,7 +335,7 @@ class ClassPoly:
             other = self.ctx.constant(other)
         if not isinstance(other, ClassPoly):
             return NotImplemented
-        return self.ctx == other.ctx and self.terms == other.terms
+        return self.terms == other.terms and (self.ctx is other.ctx or self.ctx == other.ctx)
 
     def __hash__(self) -> int:
         return hash((self.ctx, frozenset(self.terms.items())))
@@ -285,24 +352,47 @@ class ClassPoly:
             key=lambda ec: (ctx.codim_of(ec[0]), tuple(-x for x in ec[0])),
         )
 
+    # -- calculus on coordinates --------------------------------------------
+
+    def diff(self, i: int) -> "ClassPoly":
+        """Partial derivative in the i-th symbol."""
+        out = {}
+        for e, c in self.terms.items():
+            if e[i]:
+                out[e[:i] + (e[i] - 1,) + e[i + 1 :]] = c * e[i]
+        return ClassPoly._of(self.ctx, out)
+
+    def embed(self, total: int, offset: int) -> "ClassPoly":
+        """Same polynomial in coordinate_ring(total), with symbol i renamed
+        to offset+i."""
+        if offset + self.nvars > total:
+            raise ValueError("embedding does not fit")
+        head, tail = (0,) * offset, (0,) * (total - offset - self.nvars)
+        return ClassPoly._of(
+            coordinate_ring(total), {head + e + tail: c for e, c in self.terms.items()}
+        )
+
+    def eval_exact(self, point: Sequence) -> Fraction:
+        vals = [Fraction(v) for v in point]
+        total = Fraction(0)
+        for e, c in self.terms.items():
+            term = c
+            for v, k in zip(vals, e):
+                if k:
+                    term *= v ** k
+            total += term
+        return total
+
 
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
 
 
-def add(a: ClassPoly, b: ClassPoly) -> ClassPoly:
-    return a + b
-
-
-def mul(a: ClassPoly, b: ClassPoly) -> ClassPoly:
-    return a * b
-
-
 def invert_unit(a: ClassPoly) -> ClassPoly:
     """Inverse of a unit 1 + (higher codim), by the finite geometric series."""
-    if a.constant_term() != 1:
-        raise ValueError(f"not a unit with constant term 1: {render(a)}")
+    if a.constant_term() != 1 or a.ctx.truncation is None:
+        raise ValueError(f"not a unit with constant term 1 in a truncated ring: {render(a)}")
     delta = a - 1
     acc = a.ctx.one()
     power = a.ctx.one()
@@ -317,7 +407,7 @@ def invert_unit(a: ClassPoly) -> ClassPoly:
 def graded_piece(a: ClassPoly, k: int) -> ClassPoly:
     """Sum of the terms of total codimension exactly k (0 outside the range)."""
     ctx = a.ctx
-    return ClassPoly(ctx, {e: c for e, c in a.terms.items() if ctx.codim_of(e) == k})
+    return ClassPoly._of(ctx, {e: c for e, c in a.terms.items() if ctx.codim_of(e) == k})
 
 
 def substitute(
@@ -397,23 +487,13 @@ def divide_monic(
 # ---------------------------------------------------------------------------
 
 
-def _render_monomial(ctx: RingContext, expts: Exponents) -> str:
-    parts = []
-    for e, s in zip(expts, ctx.symbols):
-        if e == 1:
-            parts.append(s.name)
-        elif e > 1:
-            parts.append(f"{s.name}^{e}")
-    return "*".join(parts)
-
-
-def render(a: ClassPoly) -> str:
-    """Canonical text form, e.g. ``2*h + 5*p1``."""
-    if a.is_zero():
-        return "0"
+def _render_terms(items: Iterable[tuple[Exponents, Fraction]], names: Sequence[str]) -> str:
+    """Signed terms in the given order, e.g. ``3/2*h^2 - p1 + 1``."""
     chunks = []
-    for expts, coeff in a.sorted_terms():
-        mono = _render_monomial(a.ctx, expts)
+    for expts, coeff in items:
+        mono = "*".join(
+            name if k == 1 else f"{name}^{k}" for name, k in zip(names, expts) if k
+        )
         mag = abs(coeff)
         if not mono:
             body = str(mag)
@@ -425,92 +505,157 @@ def render(a: ClassPoly) -> str:
             chunks.append(body if coeff > 0 else f"-{body}")
         else:
             chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(chunks)
+    return " ".join(chunks) or "0"
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[*^+/-]))")
+def render(a: ClassPoly) -> str:
+    """Canonical text form in ascending codimension, e.g. ``2*h + 5*p1``."""
+    return _render_terms(a.sorted_terms(), [s.name for s in a.ctx.symbols])
 
 
-def parse(ctx: RingContext, text: str) -> ClassPoly:
-    """Parse the grammar produced by render(): signed terms of coefficient
-    and symbol-power factors joined by ``*``.
+def render_poly(p: ClassPoly, names: Sequence[str]) -> str:
+    """Text form in descending total degree, symbol i written as names[i]."""
+    items = sorted(p.terms.items(), key=lambda ec: (-sum(ec[0]), tuple(-x for x in ec[0])))
+    return _render_terms(items, names)
+
+
+# Largest exponent the parser expands.  It keeps one power such as
+# x1^99999999 from running unbounded; it does not bound a product of
+# many powers.
+MAX_EXPONENT = 100
+
+
+class SystemParseError(ValueError):
+    """Malformed polynomial text, located by line and column."""
+
+    def __init__(self, message: str, line: int, col: int):
+        super().__init__(f"line {line}, column {col}: {message}")
+        self.line = line
+        self.col = col
+
+
+_NUM = re.compile(r"\d+\.\d+|\d+|\.\d+")
+
+
+class _Parser:
+    """Recursive descent over + - * / ^ with parentheses.
+
+    Accepts a superset of what render and render_poly produce: decimals,
+    parentheses and powers of parenthesized groups, so hand-written input
+    can say (0.3*x1^2 + ...)^2 without pre-expansion.  '/' only by a
+    constant.  Every value is built in the ring, so its normalization
+    (truncation, pullback bound) applies as the text is read.
     """
-    tokens: list[tuple[str, str, int]] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ValueError(f"unexpected character {text[pos]!r} at column {pos + 1}")
-            break
-        pos = m.end()
-        for kind in ("num", "name", "op"):
-            if m.group(kind) is not None:
-                tokens.append((kind, m.group(kind), m.start()))
-                break
 
-    i = 0
+    def __init__(self, ctx: RingContext, text: str, names: Sequence[str], line: int):
+        self.ctx = ctx
+        self.text = text
+        self.names = {name: i for i, name in enumerate(names)}
+        self.line = line
+        self.pos = 0
 
-    def peek() -> tuple[str, str, int] | None:
-        return tokens[i] if i < len(tokens) else None
+    def error(self, message: str):
+        raise SystemParseError(message, self.line, self.pos + 1)
 
-    def take() -> tuple[str, str, int]:
-        nonlocal i
-        tok = tokens[i]
-        i += 1
-        return tok
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
 
-    def parse_factor() -> ClassPoly:
-        nonlocal i
-        tok = peek()
-        if tok is None:
-            raise ValueError("unexpected end of input")
-        kind, val, at = take()
-        if kind == "num":
-            num = int(val)
-            nxt = peek()
-            if nxt and nxt[1] == "/":
-                take()
-                dk, dv, dat = take() if peek() else ("", "", at)
-                if dk != "num":
-                    raise ValueError(f"expected integer denominator at column {dat + 1}")
-                return ctx.constant(Fraction(num, int(dv)))
-            return ctx.constant(num)
-        if kind == "name":
-            try:
-                base = ctx.sym(val)
-            except KeyError:
-                raise ValueError(f"unknown symbol {val!r} at column {at + 1}") from None
-            nxt = peek()
-            if nxt and nxt[1] == "^":
-                take()
-                ek, ev, eat = take() if peek() else ("", "", at)
-                if ek != "num":
-                    raise ValueError(f"expected integer exponent at column {eat + 1}")
-                return base ** int(ev)
-            return base
-        raise ValueError(f"unexpected {val!r} at column {at + 1}")
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def parse_term() -> ClassPoly:
-        acc = parse_factor()
+    def parse(self) -> ClassPoly:
+        p = self.expr()
+        if self.peek():
+            self.error(f"unexpected {self.text[self.pos]!r}")
+        return p
+
+    def expr(self) -> ClassPoly:
+        sign = 1
+        ch = self.peek()
+        if ch == "+" or ch == "-":
+            sign = -1 if ch == "-" else 1
+            self.pos += 1
+        acc = sign * self.term()
         while True:
-            nxt = peek()
-            if nxt and nxt[1] == "*":
-                take()
-                acc = acc * parse_factor()
+            ch = self.peek()
+            if ch != "+" and ch != "-":
+                return acc
+            self.pos += 1
+            rhs = self.term()
+            acc = acc + rhs if ch == "+" else acc - rhs
+
+    def term(self) -> ClassPoly:
+        acc = self.power()
+        while True:
+            ch = self.peek()
+            if ch == "*":
+                self.pos += 1
+                acc = acc * self.power()
+            elif ch == "/":
+                self.pos += 1
+                divisor = self.power()
+                if divisor.total_degree() > 0:
+                    self.error("can only divide by a constant")
+                value = divisor.constant_term()
+                if value == 0:
+                    self.error("division by zero")
+                acc = acc * self.ctx.constant(1 / value)
             else:
                 return acc
 
-    result = ctx.zero()
-    first = True
-    while peek() is not None:
-        sign = 1
-        tok = peek()
-        if tok[1] in "+-":
-            take()
-            sign = -1 if tok[1] == "-" else 1
-        elif not first:
-            raise ValueError(f"expected + or - at column {tok[2] + 1}")
-        result = result + sign * parse_term()
-        first = False
-    return result
+    def power(self) -> ClassPoly:
+        base = self.atom()
+        if self.peek() == "^":
+            self.pos += 1
+            self.skip_ws()
+            m = _NUM.match(self.text, self.pos)
+            if not m or "." in m.group():
+                self.error("expected integer exponent")
+            digits = m.group()
+            # the length test comes first: int() refuses strings of over 4300 digits
+            if len(digits.lstrip("0")) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                self.error(f"exponent above the bound {MAX_EXPONENT}")
+            self.pos = m.end()
+            return base ** int(digits)
+        return base
+
+    def atom(self) -> ClassPoly:
+        ch = self.peek()
+        if ch == "(":
+            self.pos += 1
+            p = self.expr()
+            if self.peek() != ")":
+                self.error("expected ')'")
+            self.pos += 1
+            return p
+        if ch == "-":
+            self.pos += 1
+            return -self.atom()
+        m = _NUM.match(self.text, self.pos)
+        if m:
+            self.pos = m.end()
+            tok = m.group()
+            if tok.startswith("."):
+                tok = "0" + tok
+            return self.ctx.constant(Fraction(tok))
+        m = IDENTIFIER.match(self.text, self.pos)
+        if m:
+            name = m.group()
+            if name not in self.names:
+                self.error(f"undeclared variable {name!r}")
+            self.pos = m.end()
+            return self.ctx.var(self.names[name])
+        self.error("expected a number, variable, or '('")
+
+
+def parse(
+    ctx: RingContext, text: str, names: Sequence[str] | None = None, line: int = 1
+) -> ClassPoly:
+    """Parse polynomial text into ctx; names[i] spells symbol i (default:
+    the symbol names).  Raises SystemParseError, located by line and column.
+    """
+    if names is None:
+        names = [s.name for s in ctx.symbols]
+    return _Parser(ctx, text, names, line).parse()

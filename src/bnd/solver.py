@@ -32,7 +32,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .systems import Poly, PolySystem, build_lagrange_system, build_minor_system
+from .ring import ClassPoly
+from .systems import PolySystem, build_lagrange_system, build_minor_system
 
 # singular values below RANK_CUTOFF * sigma_max count as zero, both for the
 # Newton pseudoinverse and for the isolation flag
@@ -111,7 +112,7 @@ class SolveResult:
 class _CompiledPoly:
     __slots__ = ("exps", "coeffs")
 
-    def __init__(self, p: Poly):
+    def __init__(self, p: ClassPoly):
         if p.is_zero():
             self.exps = np.zeros((1, p.nvars), dtype=np.int64)
             self.coeffs = np.zeros(1)
@@ -128,7 +129,7 @@ class _CompiledPoly:
 class _CompiledSystem:
     """Batched evaluator for a list of polynomials and its Jacobian."""
 
-    def __init__(self, polys: Sequence[Poly], nvars: int):
+    def __init__(self, polys: Sequence[ClassPoly], nvars: int):
         self.nvars = nvars
         self.rows = [_CompiledPoly(p) for p in polys]
         self.jac_rows = [
@@ -150,7 +151,7 @@ class _CompiledSystem:
 # ---------------------------------------------------------------------------
 
 
-def sample_variety(fs: Sequence[Poly], config: SolverConfig | None = None) -> np.ndarray:
+def sample_variety(fs: Sequence[ClassPoly], config: SolverConfig | None = None) -> np.ndarray:
     """Points on the real locus of f_1 = .. = f_k = 0, found by Gauss-Newton
     projection of a jittered grid over the search box.
 
@@ -283,7 +284,7 @@ def _canonical_pair(x: np.ndarray, y: np.ndarray, tol: float) -> bool:
 
 
 def find_bottlenecks(
-    fs: Sequence[Poly], config: SolverConfig | None = None
+    fs: Sequence[ClassPoly], config: SolverConfig | None = None
 ) -> SolveResult:
     """Real bottleneck pairs of the variety f_1 = ... = f_k = 0.
 
@@ -299,6 +300,10 @@ def find_bottlenecks(
     k = len(fs)
     if k >= n:
         raise ValueError("need positive-dimensional variety (k < n)")
+    for i, f in enumerate(fs, start=1):
+        if f.total_degree() < 1:
+            raise ValueError(f"defining polynomial {i} is zero or constant")
+    threads = _thread_count()
 
     lag = build_lagrange_system(fs)
     minor = build_minor_system(fs, n - k)
@@ -329,7 +334,6 @@ def find_bottlenecks(
     mu0 = (np.linalg.pinv(grads_b) @ (a - b)[:, :, None])[:, :, 0]
     z0 = np.concatenate([a, b, lam0, mu0], axis=1)
 
-    threads = max(1, int(os.environ.get("BND_THREADS", "1") or "1"))
     diagnostics["threads"] = threads
     if threads == 1 or starts < 2 * threads:
         z, res = _newton_batch(lag_c, z0, config)
@@ -402,6 +406,20 @@ def find_bottlenecks(
         )
     diagnostics["pairs"] = len(pairs)
     return SolveResult(tuple(pairs), True, diagnostics)
+
+
+def _thread_count() -> int:
+    """BND_THREADS as a positive integer; unset or empty means 1."""
+    text = os.environ.get("BND_THREADS", "")
+    if not text:
+        return 1
+    try:
+        threads = int(text)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"BND_THREADS must be a positive integer, got {text!r}")
+    return threads
 
 
 def _isolated(sysc: _CompiledSystem, zvec: np.ndarray) -> bool:

@@ -23,136 +23,12 @@ from itertools import combinations
 from pathlib import Path
 from typing import Sequence
 
-# ===========================================================================
-# exact multivariate polynomials
-# ===========================================================================
+from .ring import IDENTIFIER, ClassPoly, SystemParseError, coordinate_ring, render_poly
+from .ring import parse as parse_text
 
-
-class Poly:
-    """Sparse polynomial over Q in positional variables."""
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms: dict[tuple[int, ...], Fraction]):
-        self.nvars = nvars
-        self.terms = {e: c for e, c in terms.items() if c != 0}
-
-    @classmethod
-    def const(cls, nvars: int, c) -> "Poly":
-        return cls(nvars, {(0,) * nvars: Fraction(c)})
-
-    @classmethod
-    def var(cls, nvars: int, i: int) -> "Poly":
-        e = [0] * nvars
-        e[i] = 1
-        return cls(nvars, {tuple(e): Fraction(1)})
-
-    def _coerce(self, other) -> "Poly | None":
-        if isinstance(other, Poly):
-            if other.nvars != self.nvars:
-                raise ValueError("variable-count mismatch")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Poly.const(self.nvars, other)
-        return None
-
-    def __add__(self, other) -> "Poly":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return Poly(self.nvars, out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Poly":
-        return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other) -> "Poly":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other) -> "Poly":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return Poly(self.nvars, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "Poly":
-        if k < 0:
-            raise ValueError("negative power")
-        result = Poly.const(self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.nvars, other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def __repr__(self) -> str:
-        names = [f"v{i}" for i in range(self.nvars)]
-        return f"<Poly {render_poly(self, names)}>"
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def total_degree(self) -> int:
-        """-1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
-
-    def diff(self, i: int) -> "Poly":
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                e2 = e[:i] + (e[i] - 1,) + e[i + 1 :]
-                out[e2] = out.get(e2, Fraction(0)) + c * e[i]
-        return Poly(self.nvars, out)
-
-    def embed(self, total: int, offset: int) -> "Poly":
-        """Same polynomial with variable i renamed to offset+i in a larger
-        variable list."""
-        if offset + self.nvars > total:
-            raise ValueError("embedding does not fit")
-        out = {}
-        for e, c in self.terms.items():
-            out[(0,) * offset + e + (0,) * (total - offset - self.nvars)] = c
-        return Poly(total, out)
-
-    def eval_exact(self, point: Sequence) -> Fraction:
-        vals = [Fraction(v) for v in point]
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            term = c
-            for v, k in zip(vals, e):
-                if k:
-                    term *= v ** k
-            total += term
-        return total
+# Polynomials in positional coordinates are elements of the coordinate ring
+# with that many variables; see bnd.ring for the one polynomial type.
+Poly = ClassPoly
 
 
 def det(rows: Sequence[Sequence[Poly]]) -> Poly:
@@ -163,8 +39,7 @@ def det(rows: Sequence[Sequence[Poly]]) -> Poly:
         raise ValueError("matrix is not square")
     if size == 1:
         return rows[0][0]
-    nvars = rows[0][0].nvars
-    acc = Poly(nvars, {})
+    acc = rows[0][0].ctx.zero()
     for j in range(size):
         minor = [[r[jj] for jj in range(size) if jj != j] for r in rows[1:]]
         acc = acc + (-1) ** j * rows[0][j] * det(minor)
@@ -325,155 +200,9 @@ def build_lagrange_system(
 # ===========================================================================
 
 
-def render_poly(p: Poly, names: Sequence[str]) -> str:
-    if p.is_zero():
-        return "0"
-    items = sorted(
-        p.terms.items(), key=lambda ec: (-sum(ec[0]), tuple(-x for x in ec[0]))
-    )
-    chunks = []
-    for e, c in items:
-        factors = []
-        for name, k in zip(names, e):
-            if k == 1:
-                factors.append(name)
-            elif k > 1:
-                factors.append(f"{name}^{k}")
-        mono = "*".join(factors)
-        mag = abs(c)
-        if not mono:
-            body = str(mag)
-        elif mag == 1:
-            body = mono
-        else:
-            body = f"{mag}*{mono}"
-        if not chunks:
-            chunks.append(body if c > 0 else f"-{body}")
-        else:
-            chunks.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(chunks)
-
-
-class SystemParseError(ValueError):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"line {line}, column {col}: {message}")
-        self.line = line
-        self.col = col
-
-
-_NUM = re.compile(r"\d+\.\d+|\d+|\.\d+")
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-
-
-class _PolyParser:
-    """Recursive descent over + - * / ^ with parentheses.
-
-    Accepts a superset of what render_poly produces: parentheses and
-    products of parenthesized groups, so hand-written input files can say
-    (0.3*x1^2 + ...)^2 without pre-expansion.  '/' only by a constant.
-    """
-
-    def __init__(self, text: str, names: Sequence[str], line: int):
-        self.text = text
-        self.names = {name: i for i, name in enumerate(names)}
-        self.nvars = len(names)
-        self.line = line
-        self.pos = 0
-
-    def error(self, message: str):
-        raise SystemParseError(message, self.line, self.pos + 1)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def parse(self) -> Poly:
-        p = self.expr()
-        if self.peek():
-            self.error(f"unexpected {self.text[self.pos]!r}")
-        return p
-
-    def expr(self) -> Poly:
-        sign = 1
-        ch = self.peek()
-        if ch == "+" or ch == "-":
-            sign = -1 if ch == "-" else 1
-            self.pos += 1
-        acc = sign * self.term()
-        while True:
-            ch = self.peek()
-            if ch != "+" and ch != "-":
-                return acc
-            self.pos += 1
-            rhs = self.term()
-            acc = acc + rhs if ch == "+" else acc - rhs
-
-    def term(self) -> Poly:
-        acc = self.power()
-        while True:
-            ch = self.peek()
-            if ch == "*":
-                self.pos += 1
-                acc = acc * self.power()
-            elif ch == "/":
-                self.pos += 1
-                divisor = self.power()
-                if divisor.total_degree() > 0:
-                    self.error("can only divide by a constant")
-                value = divisor.eval_exact([0] * self.nvars)
-                if value == 0:
-                    self.error("division by zero")
-                acc = acc * Poly.const(self.nvars, 1 / value)
-            else:
-                return acc
-
-    def power(self) -> Poly:
-        base = self.atom()
-        if self.peek() == "^":
-            self.pos += 1
-            self.skip_ws()
-            m = _NUM.match(self.text, self.pos)
-            if not m or "." in m.group():
-                self.error("expected integer exponent")
-            self.pos = m.end()
-            return base ** int(m.group())
-        return base
-
-    def atom(self) -> Poly:
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            p = self.expr()
-            if self.peek() != ")":
-                self.error("expected ')'")
-            self.pos += 1
-            return p
-        if ch == "-":
-            self.pos += 1
-            return -self.atom()
-        m = _NUM.match(self.text, self.pos)
-        if m:
-            self.pos = m.end()
-            tok = m.group()
-            if tok.startswith("."):
-                tok = "0" + tok
-            return Poly.const(self.nvars, Fraction(tok))
-        m = _IDENT.match(self.text, self.pos)
-        if m:
-            name = m.group()
-            if name not in self.names:
-                self.error(f"undeclared variable {name!r}")
-            self.pos = m.end()
-            return Poly.var(self.nvars, self.names[name])
-        self.error("expected a number, variable, or '('")
-
-
 def parse_poly(text: str, names: Sequence[str], line: int = 1) -> Poly:
-    return _PolyParser(text, names, line).parse()
+    """One polynomial over the coordinates names (grammar: bnd.ring.parse)."""
+    return parse_text(coordinate_ring(len(names)), text, names, line)
 
 
 def format_system(system: PolySystem) -> str:
@@ -510,7 +239,7 @@ def parse_system_text(text: str) -> PolySystem:
             if len(set(names)) != len(names):
                 raise SystemParseError("duplicate variable name", lineno, 6)
             for name in names:
-                if not _IDENT.fullmatch(name):
+                if not IDENTIFIER.fullmatch(name):
                     raise SystemParseError(f"bad variable name {name!r}", lineno, 6)
             variables = tuple(names)
             continue

@@ -235,6 +235,15 @@ def test_solve_rejects_unsupported_codimension(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("body", ["0", "3"])
+def test_solve_rejects_constant_polynomial(capsys, tmp_path, body):
+    path = tmp_path / "constant.txt"
+    path.write_text(f"vars: x1 x2\n{body}\n")
+    code, out, err = run(capsys, "solve", "--input", str(path))
+    assert code == 1
+    assert "zero or constant" in err and out == ""
+
+
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------

@@ -3,8 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from bnd.engine import formula_context
 from bnd.ring import (
+    MAX_EXPONENT,
     SymbolSpec,
+    SystemParseError,
+    coordinate_ring,
     declare_ring,
     divide_monic,
     graded_piece,
@@ -255,3 +259,23 @@ def test_parse_errors_are_located():
         parse(ctx, "2*h $ 3")
     with pytest.raises(ValueError):
         parse(ctx, "2*")
+
+
+def test_parse_full_grammar_in_a_class_ring():
+    ctx = formula_context(2)
+    h, p1, p2 = ctx.sym("h"), ctx.sym("p1"), ctx.sym("p2")
+    got = parse(ctx, "(h + p1)^2 - 0.5*p2")
+    assert got == h ** 2 + 2 * h * p1 + p1 ** 2 - Fraction(1, 2) * p2
+    # the ring's truncation applies while the text is read
+    assert parse(ctx, "(1 + h)^3 + h^2*p1 - p2/4") == 1 + 3 * h + 3 * h ** 2 - Fraction(1, 4) * p2
+
+
+@pytest.mark.parametrize(
+    "ctx, text", [(coordinate_ring(2), "v0 + v1^99999999"), (formula_context(1), "h + h^99999999")]
+)
+def test_parse_bounds_exponents(ctx, text):
+    with pytest.raises(SystemParseError) as err:
+        parse(ctx, text)
+    assert err.value.line == 1 and err.value.col == text.index("9") + 1
+    name = ctx.symbols[0].name
+    parse(ctx, f"{name}^{MAX_EXPONENT}")

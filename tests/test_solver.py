@@ -166,6 +166,13 @@ def test_thread_count_does_not_change_output(monkeypatch):
     assert threaded.pairs == base.pairs
 
 
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_thread_count_is_rejected_by_name(monkeypatch, value):
+    monkeypatch.setenv("BND_THREADS", value)
+    with pytest.raises(ValueError, match="BND_THREADS"):
+        find_bottlenecks(ELLIPSE, FAST)
+
+
 def test_central_symmetry_preserved(ellipse_result):
     # the ellipse is symmetric under v -> -v, so the set of unordered pairs
     # must be too

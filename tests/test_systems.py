@@ -3,6 +3,7 @@ from math import comb, sqrt
 
 import pytest
 
+from bnd.ring import declare_ring, SymbolSpec
 from bnd.systems import (
     Poly,
     PolySystem,
@@ -81,6 +82,12 @@ def test_parse_division_rules():
         p2("x1/x2")
     with pytest.raises(SystemParseError):
         p2("x1/0")
+
+
+def test_coordinate_and_class_polynomials_share_one_type():
+    ring_value = declare_ring([SymbolSpec("h", 1)], truncation=2).sym("h")
+    assert type(parse_poly("x1", ("x1",))) is type(ring_value)
+    assert isinstance(ring_value, Poly)
 
 
 def test_parse_errors_carry_position():
