@@ -635,11 +635,15 @@ class _Parser:
             return -self.atom()
         m = _NUM.match(self.text, self.pos)
         if m:
-            self.pos = m.end()
             tok = m.group()
             if tok.startswith("."):
                 tok = "0" + tok
-            return self.ctx.constant(Fraction(tok))
+            try:
+                value = Fraction(tok)
+            except ValueError:  # int() refuses strings of over 4300 digits
+                self.error(f"numeric literal of {len(tok)} characters is too long")
+            self.pos = m.end()
+            return self.ctx.constant(value)
         m = IDENTIFIER.match(self.text, self.pos)
         if m:
             name = m.group()

@@ -109,41 +109,81 @@ class SolveResult:
 # ---------------------------------------------------------------------------
 
 
-class _CompiledPoly:
-    __slots__ = ("exps", "coeffs")
-
-    def __init__(self, p: ClassPoly):
-        if p.is_zero():
-            self.exps = np.zeros((1, p.nvars), dtype=np.int64)
-            self.coeffs = np.zeros(1)
-        else:
-            self.exps = np.array(list(p.terms.keys()), dtype=np.int64)
-            self.coeffs = np.array([float(c) for c in p.terms.values()])
-
-    def eval(self, pts: np.ndarray) -> np.ndarray:
-        # pts: (N, nvars) -> (N,)
-        powers = pts[:, None, :] ** self.exps[None, :, :]
-        return powers.prod(axis=2) @ self.coeffs
-
-
 class _CompiledSystem:
-    """Batched evaluator for a list of polynomials and its Jacobian."""
+    """Batched evaluator for polynomials f_1..f_m and their Jacobian, built
+    on one monomial table.
+
+    Every monomial of the f_i and of their partial derivatives is one row of
+    the exponent table, the monomials of the f_i first, so F needs only the
+    leading rows.  Column i of the coefficient matrix holds the coefficients
+    of f_i, column m + i*nvars + j those of df_i/dx_j.  At a batch of points
+    one power table holds every variable's powers up to the top degree, built
+    by repeated multiplication; each monomial is the product of its nonzero
+    powers, and F and J are one matrix product each.  Nothing is written to
+    the instance after construction, so threads may share one.
+    """
 
     def __init__(self, polys: Sequence[ClassPoly], nvars: int):
         self.nvars = nvars
-        self.rows = [_CompiledPoly(p) for p in polys]
-        self.jac_rows = [
-            [_CompiledPoly(p.diff(j)) for j in range(nvars)] for p in polys
-        ]
+        self.neqs = len(polys)
+        rows: dict[tuple[int, ...], int] = {}
+        entries: list[tuple[int, int, float]] = []
+
+        def add(p: ClassPoly, col: int) -> None:
+            for mono, c in p.terms.items():
+                entries.append((rows.setdefault(mono, len(rows)), col, float(c)))
+
+        for i, p in enumerate(polys):
+            add(p, i)
+        n_f = len(rows)
+        for i, p in enumerate(polys):
+            for j in range(nvars):
+                add(p.diff(j), self.neqs + i * nvars + j)
+        exps = np.array(list(rows), dtype=np.intp).reshape(len(rows), nvars)
+        coeffs = np.zeros((len(rows), self.neqs * (1 + nvars)))
+        for r, c, v in entries:
+            coeffs[r, c] = v
+        self.f_plan = _power_plan(exps[:n_f])
+        self.f_coeffs = coeffs[:n_f, : self.neqs]
+        self.plan = _power_plan(exps)
+        self.j_coeffs = coeffs[:, self.neqs :]
 
     def eval(self, pts: np.ndarray) -> np.ndarray:
-        return np.stack([r.eval(pts) for r in self.rows], axis=1)
+        """(N, nvars) points -> (N, neqs) values."""
+        return _monomials(self.f_plan, pts).T @ self.f_coeffs
 
     def jacobian(self, pts: np.ndarray) -> np.ndarray:
-        rows = [
-            np.stack([c.eval(pts) for c in row], axis=1) for row in self.jac_rows
-        ]
-        return np.stack(rows, axis=1)  # (N, neqs, nvars)
+        """(N, nvars) points -> (N, neqs, nvars) partial derivatives."""
+        jac = _monomials(self.plan, pts).T @ self.j_coeffs
+        return jac.reshape(len(pts), self.neqs, self.nvars)
+
+
+def _power_plan(exps: np.ndarray) -> tuple:
+    """(top degree, factors, starts) for the monomials exps: row r is the
+    product of the power-table rows factors[starts[r]:starts[r + 1]]."""
+    nvars = exps.shape[1]
+    factors: list[int] = []
+    starts = []
+    for e in exps.tolist():
+        starts.append(len(factors))
+        # x_v^d is table row 1 + (d-1)*nvars + v; a constant takes row 0, the ones
+        factors += [1 + (d - 1) * nvars + v for v, d in enumerate(e) if d] or [0]
+    top = int(exps.max(initial=0))
+    return top, np.array(factors, dtype=np.intp), np.array(starts, dtype=np.intp)
+
+
+def _monomials(plan: tuple, pts: np.ndarray) -> np.ndarray:
+    """(rows, N) values of the planned monomials at each point."""
+    top, factors, starts = plan
+    x = pts.T
+    table = np.empty((1 + top * x.shape[0], len(pts)))
+    table[0] = 1.0
+    pw = table[1:].reshape(top, *x.shape)  # a view: pw[d-1, v] = x_v^d
+    pw[:1] = x
+    for d in range(1, top):
+        np.multiply(pw[d - 1], x, out=pw[d])
+    # reduceat multiplies each row's factors in variable order
+    return np.multiply.reduceat(table[factors], starts, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -196,13 +236,16 @@ def sample_variety(fs: Sequence[ClassPoly], config: SolverConfig | None = None) 
     # pairs samples quadratically again; thin them harder than curves
     spread = 1.5 if n - len(fs) >= 2 else 3.0
     radius = max(config.cluster_radius, span / (spread * density))
-    order = np.lexsort(pts.T[::-1])
-    kept: list[np.ndarray] = []
-    for idx in order:
-        p = pts[idx]
-        if all(np.linalg.norm(p - q) > radius for q in kept):
-            kept.append(p)
-    return np.array(kept)
+    kept = np.empty_like(pts)
+    count = 0
+    for p in pts[np.lexsort(pts.T[::-1])]:
+        d = (kept[:count] - p)[:, None, :]
+        # a batch of 1-vector dot products rounds exactly as np.linalg.norm
+        # of a single vector does, so ties break as in a per-pair loop
+        if count == 0 or np.sqrt((d @ d.transpose(0, 2, 1)).min()) > radius:
+            kept[count] = p
+            count += 1
+    return kept[:count]
 
 
 # ---------------------------------------------------------------------------
@@ -383,15 +426,15 @@ def find_bottlenecks(
         )
     candidates.sort()
 
-    kept_keys = np.zeros((0, 2 * n))
+    kept_keys = np.empty((len(candidates), 2 * n))  # row i: pairs[i]
     pairs = []
     for s, xx, yy, r, lam, mu in candidates:
         key = np.array(xx + yy)
-        if len(kept_keys) and (
-            np.linalg.norm(kept_keys - key, axis=1).min() <= config.cluster_radius
+        if pairs and (
+            np.linalg.norm(kept_keys[: len(pairs)] - key, axis=1).min() <= config.cluster_radius
         ):
             continue
-        kept_keys = np.vstack([kept_keys, key])
+        kept_keys[len(pairs)] = key
         zvec = np.array(xx + yy + lam + mu)
         pairs.append(
             BottleneckPair(

@@ -227,20 +227,25 @@ def parse_system_text(text: str) -> PolySystem:
         if mm:
             meta[mm.group(1)] = mm.group(2)
             continue
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        # columns in errors count from the start of the file line, so the
+        # polynomial is parsed with its indentation in place
+        line = raw.split("#", 1)[0]
+        if not line.strip():
             continue
         if variables is None:
-            if not line.startswith("vars:"):
-                raise SystemParseError("expected a 'vars:' declaration", lineno, 1)
-            names = line[len("vars:") :].split()
+            body = line.lstrip()
+            col = len(line) - len(body) + 1
+            if not body.startswith("vars:"):
+                raise SystemParseError("expected a 'vars:' declaration", lineno, col)
+            names = body[len("vars:") :].split()
+            col += len("vars:")
             if not names:
-                raise SystemParseError("empty variable list", lineno, 6)
+                raise SystemParseError("empty variable list", lineno, col)
             if len(set(names)) != len(names):
-                raise SystemParseError("duplicate variable name", lineno, 6)
+                raise SystemParseError("duplicate variable name", lineno, col)
             for name in names:
                 if not IDENTIFIER.fullmatch(name):
-                    raise SystemParseError(f"bad variable name {name!r}", lineno, 6)
+                    raise SystemParseError(f"bad variable name {name!r}", lineno, col)
             variables = tuple(names)
             continue
         polys.append(parse_poly(line, variables, lineno))

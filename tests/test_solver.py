@@ -1,6 +1,9 @@
 """Tests for the numeric bottleneck search."""
 
+import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from bnd.profiles import VarietySpec
 from bnd.solver import (
     BottleneckPair,
     SolverConfig,
+    _CompiledSystem,
     classify_isolation,
     find_bottlenecks,
     narrowest_bottleneck,
@@ -19,7 +23,7 @@ from bnd.solver import (
     sample_variety,
     write_json,
 )
-from bnd.systems import build_lagrange_system, build_minor_system, parse_poly
+from bnd.systems import Poly, build_lagrange_system, build_minor_system, parse_poly
 
 V2 = ("x1", "x2")
 V3 = ("x1", "x2", "x3")
@@ -72,6 +76,75 @@ def test_config_box_length_checked():
     cfg = SolverConfig(box=((-1.0, 1.0),))
     with pytest.raises(ValueError):
         cfg.box_for(2)
+
+
+# ---------------------------------------------------------------------------
+# compiled evaluation
+# ---------------------------------------------------------------------------
+
+
+def _dense_poly(rng, nvars, degree, skip=()):
+    """Every monomial of total degree <= degree in nvars variables, except
+    those involving a variable in skip, with random rational coefficients."""
+    terms = {}
+    for e in itertools.product(range(degree + 1), repeat=nvars):
+        if sum(e) <= degree and not any(e[v] for v in skip):
+            terms[e] = Fraction(int(rng.integers(-40, 41)), int(rng.integers(1, 9)))
+    return Poly(nvars, terms)
+
+
+def _assert_matches_exact(polys, nvars, seed=0):
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1.5, 1.5, (7, nvars))
+    sysc = _CompiledSystem(polys, nvars)
+    vals, jac = sysc.eval(pts), sysc.jacobian(pts)
+    assert vals.shape == (len(pts), len(polys))
+    assert jac.shape == (len(pts), len(polys), nvars)
+    for a, pt in enumerate(pts):
+        for i, p in enumerate(polys):
+            exact = [p.eval_exact(pt)] + [p.diff(j).eval_exact(pt) for j in range(nvars)]
+            got = [vals[a, i]] + list(jac[a, i])
+            for g, want in zip(got, exact):
+                assert abs(Fraction(g) - want) <= Fraction(1e-9) * max(1, abs(want))
+
+
+@pytest.mark.parametrize("nvars,degree", [(2, 5), (3, 4), (4, 3), (5, 3), (6, 2)])
+def test_evaluator_matches_exact_dense(nvars, degree):
+    rng = np.random.default_rng(nvars)
+    polys = [_dense_poly(rng, nvars, degree), _dense_poly(rng, nvars, degree - 1)]
+    _assert_matches_exact(polys, nvars, seed=nvars)
+
+
+def test_evaluator_zero_constant_and_absent_variable():
+    rng = np.random.default_rng(1)
+    zero, const = Poly(4, {}), Poly.const(4, Fraction(5, 2))
+    no_x3 = _dense_poly(rng, 4, 3, skip=(2,))
+    _assert_matches_exact([zero, const, no_x3], 4)
+    _assert_matches_exact([Poly(3, {})], 3)
+    _assert_matches_exact([Poly.const(2, -7), Poly(2, {})], 2)
+    vals = _CompiledSystem([zero, const], 4).eval(np.ones((3, 4)))
+    assert vals.tolist() == [[0.0, 2.5]] * 3
+
+
+def test_evaluator_on_lagrange_system():
+    lag = build_lagrange_system([parse_poly("x1^3 - 3*x1*x2^2 - x3", V3), SPHEROID[0]])
+    _assert_matches_exact(list(lag.polynomials), len(lag.variables))
+
+
+def test_evaluator_shared_between_threads():
+    lag = build_lagrange_system(ELLIPSE)
+    sysc = _CompiledSystem(list(lag.polynomials), len(lag.variables))
+    rng = np.random.default_rng(3)
+    batches = [rng.normal(size=(int(rng.integers(1, 60)), 6)) for _ in range(40)]
+
+    def run(pts):
+        return sysc.eval(pts), sysc.jacobian(pts)
+
+    serial = [run(pts) for pts in batches]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        threaded = list(pool.map(run, batches))
+    for (v0, j0), (v1, j1) in zip(serial, threaded):
+        assert np.array_equal(v0, v1) and np.array_equal(j0, j1)
 
 
 # ---------------------------------------------------------------------------

@@ -272,6 +272,28 @@ def test_parse_system_errors_are_located():
         parse_system_text("vars: x1 x1\nx1\n")
 
 
+def test_parse_system_error_columns_count_indentation():
+    # q3 sits at column 10 of the file line, after four spaces of indent
+    with pytest.raises(SystemParseError) as err:
+        parse_system_text("vars: x1 x2\n    x1 + q3\n")
+    assert (err.value.line, err.value.col) == (2, 10)
+    with pytest.raises(SystemParseError) as err:
+        parse_system_text("  vars: x1 x1\n")
+    assert (err.value.line, err.value.col) == (1, 8)
+    indented = parse_system_text("vars: x1 x2\n\tx1^2 + x2\n")
+    assert indented.polynomials == (p2("x1^2 + x2"),)
+
+
+def test_overlong_numeric_literal_is_located():
+    digits = "1" * 5000
+    with pytest.raises(SystemParseError) as err:
+        parse_system_text(f"vars: x1 x2\nx1 + {digits}*x2\n")
+    assert (err.value.line, err.value.col) == (2, 6)
+    with pytest.raises(SystemParseError) as err:
+        p2(f"x1 - 0.{digits}")
+    assert err.value.col == 6
+
+
 def test_system_validates_variable_counts():
     with pytest.raises(ValueError):
         PolySystem(("x1",), (Poly.var(2, 0),))
