@@ -7,9 +7,6 @@ pairs.
 
 from .engine import (
     ambient_stability,
-    bnd_affine,
-    bnd_of_profile,
-    bnd_projective,
     bnd_variety,
     compute_B,
     ed_degree,
@@ -17,18 +14,7 @@ from .engine import (
     epsilon_terms,
 )
 from .profiles import PolarProfile, VarietySpec, ci_profile, polar_degrees
-from .ring import (
-    ClassPoly,
-    RingContext,
-    SymbolSpec,
-    declare_ring,
-    divide_monic,
-    graded_piece,
-    invert_unit,
-    parse,
-    render,
-    substitute,
-)
+from .ring import ClassPoly, parse, render
 from .solver import (
     BottleneckPair,
     SolveResult,
@@ -38,49 +24,32 @@ from .solver import (
     narrowest_bottleneck,
     sample_variety,
 )
-from .systems import (
-    Poly,
-    PolySystem,
-    build_lagrange_system,
-    build_minor_system,
-    parse_poly,
-)
+from .systems import PolySystem, build_lagrange_system, build_minor_system, parse_poly
 
 __all__ = [
     "BottleneckPair",
     "ClassPoly",
     "PolarProfile",
-    "Poly",
     "PolySystem",
-    "RingContext",
     "SolveResult",
     "SolverConfig",
-    "SymbolSpec",
     "ambient_stability",
-    "bnd_affine",
-    "bnd_of_profile",
-    "bnd_projective",
     "bnd_variety",
     "build_lagrange_system",
     "build_minor_system",
     "ci_profile",
     "classify_isolation",
     "compute_B",
-    "declare_ring",
-    "divide_monic",
     "ed_degree",
     "epsilon_oracle",
     "epsilon_terms",
     "find_bottlenecks",
-    "graded_piece",
-    "invert_unit",
     "narrowest_bottleneck",
     "parse",
     "parse_poly",
     "polar_degrees",
     "render",
     "sample_variety",
-    "substitute",
 ]
 
 __version__ = "0.1.0"

@@ -32,14 +32,12 @@ class VarietySpec:
 
     ambient_dim is n; degrees are the hypersurface degrees.  The classes
     computed from this description are those of a generic such intersection
-    (smooth, and with nondegenerate bottleneck geometry); assume_general
-    records that the caller accepts this reading and is echoed by the CLI.
+    (smooth, and with nondegenerate bottleneck geometry).
     """
 
     ambient_dim: int
     degrees: tuple[int, ...]
     affine: bool = False
-    assume_general: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "degrees", tuple(self.degrees))
@@ -70,12 +68,7 @@ def hyperplane_section_spec(spec: VarietySpec) -> VarietySpec:
     down.  Always projective (used for the part of a variety at infinity)."""
     if spec.dim < 1:
         raise ValueError("cannot section a 0-dimensional variety")
-    return VarietySpec(
-        spec.ambient_dim - 1,
-        spec.degrees,
-        affine=False,
-        assume_general=spec.assume_general,
-    )
+    return VarietySpec(spec.ambient_dim - 1, spec.degrees, affine=False)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,9 @@ Jacobian is exactly singular along the family) still converge in the
 normal directions instead of blowing up; those families are then reported
 through finitely many non-isolated representatives.
 
-Set BND_THREADS to split the Newton batches across worker threads; the
-merge is order-preserving, so the thread count never changes the output.
+Set BND_THREADS to split the Newton batches across worker threads (at most
+os.cpu_count() of them); the merge is order-preserving, so the thread count
+never changes the output.
 """
 
 from __future__ import annotations
@@ -346,13 +347,13 @@ def find_bottlenecks(
     for i, f in enumerate(fs, start=1):
         if f.total_degree() < 1:
             raise ValueError(f"defining polynomial {i} is zero or constant")
-    threads = _thread_count()
+    threads, workers = _thread_count()
 
     lag = build_lagrange_system(fs)
     minor = build_minor_system(fs, n - k)
     lag_c = _CompiledSystem(list(lag.polynomials), len(lag.variables))
     minor_c = _CompiledSystem(list(minor.polynomials), 2 * n)
-    grad_c = _CompiledSystem([f.diff(j) for f in fs for j in range(n)], n)
+    fs_c = _CompiledSystem(fs, n)
 
     samples = sample_variety(fs, config)
     diagnostics = {"samples": int(len(samples))}
@@ -371,18 +372,18 @@ def find_bottlenecks(
 
     a, b = samples[idx_i], samples[idx_j]
     # multiplier init: least-squares fit of x - y against the gradients
-    grads_a = grad_c.eval(a).reshape(starts, k, n).transpose(0, 2, 1)
-    grads_b = grad_c.eval(b).reshape(starts, k, n).transpose(0, 2, 1)
+    grads_a = fs_c.jacobian(a).transpose(0, 2, 1)
+    grads_b = fs_c.jacobian(b).transpose(0, 2, 1)
     lam0 = (np.linalg.pinv(grads_a) @ (a - b)[:, :, None])[:, :, 0]
     mu0 = (np.linalg.pinv(grads_b) @ (a - b)[:, :, None])[:, :, 0]
     z0 = np.concatenate([a, b, lam0, mu0], axis=1)
 
     diagnostics["threads"] = threads
-    if threads == 1 or starts < 2 * threads:
+    if workers == 1 or starts < 2 * workers:
         z, res = _newton_batch(lag_c, z0, config)
     else:
-        chunks = np.array_split(z0, threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        chunks = np.array_split(z0, workers)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(lambda c: _newton_batch(lag_c, c, config), chunks))
         z = np.concatenate([p[0] for p in parts])
         res = np.concatenate([p[1] for p in parts])
@@ -451,18 +452,17 @@ def find_bottlenecks(
     return SolveResult(tuple(pairs), True, diagnostics)
 
 
-def _thread_count() -> int:
-    """BND_THREADS as a positive integer; unset or empty means 1."""
-    text = os.environ.get("BND_THREADS", "")
-    if not text:
-        return 1
+def _thread_count() -> tuple[int, int]:
+    """(BND_THREADS as a positive integer, worker threads to start): unset or
+    empty means 1, and the workers are capped at os.cpu_count()."""
+    text = os.environ.get("BND_THREADS") or "1"
     try:
         threads = int(text)
     except ValueError:
         threads = 0
     if threads < 1:
         raise ValueError(f"BND_THREADS must be a positive integer, got {text!r}")
-    return threads
+    return threads, min(threads, os.cpu_count() or 1)
 
 
 def _isolated(sysc: _CompiledSystem, zvec: np.ndarray) -> bool:

@@ -3,10 +3,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from bnd.cli import main
+from bnd.cli import CHECKS, _check_formula, _check_minor_system, _check_solver, main
 from bnd.systems import parse_system_text
 
 ELLIPSE_FILE = "vars: x1 x2\nx1^2 + x2^2/2 - 1\n"
@@ -275,6 +276,38 @@ def test_check_fast_json(capsys):
         by_status.setdefault(row["status"], []).append(row["name"])
     assert len(by_status["fail"]) == 2
     assert all("stability" in name for name in by_status["fail"])
+
+
+def _check_row(name):
+    return next((check, arguments) for row, check, arguments in CHECKS if row == name)
+
+
+def test_check_ellipse_row_passes():
+    check, arguments = _check_row("solver: ellipse axis pairs")
+    assert check is _check_solver
+    assert check(*arguments) == (True, "2 pairs (2 isolated)")
+
+
+def test_check_solver_reports_missing_pair():
+    text, counts_ok, _, tol = _check_row("solver: ellipse axis pairs")[1]
+    # (+-2, 0) is off the ellipse x1^2 + x2^2/2 = 1
+    ok, detail = _check_solver(text, counts_ok, [(-2, 0, 2, 0)], tol)
+    assert not ok
+    assert detail == "missing pair (-2, 0, 2, 0)"
+
+
+def test_check_table_matches_acceptance_suite():
+    # the acceptance suite is the pinned contract; the table restates its
+    # formulas and varieties, so neither may drift from the other
+    suite = (Path(__file__).parent / "test_acceptance.py").read_text()
+    texts = []
+    for _, check, arguments in CHECKS:
+        if check is _check_formula:
+            texts.append(arguments[2])
+        elif check in (_check_solver, _check_minor_system):
+            texts += arguments[0].splitlines()[1:]
+    assert len(texts) == 11
+    assert [t for t in texts if t not in suite] == []
 
 
 # ---------------------------------------------------------------------------

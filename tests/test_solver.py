@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from bnd.solver import (
     BottleneckPair,
     SolverConfig,
     _CompiledSystem,
+    _thread_count,
     classify_isolation,
     find_bottlenecks,
     narrowest_bottleneck,
@@ -237,6 +239,14 @@ def test_thread_count_does_not_change_output(monkeypatch):
     threaded = find_bottlenecks(ELLIPSE, FAST)
     assert threaded.diagnostics["threads"] == 3
     assert threaded.pairs == base.pairs
+
+
+def test_thread_count_capped_at_cpu_count(monkeypatch):
+    # the setting is kept for the diagnostics; only the worker count is capped
+    monkeypatch.setenv("BND_THREADS", "100000")
+    assert _thread_count() == (100000, os.cpu_count() or 1)
+    monkeypatch.setenv("BND_THREADS", "")
+    assert _thread_count() == (1, 1)
 
 
 @pytest.mark.parametrize("value", ["abc", "0"])
