@@ -31,6 +31,7 @@ import numpy as np
 from .engine import (
     ambient_stability,
     bnd_variety,
+    check_work_bound,
     compute_B,
     ed_degree,
     epsilon_oracle,
@@ -189,6 +190,7 @@ def cmd_edd(args) -> int:
     spec = _spec_for(args)
     if spec.dim == 0:
         raise UsageError("Euclidean distance degree needs a positive-dimensional variety")
+    check_work_bound(spec.dim, spec.ambient_dim)
     profile = ci_profile(spec)
     value = ed_degree(profile)
     if args.json:

@@ -55,6 +55,25 @@ from .schubert import (
 )
 
 
+# Largest ambient dimension the exact engine works in.  A query about an
+# m-dimensional variety in P^n runs in n_eff = max(2m+1, n) (compute_B(m, n)
+# in n itself), and the cost grows about 2x per dimension and with n through
+# the Chern class of Gr(2, n+1): compute_B(10, 21) takes about 1.5 s on a
+# 2-vCPU host (0.3 s of it that Chern class), compute_B(11, 23) 3 s.
+MAX_AMBIENT = 21
+
+
+def check_work_bound(m: int, n: int) -> None:
+    """Raise ValueError before any ring work when the shape (m, n) needs an
+    ambient above MAX_AMBIENT."""
+    n_eff = max(2 * m + 1, n)
+    if n_eff > MAX_AMBIENT:
+        raise ValueError(
+            f"dimension {m} in ambient {n} needs the exact engine in ambient {n_eff}, "
+            f"above the bound MAX_AMBIENT = {MAX_AMBIENT}"
+        )
+
+
 @dataclass(frozen=True)
 class BFormula:
     """B_{m,n} as a homogeneous codim-m polynomial in h, p_1..p_m."""
@@ -123,6 +142,7 @@ def compute_B(m: int, n: int) -> BFormula:
     """
     if not 0 < m < n:
         raise ValueError(f"need 0 < m < n, got m={m}, n={n}")
+    check_work_bound(m, n)
     ctx = conormal_context(m, n)
     xi, h = ctx.sym("xi"), ctx.sym("h")
 
@@ -310,6 +330,7 @@ def bnd_variety(spec: VarietySpec) -> int:
     if spec.dim == 0:
         d = spec.fundamental_degree
         return d * (d - 1)
+    check_work_bound(spec.dim, spec.ambient_dim)
     return bnd_of_profile(ci_profile(spec))
 
 
@@ -339,6 +360,7 @@ def ambient_stability(m: int, n_range) -> StabilityReport:
         raise ValueError("empty ambient range")
     if ns[0] <= m:
         raise ValueError(f"every n must exceed m={m}, got n={ns[0]}")
+    check_work_bound(m, ns[-1])
     formulas = tuple(compute_B(m, n) for n in ns)
     identical = all(f.poly == formulas[0].poly for f in formulas)
     stable_from = None

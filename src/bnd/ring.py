@@ -12,8 +12,14 @@ Two normalization rules make the ring model a Chow ring:
 A coordinate ring (`coordinate_ring`) has neither rule: its elements are
 the polynomials that the bottleneck systems are written in.
 
-Coefficients are `fractions.Fraction` throughout; nothing here ever touches
-floating point.
+Coefficients are exact: an `int` where a value is built from integral
+input, a `fractions.Fraction` otherwise.  The two mix, compare and hash
+alike, and nothing here ever touches floating point.
+
+Both rules bound a quantity that is additive over a product: total
+codimension, and the codimension of the pullback factor.  Multiplication
+therefore groups each factor's terms by that pair of grades and forms only
+the term pairs of group pairs that survive.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
+Coefficient = int | Fraction
 
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
@@ -57,7 +64,8 @@ class RingContext:
     """
 
     __slots__ = (
-        "symbols", "truncation", "pullback_bound", "bounded", "_index", "_codims", "_pullback_codims"
+        "symbols", "truncation", "pullback_bound", "bounded", "_index", "_codims",
+        "_pullback_codims", "_top", "_pullback_top",
     )
 
     def __init__(
@@ -71,6 +79,10 @@ class RingContext:
         self._index = {s.name: i for i, s in enumerate(symbols)}
         self._codims = tuple(s.codim for s in symbols)
         self._pullback_codims = tuple(s.codim if s.pullback else 0 for s in symbols)
+        # the largest grades that survive; a rule the ring lacks grades
+        # every term 0 against a top of 0
+        self._top = 0 if truncation is None else truncation
+        self._pullback_top = 0 if pullback_bound is None else pullback_bound
 
     def __eq__(self, other: object) -> bool:
         # Structural equality: rings declared the same way are the same ring,
@@ -114,11 +126,33 @@ class RingContext:
             return True
         return False
 
-    def normalize(self, raw: Mapping[Exponents, Fraction]) -> dict[Exponents, Fraction]:
+    def normalize(self, raw: Mapping[Exponents, Coefficient]) -> dict[Exponents, Coefficient]:
         """The terms of raw that are nonzero in this ring."""
         if self.bounded:
-            return {e: c for e, c in raw.items() if c != 0 and not self._dies(e)}
-        return {e: c for e, c in raw.items() if c != 0}
+            return {e: _exact(c) for e, c in raw.items() if c != 0 and not self._dies(e)}
+        return {e: _exact(c) for e, c in raw.items() if c != 0}
+
+    def _grades(
+        self, terms: dict[Exponents, Coefficient]
+    ) -> list[tuple[int, int, list[tuple[Exponents, Coefficient]]]]:
+        """terms grouped by (codim, pullback codim), each group in the
+        terms' order; a grade the ring does not bound is 0 for every term,
+        so a coordinate ring has a single group."""
+        if not self.bounded:
+            return [(0, 0, list(terms.items()))] if terms else []
+        codims = self._codims if self.truncation is not None else None
+        pullback = self._pullback_codims if self.pullback_bound is not None else None
+        groups: dict[tuple[int, int], list] = {}
+        for e, c in terms.items():
+            key = (
+                sum(map(mul, e, codims)) if codims else 0,
+                sum(map(mul, e, pullback)) if pullback else 0,
+            )
+            if key in groups:
+                groups[key].append((e, c))
+            else:
+                groups[key] = [(e, c)]
+        return [(d, p, items) for (d, p), items in groups.items()]
 
     # -- constructors -------------------------------------------------------
 
@@ -129,13 +163,13 @@ class RingContext:
         return self.constant(1)
 
     def constant(self, c) -> "ClassPoly":
-        return self.poly({(0,) * len(self.symbols): Fraction(c)})
+        return self.poly({(0,) * len(self.symbols): c})
 
     def var(self, i: int) -> "ClassPoly":
         """The i-th symbol."""
         expts = [0] * len(self.symbols)
         expts[i] = 1
-        return self.poly({tuple(expts): Fraction(1)})
+        return self.poly({tuple(expts): 1})
 
     def sym(self, name: str) -> "ClassPoly":
         return self.var(self.index(name))
@@ -144,10 +178,18 @@ class RingContext:
         expts = [0] * len(self.symbols)
         for name, e in powers.items():
             expts[self.index(name)] = e
-        return self.poly({tuple(expts): Fraction(coeff)})
+        return self.poly({tuple(expts): coeff})
 
-    def poly(self, raw: Mapping[Exponents, Fraction]) -> "ClassPoly":
+    def poly(self, raw: Mapping[Exponents, Coefficient]) -> "ClassPoly":
         return ClassPoly(self, raw)
+
+
+def _exact(c) -> Coefficient:
+    """c as an int when it is integral, else as a Fraction."""
+    if isinstance(c, int):
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def declare_ring(
@@ -197,12 +239,12 @@ class ClassPoly:
 
     __slots__ = ("ctx", "terms")
 
-    def __init__(self, ctx: RingContext | int, terms: Mapping[Exponents, Fraction]):
+    def __init__(self, ctx: RingContext | int, terms: Mapping[Exponents, Coefficient]):
         self.ctx = _context(ctx)
         self.terms = self.ctx.normalize(terms)
 
     @classmethod
-    def _of(cls, ctx: RingContext, terms: dict[Exponents, Fraction]) -> "ClassPoly":
+    def _of(cls, ctx: RingContext, terms: dict[Exponents, Coefficient]) -> "ClassPoly":
         """Wrap terms that are already normalized in ctx."""
         p = object.__new__(cls)
         p.ctx = ctx
@@ -226,8 +268,8 @@ class ClassPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.ctx.symbols), Fraction(0))
+    def constant_term(self) -> Coefficient:
+        return self.terms.get((0,) * len(self.ctx.symbols), 0)
 
     def codims(self) -> set[int]:
         return {self.ctx.codim_of(e) for e in self.terms}
@@ -302,17 +344,20 @@ class ClassPoly:
         if other is None:
             return NotImplemented
         ctx = self.ctx
-        dies = ctx._dies if ctx.bounded else None
-        out: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                if dies is not None and dies(e):
+        top, pullback_top = ctx._top, ctx._pullback_top
+        right = ctx._grades(other.terms)
+        out: dict[Exponents, Coefficient] = {}
+        for d1, p1, items1 in ctx._grades(self.terms):
+            for d2, p2, items2 in right:
+                if d1 + d2 > top or p1 + p2 > pullback_top:
                     continue
-                if e in out:
-                    out[e] += c1 * c2
-                else:
-                    out[e] = c1 * c2
+                for e1, c1 in items1:
+                    for e2, c2 in items2:
+                        e = tuple(map(add, e1, e2))
+                        if e in out:
+                            out[e] += c1 * c2
+                        else:
+                            out[e] = c1 * c2
         return ClassPoly._of(ctx, {e: c for e, c in out.items() if c != 0})
 
     __rmul__ = __mul__
@@ -343,7 +388,7 @@ class ClassPoly:
     def __repr__(self) -> str:
         return f"<ClassPoly {render(self)}>"
 
-    def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Exponents, Coefficient]]:
         # canonical order: by total codim, then exponent vector (descending
         # lexicographically), so h^2 comes before h*p1 before p1^2 before p2
         ctx = self.ctx
@@ -390,18 +435,24 @@ class ClassPoly:
 
 
 def invert_unit(a: ClassPoly) -> ClassPoly:
-    """Inverse of a unit 1 + (higher codim), by the finite geometric series."""
-    if a.constant_term() != 1 or a.ctx.truncation is None:
+    """Inverse of a unit 1 + a_1 + a_2 + ... (a_j of codim j), built piece
+    by piece: u_0 = 1 and u_k = -(a_1 u_(k-1) + ... + a_k u_0)."""
+    ctx = a.ctx
+    if a.constant_term() != 1 or ctx.truncation is None:
         raise ValueError(f"not a unit with constant term 1 in a truncated ring: {render(a)}")
-    delta = a - 1
-    acc = a.ctx.one()
-    power = a.ctx.one()
-    for _ in range(a.ctx.truncation):
-        power = power * (-delta)
-        if power.is_zero():
-            break
-        acc = acc + power
-    return acc
+    by_codim: dict[int, dict[Exponents, Coefficient]] = {}
+    for e, c in a.terms.items():
+        by_codim.setdefault(ctx.codim_of(e), {})[e] = c
+    pieces = {j: ClassPoly._of(ctx, terms) for j, terms in by_codim.items() if j}
+    inverse = [ctx.one()]
+    for k in range(1, ctx.truncation + 1):
+        u_k = ctx.zero()
+        for j, a_j in pieces.items():
+            if j <= k and inverse[k - j].terms:
+                u_k = u_k - a_j * inverse[k - j]
+        inverse.append(u_k)
+    # the pieces have distinct codims, so their terms never collide
+    return ClassPoly._of(ctx, {e: c for u_k in inverse for e, c in u_k.terms.items()})
 
 
 def graded_piece(a: ClassPoly, k: int) -> ClassPoly:
@@ -487,7 +538,7 @@ def divide_monic(
 # ---------------------------------------------------------------------------
 
 
-def _render_terms(items: Iterable[tuple[Exponents, Fraction]], names: Sequence[str]) -> str:
+def _render_terms(items: Iterable[tuple[Exponents, Coefficient]], names: Sequence[str]) -> str:
     """Signed terms in the given order, e.g. ``3/2*h^2 - p1 + 1``."""
     chunks = []
     for expts, coeff in items:
@@ -535,6 +586,9 @@ class SystemParseError(ValueError):
 
 
 _NUM = re.compile(r"\d+\.\d+|\d+|\.\d+")
+# an exponent right after a literal: 1e-3 is refused by name, never expanded
+# (Fraction("1e999999999") would write out a billion digits)
+_SCIENTIFIC = re.compile(r"[eE][+-]?\d")
 
 
 class _Parser:
@@ -601,7 +655,7 @@ class _Parser:
                 value = divisor.constant_term()
                 if value == 0:
                     self.error("division by zero")
-                acc = acc * self.ctx.constant(1 / value)
+                acc = acc * self.ctx.constant(Fraction(1) / value)
             else:
                 return acc
 
@@ -635,6 +689,8 @@ class _Parser:
             return -self.atom()
         m = _NUM.match(self.text, self.pos)
         if m:
+            if _SCIENTIFIC.match(self.text, m.end()):
+                self.error("scientific notation is not supported; write the number as a decimal")
             tok = m.group()
             if tok.startswith("."):
                 tok = "0" + tok

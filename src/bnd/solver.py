@@ -366,8 +366,10 @@ def find_bottlenecks(
     starts = len(idx_i)
     diagnostics["start_pairs"] = int(starts)
 
+    # threads echoes BND_THREADS; threads_used counts the workers that ran
+    diagnostics["threads"] = threads
     if starts == 0:
-        diagnostics.update(converged=0, verified=0, threads=1)
+        diagnostics.update(threads_used=1, converged=0, verified=0)
         return SolveResult((), True, diagnostics)
 
     a, b = samples[idx_i], samples[idx_j]
@@ -378,10 +380,11 @@ def find_bottlenecks(
     mu0 = (np.linalg.pinv(grads_b) @ (a - b)[:, :, None])[:, :, 0]
     z0 = np.concatenate([a, b, lam0, mu0], axis=1)
 
-    diagnostics["threads"] = threads
     if workers == 1 or starts < 2 * workers:
+        diagnostics["threads_used"] = 1
         z, res = _newton_batch(lag_c, z0, config)
     else:
+        diagnostics["threads_used"] = workers
         chunks = np.array_split(z0, workers)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(lambda c: _newton_batch(lag_c, c, config), chunks))

@@ -10,7 +10,7 @@ an off-diagonal solution of either of two systems:
   * Lagrange formulation: a square system with multipliers,
     x - y = sum_i lam_i grad f_i(x),  x - y = sum_i mu_i grad f_i(y).
 
-Everything is exact: coefficients are Fractions, decimal literals in input
+Everything is exact: coefficients are ints or Fractions, decimal literals in input
 files convert by digit shift, and minors are expanded determinants.
 """
 

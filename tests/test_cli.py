@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -116,6 +117,24 @@ def test_degrees_validation(capsys):
     assert code == 2
     code, _, err = run(capsys, "bnd", "--ambient", "2", "--degrees", "2,2,2")
     assert code == 2  # more equations than the ambient dimension allows
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bnd", "--ambient", "30", "--degrees", "2"),
+        ("bnd", "--ambient", "30", "--degrees", "2", "--affine"),
+        ("edd", "--ambient", "30", "--degrees", "2"),
+        ("formula", "--dim", "11", "--ambient", "23"),
+        ("formula", "--dim", "1", "--ambient", "3", "--stability", "30"),
+    ],
+)
+def test_work_past_the_bound_is_refused(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and not out
+    assert "MAX_AMBIENT = 21" in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,16 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from bnd.engine import (
+    MAX_AMBIENT,
     ambient_stability,
     bnd_affine,
     bnd_of_profile,
     bnd_projective,
     bnd_variety,
+    check_work_bound,
     compute_B,
     conormal_class_coeffs,
     ed_degree,
@@ -26,6 +31,32 @@ def surface(d):
 
 
 # -- the universal polynomials ----------------------------------------------
+
+FORMULA_REFERENCE = Path(__file__).parent.parent / "perfbench" / "reference" / "formula.json"
+
+
+def test_compute_b_matches_pinned_reference():
+    # B_{m,n} for m = 1..5, m < n <= 2m+3, as pinned from the seed commit
+    pinned = json.loads(FORMULA_REFERENCE.read_text(encoding="utf-8"))
+    assert len(pinned) == 30
+    for key, text in pinned.items():
+        m, n = map(int, key.split(","))
+        assert compute_B(m, n).text == text, key
+
+
+def test_work_bound():
+    top = (MAX_AMBIENT - 1) // 2
+    check_work_bound(top, MAX_AMBIENT)
+    check_work_bound(1, MAX_AMBIENT)
+    for m, n in ((top + 1, 2 * top + 2), (1, MAX_AMBIENT + 1), (29, 30)):
+        with pytest.raises(ValueError, match=f"MAX_AMBIENT = {MAX_AMBIENT}"):
+            check_work_bound(m, n)
+        with pytest.raises(ValueError, match="MAX_AMBIENT"):
+            compute_B(m, n)
+    with pytest.raises(ValueError, match="MAX_AMBIENT"):
+        ambient_stability(1, range(3, MAX_AMBIENT + 2))
+    with pytest.raises(ValueError, match="MAX_AMBIENT"):
+        bnd_variety(VarietySpec(MAX_AMBIENT + 1, (2,) * MAX_AMBIENT))
 
 
 def test_compute_b_known_formulas():

@@ -6,6 +6,7 @@ import pytest
 from bnd.engine import formula_context
 from bnd.ring import (
     MAX_EXPONENT,
+    RingContext,
     SymbolSpec,
     SystemParseError,
     coordinate_ring,
@@ -141,6 +142,122 @@ def test_invert_unit_geometric_series():
     ctx = declare_ring([SymbolSpec("h", 1)], truncation=4)
     h = ctx.sym("h")
     assert invert_unit(1 + h) == 1 - h + h ** 2 - h ** 3 + h ** 4
+
+
+# -- the graded core against its definitions --------------------------------
+
+
+def mixed_poly(ctx, rng, nterms=8, max_exp=3):
+    """Random element with int and Fraction coefficients."""
+    raw = {}
+    for _ in range(nterms):
+        e = tuple(rng.randrange(max_exp + 1) for _ in ctx.symbols)
+        c = rng.randrange(-9, 10)
+        raw[e] = c if rng.random() < 0.5 else Fraction(c, rng.randrange(2, 7))
+    return ctx.poly(raw)
+
+
+def naive_product(a, b):
+    """Every term pair, then the ring's normalization (RingContext._dies)."""
+    raw = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            raw[e] = raw.get(e, 0) + c1 * c2
+    return a.ctx.poly(raw)
+
+
+@pytest.mark.parametrize(
+    "ctx",
+    [
+        coordinate_ring(3),
+        declare_ring([SymbolSpec("a", 1), SymbolSpec("b", 2), SymbolSpec("c", 3)], truncation=5),
+        conormal_ctx(m=2, n=7),
+    ],
+    ids=["coordinate", "truncated", "pullback"],
+)
+def test_multiply_is_the_normalized_convolution(ctx):
+    rng = random.Random(606)
+    for _ in range(30):
+        a, b = mixed_poly(ctx, rng), mixed_poly(ctx, rng)
+        assert a * b == naive_product(a, b)
+    # powers reach the truncation and the pullback bound from both sides
+    a = mixed_poly(ctx, rng, nterms=5, max_exp=2)
+    assert a ** 3 == naive_product(naive_product(a, a), a)
+
+
+def test_coordinate_ring_product_keeps_first_insertion_order():
+    # compiled solver polynomials sum their terms in this order
+    rng = random.Random(607)
+    ctx = coordinate_ring(3)
+    a, b = mixed_poly(ctx, rng), mixed_poly(ctx, rng)
+    assert list((a * b).terms) == list(naive_product(a, b).terms)
+
+
+def test_multiply_never_forms_a_dying_term(monkeypatch):
+    ctx = conormal_ctx(m=2, n=5)
+    xi, h, c1 = ctx.sym("xi"), ctx.sym("h"), ctx.sym("c1")
+    a = (1 + xi + h + c1) ** 3
+    b = h * c1 + xi ** 2 * (h + c1)
+
+    def refuse(self, expts):
+        raise AssertionError("__mul__ tested a single term")
+
+    monkeypatch.setattr(RingContext, "_dies", refuse)
+    assert (a * a).terms
+    assert (b * b).is_zero()
+
+
+def geometric_inverse(a):
+    """1 / (1 + d) as the finite series 1 - d + d^2 - ..."""
+    delta = a - 1
+    acc = power = a.ctx.one()
+    for _ in range(a.ctx.truncation):
+        power = power * (-delta)
+        if power.is_zero():
+            break
+        acc = acc + power
+    return acc
+
+
+def test_invert_unit_matches_the_geometric_series():
+    rng = random.Random(608)
+    ctx = conormal_ctx(m=3, n=8)
+    for _ in range(12):
+        a = mixed_poly(ctx, rng, nterms=10)
+        a = a - graded_piece(a, 0) + 1
+        assert invert_unit(a) == geometric_inverse(a)
+    # a unit with a gap: u_1 = 0 while u_2 and u_4 are not
+    h = declare_ring([SymbolSpec("h", 1)], truncation=5).sym("h")
+    assert invert_unit(1 + h ** 2) == 1 - h ** 2 + h ** 4
+
+
+def test_integral_inputs_give_int_coefficients():
+    ctx = conormal_ctx(m=2, n=6)
+    xi, c2 = ctx.sym("xi"), ctx.sym("c2")
+    built = [
+        ctx.constant(Fraction(6, 2)),
+        ctx.monomial(Fraction(4, 1), xi=1, c1=1),
+        parse(ctx, "3.0*xi^2 - 2*c1 + 7"),
+        ctx.poly({(1, 0, 0, 0): Fraction(8, 4)}),
+        invert_unit(1 + 3 * xi - c2) * (2 + xi) ** 3,
+    ]
+    for p in built:
+        assert p.terms and all(type(c) is int for c in p.terms.values()), render(p)
+    assert type(parse(ctx, "xi/2").terms[(1, 0, 0, 0)]) is Fraction
+
+
+@pytest.mark.parametrize(
+    "ctx, names",
+    [(coordinate_ring(1), ["x1"]), (declare_ring([SymbolSpec("x1", 1)], truncation=3), None)],
+    ids=["coordinate", "class"],
+)
+def test_division_by_a_constant_stays_exact(ctx, names):
+    x1 = ctx.var(0)
+    for text, coeff in (("x1/3", Fraction(1, 3)), ("x1/(2*3)", Fraction(1, 6))):
+        got = parse(ctx, text, names)
+        assert got == coeff * x1
+        assert got.terms[(1,)] == coeff and type(got.terms[(1,)]) is Fraction
 
 
 # -- division ----------------------------------------------------------------
@@ -279,3 +396,13 @@ def test_parse_bounds_exponents(ctx, text):
     assert err.value.line == 1 and err.value.col == text.index("9") + 1
     name = ctx.symbols[0].name
     parse(ctx, f"{name}^{MAX_EXPONENT}")
+
+
+@pytest.mark.parametrize(
+    "text, col", [("1e-3*v0", 1), ("v0 + 2.5E+4", 6), ("v0 + 1e999999999", 6)]
+)
+def test_scientific_notation_is_named(text, col):
+    # refused by name at the literal, never expanded however large the exponent
+    with pytest.raises(SystemParseError, match="scientific notation is not supported") as err:
+        parse(coordinate_ring(1), text)
+    assert err.value.col == col

@@ -241,6 +241,26 @@ def test_thread_count_does_not_change_output(monkeypatch):
     assert threaded.pairs == base.pairs
 
 
+def test_threads_used_counts_the_workers_that_ran(monkeypatch):
+    base = find_bottlenecks(ELLIPSE, FAST)
+    assert base.diagnostics["threads"] == 1 and base.diagnostics["threads_used"] == 1
+    monkeypatch.setenv("BND_THREADS", "3")
+    workers = min(3, os.cpu_count() or 1)
+    threaded = find_bottlenecks(ELLIPSE, FAST)
+    assert threaded.diagnostics["start_pairs"] >= 2 * workers
+    assert threaded.diagnostics["threads"] == 3
+    assert threaded.diagnostics["threads_used"] == workers
+
+
+def test_zero_start_path_reports_threads(monkeypatch):
+    monkeypatch.setenv("BND_THREADS", "2")
+    empty = find_bottlenecks([parse_poly("x1^2 + x2^2 + 1", V2)], FAST)  # no real points
+    assert empty.pairs == ()
+    assert empty.diagnostics["start_pairs"] == 0
+    assert empty.diagnostics["threads"] == 2
+    assert empty.diagnostics["threads_used"] == 1
+
+
 def test_thread_count_capped_at_cpu_count(monkeypatch):
     # the setting is kept for the diagnostics; only the worker count is capped
     monkeypatch.setenv("BND_THREADS", "100000")
