@@ -12,11 +12,15 @@ The search is heuristic: results always carry possibly_incomplete=True and
 the found count should be compared against the BND-derived complex bound,
 never read as exhaustive.
 
-Newton steps use a pseudoinverse with a relative cutoff instead of a plain
-solve, so solutions lying on positive-dimensional families (where the
-Jacobian is exactly singular along the family) still converge in the
-normal directions instead of blowing up; those families are then reported
-through finitely many non-isolated representatives.
+Newton steps use LU with a pinv fallback for near-singular rows: a batched
+solve, except that a row whose step is non-finite or huge against its
+residual takes the pseudoinverse step with a relative cutoff.  Solutions
+lying on positive-dimensional families (where the Jacobian is exactly
+singular along the family) then still converge in the normal directions
+instead of blowing up; those families are reported through finitely many
+non-isolated representatives.  The step length is the first of
+1, 1/2, .., 2^-30 that lowers the residual, searched in three batched
+blocks.
 
 Set BND_THREADS to split the Newton batches across worker threads (at most
 os.cpu_count() of them); the merge is order-preserving, so the thread count
@@ -28,6 +32,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -39,6 +44,13 @@ from .systems import PolySystem, build_lagrange_system, build_minor_system
 # singular values below RANK_CUTOFF * sigma_max count as zero, both for the
 # Newton pseudoinverse and for the isolation flag
 RANK_CUTOFF = 1e-8
+# an LU step with |step| * max|J| > STEP_LIMIT * |F| marks a near-singular
+# row, which takes the pseudoinverse step instead
+STEP_LIMIT = 1e7
+# damped Newton tries t = 1 first, then t = 2^-1..2^-3, 2^-4..2^-11 and
+# 2^-12..2^-30, each block in one evaluation
+STEP_LENGTHS = np.ldexp(1.0, -np.arange(31))
+STEP_BLOCKS = (slice(1, 4), slice(4, 12), slice(12, 31))
 
 
 @dataclass(frozen=True)
@@ -216,8 +228,7 @@ def sample_variety(fs: Sequence[ClassPoly], config: SolverConfig | None = None) 
         vals = sysc.eval(pts)
         if np.max(np.abs(vals), initial=0.0) < config.residual_tol * 1e-2:
             break
-        jac = sysc.jacobian(pts)
-        step = (np.linalg.pinv(jac, rcond=RANK_CUTOFF) @ vals[:, :, None])[:, :, 0]
+        step = _pinv_step(sysc.jacobian(pts), vals)
         # cap step length at 1: huge Gauss-Newton steps near gradient
         # degeneracies would fling points out of the box
         norm = np.linalg.norm(step, axis=1, keepdims=True)
@@ -254,50 +265,91 @@ def sample_variety(fs: Sequence[ClassPoly], config: SolverConfig | None = None) 
 # ---------------------------------------------------------------------------
 
 
+def _pinv_step(jac: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Least-squares steps pinv(J) F, singular values below RANK_CUTOFF
+    times the largest counted as zero."""
+    return (np.linalg.pinv(jac, rcond=RANK_CUTOFF) @ vals[:, :, None])[:, :, 0]
+
+
+def _newton_step(jac: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, int]:
+    """Newton steps J^-1 F for square (N, m, m) J by batched LU, and the
+    number of rows that took the pseudoinverse step instead: rows whose J is
+    exactly singular, and rows whose LU step is non-finite or above
+    STEP_LIMIT against the residual."""
+    try:
+        step = np.linalg.solve(jac, vals[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        # some J has a zero LU pivot, which is a zero determinant sign: solve
+        # the other rows and leave nan in these.  Should the two ever
+        # disagree, every row stays nan and takes the pseudoinverse.
+        step = np.full_like(vals, np.nan)
+        regular = np.linalg.slogdet(jac)[0] != 0
+        with suppress(np.linalg.LinAlgError):
+            step[regular] = np.linalg.solve(jac[regular], vals[regular, :, None])[:, :, 0]
+    with np.errstate(invalid="ignore", over="ignore"):
+        scale = np.linalg.norm(step, axis=1) * np.abs(jac).max(axis=(1, 2))
+        # written as not-below so that a nan or inf step falls back too
+        wild = ~(scale <= STEP_LIMIT * np.linalg.norm(vals, axis=1))
+    if wild.any():
+        step[wild] = _pinv_step(jac[wild], vals[wild])
+    return step, int(wild.sum())
+
+
+def _step_length(
+    sysc: _CompiledSystem, z: np.ndarray, step: np.ndarray, cur_res: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Damped update of each row of z: z - t*step for the first t of
+    STEP_LENGTHS whose residual is below cur_res, with that residual.  A row
+    that no t improves, or whose full step has a nan residual, is stalled
+    and carries nan."""
+    best = z - step
+    best_res = np.max(np.abs(sysc.eval(best)), axis=1)
+    search = np.flatnonzero(best_res >= cur_res)
+    for block in STEP_BLOCKS:
+        if not search.size:
+            break
+        t = STEP_LENGTHS[block, None]
+        cand = z[search, None] - t * step[search, None]  # (rows, len(t), nvars)
+        cand_res = np.max(np.abs(sysc.eval(cand.reshape(-1, z.shape[1]))), axis=1)
+        cand_res = cand_res.reshape(len(search), -1)
+        hit = cand_res < cur_res[search, None]
+        first = hit.argmax(axis=1)
+        found = hit[np.arange(len(search)), first]
+        rows, pick = search[found], first[found]
+        best[rows] = cand[found, pick]
+        best_res[rows] = cand_res[found, pick]
+        search = search[~found]
+    stalled = ~(best_res < cur_res)
+    best[stalled] = np.nan
+    best_res[stalled] = np.nan
+    return best, best_res
+
+
 def _newton_batch(
     sysc: _CompiledSystem, z0: np.ndarray, config: SolverConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Damped Newton from each row of z0.  Returns (solutions, residuals);
-    rows that diverged carry nan."""
+) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Damped Newton from each row of z0.  Returns (solutions, residuals,
+    iterations run, rows that took the pseudoinverse step); rows that
+    diverged carry nan."""
     z = z0.copy()
     n_pts = z.shape[0]
     if n_pts == 0:
-        return z, np.zeros(0)
+        return z, np.zeros(0), 0, 0
     res = np.max(np.abs(sysc.eval(z)), axis=1)
     active = np.ones(n_pts, dtype=bool)
     freeze_tol = config.residual_tol * 1e-2
+    iterations = fallbacks = 0
 
     for _ in range(config.newton_max_iter):
         active &= res > freeze_tol
         active &= np.isfinite(res)
         if not active.any():
             break
+        iterations += 1
         za = z[active]
-        vals = sysc.eval(za)
-        jac = sysc.jacobian(za)
-        step = (np.linalg.pinv(jac, rcond=RANK_CUTOFF) @ vals[:, :, None])[:, :, 0]
-
-        # step halving: accept the first candidate that reduces the residual
-        t = np.ones(len(za))
-        best = za - step
-        best_res = np.max(np.abs(sysc.eval(best)), axis=1)
-        cur_res = res[active]
-        for _ in range(30):
-            need = ~(best_res < cur_res) & np.isfinite(t)
-            if not need.any():
-                break
-            t[need] *= 0.5
-            cand = za[need] - t[need, None] * step[need]
-            cand_res = np.max(np.abs(sysc.eval(cand)), axis=1)
-            improved = cand_res < best_res[need]
-            rows = np.where(need)[0][improved]
-            best[rows] = cand[improved]
-            best_res[rows] = cand_res[improved]
-        stalled = ~(best_res < cur_res)
-        best[stalled] = np.nan
-        best_res[stalled] = np.nan
-        z[active] = best
-        res[active] = best_res
+        step, wild = _newton_step(sysc.jacobian(za), sysc.eval(za))
+        fallbacks += wild
+        z[active], res[active] = _step_length(sysc, za, step, res[active])
 
     # polish: two undamped steps sharpen converged roots to machine precision
     done = np.isfinite(res) & (res < config.residual_tol * 10)
@@ -305,16 +357,15 @@ def _newton_batch(
         if not done.any():
             break
         zd = z[done]
-        vals = sysc.eval(zd)
-        jac = sysc.jacobian(zd)
-        step = (np.linalg.pinv(jac, rcond=RANK_CUTOFF) @ vals[:, :, None])[:, :, 0]
+        step, wild = _newton_step(sysc.jacobian(zd), sysc.eval(zd))
+        fallbacks += wild
         cand = zd - step
         cand_res = np.max(np.abs(sysc.eval(cand)), axis=1)
         better = cand_res <= res[done]
         rows = np.where(done)[0][better]
         z[rows] = cand[better]
         res[rows] = cand_res[better]
-    return z, res
+    return z, res, iterations, fallbacks
 
 
 def _canonical_pair(x: np.ndarray, y: np.ndarray, tol: float) -> bool:
@@ -369,7 +420,9 @@ def find_bottlenecks(
     # threads echoes BND_THREADS; threads_used counts the workers that ran
     diagnostics["threads"] = threads
     if starts == 0:
-        diagnostics.update(threads_used=1, converged=0, verified=0)
+        diagnostics.update(
+            threads_used=1, newton_iterations=0, step_fallbacks=0, converged=0, verified=0
+        )
         return SolveResult((), True, diagnostics)
 
     a, b = samples[idx_i], samples[idx_j]
@@ -382,14 +435,16 @@ def find_bottlenecks(
 
     if workers == 1 or starts < 2 * workers:
         diagnostics["threads_used"] = 1
-        z, res = _newton_batch(lag_c, z0, config)
+        parts = [_newton_batch(lag_c, z0, config)]
     else:
         diagnostics["threads_used"] = workers
         chunks = np.array_split(z0, workers)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(lambda c: _newton_batch(lag_c, c, config), chunks))
-        z = np.concatenate([p[0] for p in parts])
-        res = np.concatenate([p[1] for p in parts])
+    z = np.concatenate([p[0] for p in parts])
+    res = np.concatenate([p[1] for p in parts])
+    diagnostics["newton_iterations"] = max(p[2] for p in parts)
+    diagnostics["step_fallbacks"] = sum(p[3] for p in parts)
 
     ok = np.isfinite(res) & (res < config.residual_tol)
     diagnostics["converged"] = int(ok.sum())

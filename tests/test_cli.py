@@ -239,6 +239,15 @@ def test_solve_json_and_files(capsys, ellipse_path, tmp_path):
     assert len(segments) == 2 and all(len(s.split()) == 4 for s in segments)
 
 
+def test_solve_json_reports_step_telemetry(capsys, ellipse_path):
+    code, out, _ = run(capsys, "solve", "--input", ellipse_path, "--density", "8", "--json")
+    assert code == 0
+    diagnostics = json.loads(out)["diagnostics"]
+    assert diagnostics["newton_iterations"] >= 1
+    assert diagnostics["step_fallbacks"] >= 0
+    assert diagnostics["threads_used"] == 1
+
+
 def test_solve_bad_box_is_usage_error(capsys, ellipse_path):
     code, _, err = run(capsys, "solve", "--input", ellipse_path, "--box", "1:2:3")
     assert code == 2

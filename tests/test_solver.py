@@ -9,12 +9,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bnd import solver
 from bnd.engine import bnd_variety
 from bnd.profiles import VarietySpec
 from bnd.solver import (
+    RANK_CUTOFF,
     BottleneckPair,
     SolverConfig,
     _CompiledSystem,
+    _newton_step,
+    _step_length,
     _thread_count,
     classify_isolation,
     find_bottlenecks,
@@ -176,6 +180,179 @@ def test_sample_ellipsoid_residual():
     assert len(pts) > 0
     vals = np.abs(36 * pts[:, 0] ** 2 + 9 * pts[:, 1] ** 2 + 4 * pts[:, 2] ** 2 - 36)
     assert vals.max() < SolverConfig().residual_tol
+
+
+# ---------------------------------------------------------------------------
+# Newton steps
+# ---------------------------------------------------------------------------
+
+
+class _FlaggedIdentity:
+    """F(p) = (p1, p2), so the residual is max(|p1|, |p2|); nan wherever the
+    flag coordinate p3 is positive.  Each row is evaluated on its own."""
+
+    def eval(self, pts):
+        return np.where(pts[:, 2:] > 0, np.nan, pts[:, :2])
+
+
+def _sequential_halving(sysc, za, step, cur_res):
+    """The step-halving loop the batched search replaced: one evaluation per
+    halving round."""
+    t = np.ones(len(za))
+    best = za - step
+    best_res = np.max(np.abs(sysc.eval(best)), axis=1)
+    for _ in range(30):
+        need = ~(best_res < cur_res) & np.isfinite(t)
+        if not need.any():
+            break
+        t[need] *= 0.5
+        cand = za[need] - t[need, None] * step[need]
+        cand_res = np.max(np.abs(sysc.eval(cand)), axis=1)
+        improved = cand_res < best_res[need]
+        rows = np.where(need)[0][improved]
+        best[rows] = cand[improved]
+        best_res[rows] = cand_res[improved]
+    stalled = ~(best_res < cur_res)
+    best[stalled] = np.nan
+    best_res[stalled] = np.nan
+    return best, best_res
+
+
+def _halving_batch(rng, rows):
+    """Rows of z, step and current residual: improving at t = 1, improving
+    first at t = 2^-20, never improving, nan at t = 1 (stalled even though a
+    shorter step would improve), a nan point, and random rows whose
+    residual drops below the current one at several t of one block."""
+    z = rng.uniform(-2, 2, (rows, 3))
+    z[:, 2] = -1.0
+    step = np.zeros_like(z)
+    kind = rng.integers(0, 6, rows)
+    for r, k in enumerate(kind):
+        if k == 0:
+            step[r, :2] = z[r, :2]
+        elif k == 1:
+            step[r, :2] = z[r, :2] * 2.0**20
+        elif k == 2:
+            step[r, :2] = -z[r, :2]
+        elif k == 3:
+            step[r] = (*(z[r, :2] * 0.5), -4.0)
+        elif k == 4:
+            z[r, 0] = np.nan
+        else:
+            step[r, :2] = z[r, :2] * 2.0 ** rng.uniform(0, 25)
+    cur_res = np.max(np.abs(z[:, :2]), axis=1)
+    cur_res[kind == 4] = 1.0
+    cur_res[kind == 5] *= rng.uniform(0.2, 1.0, int((kind == 5).sum()))
+    return z, step, cur_res, kind
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_step_length_equals_sequential_halving(seed):
+    z, step, cur_res, kind = _halving_batch(np.random.default_rng(seed), 300)
+    sysc = _FlaggedIdentity()
+    want = _sequential_halving(sysc, z, step, cur_res)
+    got = _step_length(sysc, z, step, cur_res)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b, equal_nan=True)
+    best, res = got
+    assert np.all(res[kind == 0] == 0)
+    assert np.array_equal(best[kind == 1], z[kind == 1] - 2.0**-20 * step[kind == 1])
+    assert np.isnan(res[(kind >= 2) & (kind <= 4)]).all()
+    # enough random rows are accepted inside a block for the comparison to
+    # tell the first hit of a block from a later one
+    assert np.isfinite(res[kind == 5]).sum() > 20
+
+
+def _well_conditioned(rng, count, m):
+    return rng.normal(size=(count, m, m)) + 4 * np.eye(m)
+
+
+def _pinv_reference(jac, vals):
+    return (np.linalg.pinv(jac, rcond=RANK_CUTOFF) @ vals[:, :, None])[:, :, 0]
+
+
+def test_newton_step_equals_pinv_step_when_well_conditioned():
+    rng = np.random.default_rng(5)
+    for m in (2, 4, 6):
+        jac, vals = _well_conditioned(rng, 50, m), rng.normal(size=(50, m))
+        step, fallbacks = _newton_step(jac, vals)
+        want = _pinv_reference(jac, vals)
+        assert fallbacks == 0
+        assert np.all(np.linalg.norm(step - want, axis=1) <= 1e-10 * np.linalg.norm(want, axis=1))
+
+
+def test_newton_step_singular_row_takes_pinv():
+    rng = np.random.default_rng(6)
+    jac, vals = _well_conditioned(rng, 20, 4), rng.normal(size=(20, 4))
+    jac[7, 3] = jac[7, 0]  # two equal rows: exactly singular
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(jac, vals[:, :, None])
+    step, fallbacks = _newton_step(jac, vals)
+    assert fallbacks == 1
+    assert np.allclose(step[7], _pinv_reference(jac[7:8], vals[7:8])[0], rtol=1e-12, atol=0)
+    others = np.arange(20) != 7
+    assert np.allclose(step[others], np.linalg.solve(jac[others], vals[others, :, None])[:, :, 0])
+
+
+def test_newton_step_near_singular_row_takes_pinv():
+    rng = np.random.default_rng(7)
+    jac, vals = _well_conditioned(rng, 10, 3), rng.normal(size=(10, 3))
+    u, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    v, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    jac[4] = u @ np.diag([2.0, 1.0, 1e-13]) @ v.T  # invertible, but the LU step is huge
+    lu = np.linalg.solve(jac[4], vals[4])
+    assert np.linalg.norm(lu) * np.abs(jac[4]).max() > 1e7 * np.linalg.norm(vals[4])
+    step, fallbacks = _newton_step(jac, vals)
+    assert fallbacks == 1
+    assert np.allclose(step[4], _pinv_reference(jac[4:5], vals[4:5])[0], rtol=1e-12, atol=0)
+
+
+def test_newton_iteration_call_counts(monkeypatch):
+    # inside the Newton batch, each iteration is one jacobian call followed by
+    # at most 2 + 3 evals: F at the point, the full step, three step blocks
+    monkeypatch.delenv("BND_THREADS", raising=False)
+    calls = []
+    counting = [False]
+    for name in ("eval", "jacobian"):
+        original = getattr(_CompiledSystem, name)
+
+        def wrapped(self, pts, _name=name, _original=original):
+            if counting[0]:
+                calls.append(_name)
+            return _original(self, pts)
+
+        monkeypatch.setattr(_CompiledSystem, name, wrapped)
+    newton_batch = solver._newton_batch
+
+    def counted(*args):
+        counting[0] = True
+        try:
+            return newton_batch(*args)
+        finally:
+            counting[0] = False
+
+    monkeypatch.setattr(solver, "_newton_batch", counted)
+    result = find_bottlenecks(ELLIPSE, FAST)
+    iterations = result.diagnostics["newton_iterations"]
+    assert iterations >= 10
+    segments = "".join("|" if c == "jacobian" else "e" for c in calls).split("|")
+    assert len(segments[0]) <= 2  # the starting residual, perhaps F of the first step
+    # the damped iterations, then at most two polishing steps
+    assert iterations <= len(segments) - 1 <= iterations + 2
+    assert max(len(seg) for seg in segments[1:]) <= 2 + 3
+
+
+def test_step_telemetry_independent_of_threads(monkeypatch):
+    base = find_bottlenecks(ELLIPSE, FAST)
+    monkeypatch.setenv("BND_THREADS", "3")
+    threaded = find_bottlenecks(ELLIPSE, FAST)
+    assert threaded.diagnostics["threads_used"] == min(3, os.cpu_count() or 1)
+    for key in ("newton_iterations", "step_fallbacks"):
+        assert threaded.diagnostics[key] == base.diagnostics[key]
+    assert 1 <= base.diagnostics["newton_iterations"] <= FAST.newton_max_iter
+    assert base.diagnostics["step_fallbacks"] > 0
+    empty = find_bottlenecks([parse_poly("x1^2 + x2^2 + 1", V2)], FAST)
+    assert empty.diagnostics["newton_iterations"] == empty.diagnostics["step_fallbacks"] == 0
 
 
 # ---------------------------------------------------------------------------
