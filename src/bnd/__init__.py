@@ -33,6 +33,7 @@ __all__ = [
     "PolySystem",
     "SolveResult",
     "SolverConfig",
+    "VarietySpec",
     "ambient_stability",
     "bnd_variety",
     "build_lagrange_system",

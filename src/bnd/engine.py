@@ -19,6 +19,12 @@ C_X is the projectivized dual normal bundle P(N^), fibered over X with
 relative class xi; classes pulled back from X are capped at codim m, and
 xi satisfies one monic relation R of degree n-m with coefficients the
 Chern classes of N.  Reduction by R is plain monic division.
+
+One conormal reduction, taking c(T_X) as a ring element, serves both
+routes: _xi_relation builds c(N) and R, checked against its dual form, and
+_point_class reduces a class to xi^(n-m-1) * (base class).  compute_B runs
+the double point correction through it with the symbolic 1 + c_1 + ... +
+c_m, epsilon_oracle the Schubert pullbacks with a profile's sum gamma_i h^i.
 """
 
 from __future__ import annotations
@@ -130,65 +136,73 @@ def _chern_in_polar(ctx: RingContext, m: int, j: int) -> ClassPoly:
     return acc
 
 
-@lru_cache(maxsize=None)
-def compute_B(m: int, n: int) -> BFormula:
-    """The universal bottleneck polynomial B_{m,n}.
+def _xi_relation(c_tx: ClassPoly, m: int, n: int) -> tuple[list[ClassPoly], ClassPoly]:
+    """The pieces c_0(N)..c_{n-m}(N) of the normal bundle, c(N) =
+    (1+h)^(n+1) / c(T_X), and the monic relation of xi of degree n-m.
 
-    Double point class of the normal-line map f: C_X -> Gr(2, n+1): the
-    correction term (f*c(T_G) / c(T_CX)) in codim n-1, reduced to the
-    0-cycle basis element xi^(n-m-1) h^m of C_X and re-expressed in polar
-    classes.  Raises RuntimeError if an internal reduction step fails,
-    which would mean a pipeline bug rather than bad input.
+    The relation is built twice: from c(N) with alternating signs, and from
+    c(N^) = (1-h)^(n+1) / c(Omega_X) directly, c(Omega_X) being c(T_X) with
+    each odd-codim term negated; they must agree.
     """
-    if not 0 < m < n:
-        raise ValueError(f"need 0 < m < n, got m={m}, n={n}")
-    check_work_bound(m, n)
-    ctx = conormal_context(m, n)
+    ctx = c_tx.ctx
     xi, h = ctx.sym("xi"), ctx.sym("h")
-
-    c_tx = ctx.one()
-    for i in range(1, m + 1):
-        c_tx = c_tx + ctx.sym(f"c{i}")
-
-    # normal bundle: c(N) = (1+h)^(n+1) / c(T_X), rank n-m
     c_n = (1 + h) ** (n + 1) * invert_unit(c_tx)
     pieces = [graded_piece(c_n, j) for j in range(n - m + 1)]
-
-    # relative tangent twist of rank n-m: c(pi*N^ (x) O(1))
-    twist = ctx.zero()
-    for j in range(n - m + 1):
-        twist = twist + (-1) ** j * pieces[j] * (1 + xi) ** (n - m - j)
-    c_tc = c_tx * twist
-
-    correction = graded_piece(
-        pullback_f(chern_tangent_grassmannian(n), ctx) * invert_unit(c_tc), n - 1
-    )
-
-    # the xi relation, built twice: from c(N) with alternating signs, and
-    # from c(N^) = (1-h)^(n+1) / c(Omega_X) directly; they must agree
-    relation = ctx.zero()
-    for j in range(n - m + 1):
-        relation = relation + (-1) ** j * pieces[j] * xi ** (n - m - j)
-    c_omega_x = ctx.one()
-    for i in range(1, m + 1):
-        c_omega_x = c_omega_x + (-1) ** i * ctx.sym(f"c{i}")
+    c_omega_x = ctx.poly({e: (-1) ** ctx.codim_of(e) * c for e, c in c_tx.terms.items()})
     c_n_dual = (1 - h) ** (n + 1) * invert_unit(c_omega_x)
-    relation_dual = ctx.zero()
-    for j in range(n - m + 1):
-        relation_dual = relation_dual + graded_piece(c_n_dual, j) * xi ** (n - m - j)
+    relation = sum((-1) ** j * pieces[j] * xi ** (n - m - j) for j in range(n - m + 1))
+    relation_dual = sum(graded_piece(c_n_dual, j) * xi ** (n - m - j) for j in range(n - m + 1))
     if relation != relation_dual:
         raise RuntimeError(
             f"relation presentations disagree for (m,n)=({m},{n}): "
             f"{render(relation)} vs {render(relation_dual)}"
         )
+    return pieces, relation
 
-    _, rem = divide_monic(correction, relation, "xi")
-    if any(e[0] != n - m - 1 for e in rem.terms):
+
+def _point_class(cls: ClassPoly, relation: ClassPoly, m: int, n: int) -> ClassPoly:
+    """The codim-m base class b with cls = xi^(n-m-1) * b modulo the
+    relation (a multiple of h^m when c(T_X) is numeric).  Raises
+    RuntimeError if cls does not reduce to that form."""
+    _, rem = divide_monic(cls, relation, "xi")
+    i = rem.ctx.index("xi")
+    if not rem.is_homogeneous(n - 1) or any(e[i] != n - m - 1 for e in rem.terms):
         raise RuntimeError(
-            f"codim-(n-1) class did not reduce to xi^{n - m - 1} * (base class) "
+            f"class did not reduce to xi^{n - m - 1} * (codim-{m} base class) "
             f"for (m,n)=({m},{n}): {render(rem)}"
         )
-    base_class = rem.coefficient_of("xi", n - m - 1)
+    return rem.coefficient_of("xi", n - m - 1)
+
+
+def _double_point_class(c_tx: ClassPoly, m: int, n: int) -> ClassPoly:
+    """Base class of the double point correction of the normal-line map
+    f: C_X -> Gr(2, n+1): (f*c(T_G) / c(T_CX)) in codim n-1, reduced to
+    xi^(n-m-1) * (base class)."""
+    ctx = c_tx.ctx
+    xi = ctx.sym("xi")
+    pieces, relation = _xi_relation(c_tx, m, n)
+    # relative tangent twist of rank n-m: c(pi*N^ (x) O(1))
+    twist = sum((-1) ** j * pieces[j] * (1 + xi) ** (n - m - j) for j in range(n - m + 1))
+    correction = graded_piece(
+        pullback_f(chern_tangent_grassmannian(n), ctx) * invert_unit(c_tx * twist), n - 1
+    )
+    return _point_class(correction, relation, m, n)
+
+
+@lru_cache(maxsize=None)
+def compute_B(m: int, n: int) -> BFormula:
+    """The universal bottleneck polynomial B_{m,n}.
+
+    The double point reduction with the symbolic c(T_X) = 1 + c_1 + ... +
+    c_m, its base class re-expressed in polar classes.  Raises RuntimeError
+    if an internal reduction step fails, which would mean a pipeline bug
+    rather than bad input.
+    """
+    if not 0 < m < n:
+        raise ValueError(f"need 0 < m < n, got m={m}, n={n}")
+    check_work_bound(m, n)
+    ctx = conormal_context(m, n)
+    base_class = _double_point_class(1 + sum(ctx.sym(f"c{i}") for i in range(1, m + 1)), m, n)
 
     fctx = formula_context(m)
     images = {"h": fctx.sym("h")}
@@ -238,33 +252,17 @@ def epsilon_oracle(m: int, n: int, profile: PolarProfile) -> EpsilonVector:
         raise ValueError(f"profile has dimension {profile.m}, expected {m}")
     if not 0 < m < n:
         raise ValueError(f"need 0 < m < n, got m={m}, n={n}")
-    ctx = declare_ring(
-        [SymbolSpec("xi", 1), SymbolSpec("h", 1, pullback=True)],
-        truncation=n - 1,
-        pullback_bound=m,
-    )
-    xi, h = ctx.sym("xi"), ctx.sym("h")
-    c_tx = ctx.zero()
-    for i, g in enumerate(profile.chern_coeffs):
-        c_tx = c_tx + g * h ** i
-    c_n = (1 + h) ** (n + 1) * invert_unit(c_tx)
-    relation = ctx.zero()
-    for j in range(n - m + 1):
-        relation = relation + (-1) ** j * graded_piece(c_n, j) * xi ** (n - m - j)
+    ctx = conormal_context(m, n)
+    h = ctx.sym("h")
+    _, relation = _xi_relation(sum(g * h**i for i, g in enumerate(profile.chern_coeffs)), m, n)
 
+    (h_m,) = (h**m).terms
     d = profile.fundamental_degree
     k = min((n - 1) // 2, m)
     values = []
     for i in range(k + 1):
         cls = schubert_pullback_direct(SchubertIndex(n - 1 - i, i), ctx)
-        _, rem = divide_monic(cls, relation, "xi")
-        point = (n - m - 1, m)
-        if any(e != point for e in rem.terms):
-            raise RuntimeError(
-                f"sigma_({n - 1 - i},{i}) pullback did not reduce to the point class: "
-                f"{render(rem)}"
-            )
-        coeff = rem.terms.get(point, Fraction(0)) * d
+        coeff = Fraction(_point_class(cls, relation, m, n).terms.get(h_m, 0)) * d
         if coeff.denominator != 1:
             raise RuntimeError(f"non-integer epsilon degree {coeff}")
         values.append(int(coeff))

@@ -297,32 +297,33 @@ def _newton_step(jac: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, int]:
 
 def _step_length(
     sysc: _CompiledSystem, z: np.ndarray, step: np.ndarray, cur_res: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Damped update of each row of z: z - t*step for the first t of
-    STEP_LENGTHS whose residual is below cur_res, with that residual.  A row
-    that no t improves, or whose full step has a nan residual, is stalled
-    and carries nan."""
+    STEP_LENGTHS whose residual is below cur_res, with F there and that
+    residual.  A row that no t improves, or whose full step has a nan
+    residual, is stalled and carries nan."""
     best = z - step
-    best_res = np.max(np.abs(sysc.eval(best)), axis=1)
+    best_vals = sysc.eval(best)
+    best_res = np.max(np.abs(best_vals), axis=1)
     search = np.flatnonzero(best_res >= cur_res)
     for block in STEP_BLOCKS:
         if not search.size:
             break
         t = STEP_LENGTHS[block, None]
         cand = z[search, None] - t * step[search, None]  # (rows, len(t), nvars)
-        cand_res = np.max(np.abs(sysc.eval(cand.reshape(-1, z.shape[1]))), axis=1)
-        cand_res = cand_res.reshape(len(search), -1)
+        cand_vals = sysc.eval(cand.reshape(-1, z.shape[1])).reshape(len(search), len(t), -1)
+        cand_res = np.max(np.abs(cand_vals), axis=2)
         hit = cand_res < cur_res[search, None]
         first = hit.argmax(axis=1)
         found = hit[np.arange(len(search)), first]
         rows, pick = search[found], first[found]
         best[rows] = cand[found, pick]
+        best_vals[rows] = cand_vals[found, pick]
         best_res[rows] = cand_res[found, pick]
         search = search[~found]
     stalled = ~(best_res < cur_res)
-    best[stalled] = np.nan
-    best_res[stalled] = np.nan
-    return best, best_res
+    best[stalled] = best_vals[stalled] = best_res[stalled] = np.nan
+    return best, best_vals, best_res
 
 
 def _newton_batch(
@@ -330,12 +331,14 @@ def _newton_batch(
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Damped Newton from each row of z0.  Returns (solutions, residuals,
     iterations run, rows that took the pseudoinverse step); rows that
-    diverged carry nan."""
+    diverged carry nan.  F is evaluated once per point: each step reuses
+    the values the step-length search kept."""
     z = z0.copy()
     n_pts = z.shape[0]
     if n_pts == 0:
         return z, np.zeros(0), 0, 0
-    res = np.max(np.abs(sysc.eval(z)), axis=1)
+    vals = sysc.eval(z)
+    res = np.max(np.abs(vals), axis=1)
     active = np.ones(n_pts, dtype=bool)
     freeze_tol = config.residual_tol * 1e-2
     iterations = fallbacks = 0
@@ -347,9 +350,9 @@ def _newton_batch(
             break
         iterations += 1
         za = z[active]
-        step, wild = _newton_step(sysc.jacobian(za), sysc.eval(za))
+        step, wild = _newton_step(sysc.jacobian(za), vals[active])
         fallbacks += wild
-        z[active], res[active] = _step_length(sysc, za, step, res[active])
+        z[active], vals[active], res[active] = _step_length(sysc, za, step, res[active])
 
     # polish: two undamped steps sharpen converged roots to machine precision
     done = np.isfinite(res) & (res < config.residual_tol * 10)
@@ -357,13 +360,15 @@ def _newton_batch(
         if not done.any():
             break
         zd = z[done]
-        step, wild = _newton_step(sysc.jacobian(zd), sysc.eval(zd))
+        step, wild = _newton_step(sysc.jacobian(zd), vals[done])
         fallbacks += wild
         cand = zd - step
-        cand_res = np.max(np.abs(sysc.eval(cand)), axis=1)
+        cand_vals = sysc.eval(cand)
+        cand_res = np.max(np.abs(cand_vals), axis=1)
         better = cand_res <= res[done]
         rows = np.where(done)[0][better]
         z[rows] = cand[better]
+        vals[rows] = cand_vals[better]
         res[rows] = cand_res[better]
     return z, res, iterations, fallbacks
 

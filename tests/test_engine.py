@@ -5,6 +5,9 @@ import pytest
 
 from bnd.engine import (
     MAX_AMBIENT,
+    _double_point_class,
+    _point_class,
+    _xi_relation,
     ambient_stability,
     bnd_affine,
     bnd_of_profile,
@@ -13,13 +16,14 @@ from bnd.engine import (
     check_work_bound,
     compute_B,
     conormal_class_coeffs,
+    conormal_context,
     ed_degree,
     epsilon_oracle,
     epsilon_terms,
     formula_context,
 )
-from bnd.profiles import PolarProfile, VarietySpec, ci_profile, polar_degrees
-from bnd.ring import parse
+from bnd.profiles import PolarProfile, VarietySpec, ci_profile, evaluate_class, polar_degrees
+from bnd.ring import SymbolSpec, declare_ring, parse
 
 
 def plane_curve(d):
@@ -85,6 +89,69 @@ def test_compute_b_output_shape():
         f = compute_B(m, n)
         assert f.poly.is_homogeneous(m)
         assert all(c.denominator == 1 for c in f.poly.terms.values())
+
+
+# -- the conormal reduction ---------------------------------------------------
+
+
+def numeric_chern(ctx, profile):
+    """The profile's c(T_X) = sum_i gamma_i h^i in a ring over C_X."""
+    h = ctx.sym("h")
+    return sum(g * h**i for i, g in enumerate(profile.chern_coeffs))
+
+
+def test_double_point_reduction_two_routes():
+    # deg B_{m,n}(X) of complete intersections two ways: the polar formula
+    # evaluated on the profile, and the double point reduction run in the
+    # two-generator ring xi, h with the numeric c(T_X), its h^m coefficient
+    # times deg X
+    cases = 0
+    for ambient in range(2, 10):
+        for m in range(1, min(5, ambient - 1) + 1):
+            c = ambient - m
+            for degrees in {(d,) * c for d in (2, 3, 4)} | {(2,) * (c - 1) + (3,)}:
+                profile = ci_profile(VarietySpec(ambient, degrees))
+                for n in {ambient, 2 * m + 1}:
+                    ctx = declare_ring(
+                        [SymbolSpec("xi", 1), SymbolSpec("h", 1, pullback=True)],
+                        truncation=n - 1,
+                        pullback_bound=m,
+                    )
+                    base = _double_point_class(numeric_chern(ctx, profile), m, n)
+                    (h_m,) = (ctx.sym("h") ** m).terms
+                    assert set(base.terms) <= {h_m}
+                    scalar = base.terms.get(h_m, 0) * profile.fundamental_degree
+                    want = evaluate_class(compute_B(m, n).poly, profile)
+                    assert scalar == want, (ambient, degrees, n)
+                    cases += 1
+    assert cases == 214
+
+
+def test_xi_relation_is_monic_of_degree_n_minus_m():
+    for m, n in ((1, 2), (1, 4), (2, 5), (3, 7), (4, 6)):
+        ctx = conormal_context(m, n)
+        symbolic = 1 + sum(ctx.sym(f"c{i}") for i in range(1, m + 1))
+        numeric = numeric_chern(ctx, ci_profile(VarietySpec(n, (2,) * (n - m))))
+        for c_tx in (symbolic, numeric):
+            pieces, relation = _xi_relation(c_tx, m, n)
+            assert len(pieces) == n - m + 1 and pieces[0] == ctx.one()
+            assert relation.degree_in("xi") == n - m
+            assert relation.coefficient_of("xi", n - m) == ctx.one()
+
+
+def test_point_class_rejects_a_class_off_the_point_form():
+    m, n = 2, 5
+    ctx = conormal_context(m, n)
+    xi, h = ctx.sym("xi"), ctx.sym("h")
+    symbolic = 1 + ctx.sym("c1") + ctx.sym("c2")
+    numeric = numeric_chern(ctx, surface(3))
+    for c_tx in (symbolic, numeric):
+        _, relation = _xi_relation(c_tx, m, n)
+        assert _point_class(xi ** (n - m - 1) * h**m, relation, m, n) == h**m
+        # a wrong xi exponent, and a base class off codim m
+        for cls in (xi ** (n - m - 2) * h**m, xi ** (n - m - 1) * h ** (m - 1)):
+            with pytest.raises(RuntimeError, match=r"did not reduce to xi\^2 \* \(codim-2 base"):
+                _point_class(cls, relation, m, n)
 
 
 # -- epsilon vectors ---------------------------------------------------------

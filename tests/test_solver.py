@@ -251,10 +251,11 @@ def test_step_length_equals_sequential_halving(seed):
     z, step, cur_res, kind = _halving_batch(np.random.default_rng(seed), 300)
     sysc = _FlaggedIdentity()
     want = _sequential_halving(sysc, z, step, cur_res)
-    got = _step_length(sysc, z, step, cur_res)
-    for a, b in zip(got, want):
+    best, vals, res = _step_length(sysc, z, step, cur_res)
+    for a, b in zip((best, res), want):
         assert np.array_equal(a, b, equal_nan=True)
-    best, res = got
+    # the values returned are F at the rows kept, nan where a row stalled
+    assert np.array_equal(vals, sysc.eval(best), equal_nan=True)
     assert np.all(res[kind == 0] == 0)
     assert np.array_equal(best[kind == 1], z[kind == 1] - 2.0**-20 * step[kind == 1])
     assert np.isnan(res[(kind >= 2) & (kind <= 4)]).all()
@@ -309,7 +310,8 @@ def test_newton_step_near_singular_row_takes_pinv():
 
 def test_newton_iteration_call_counts(monkeypatch):
     # inside the Newton batch, each iteration is one jacobian call followed by
-    # at most 2 + 3 evals: F at the point, the full step, three step blocks
+    # at most 1 + 3 evals: the full step and three step blocks; F at the point
+    # is the value the previous step-length search kept
     monkeypatch.delenv("BND_THREADS", raising=False)
     calls = []
     counting = [False]
@@ -336,10 +338,10 @@ def test_newton_iteration_call_counts(monkeypatch):
     iterations = result.diagnostics["newton_iterations"]
     assert iterations >= 10
     segments = "".join("|" if c == "jacobian" else "e" for c in calls).split("|")
-    assert len(segments[0]) <= 2  # the starting residual, perhaps F of the first step
+    assert len(segments[0]) == 1  # the starting residual
     # the damped iterations, then at most two polishing steps
     assert iterations <= len(segments) - 1 <= iterations + 2
-    assert max(len(seg) for seg in segments[1:]) <= 2 + 3
+    assert max(len(seg) for seg in segments[1:]) <= 1 + 3
 
 
 def test_step_telemetry_independent_of_threads(monkeypatch):
