@@ -585,20 +585,37 @@ class SystemParseError(ValueError):
         self.col = col
 
 
-_NUM = re.compile(r"\d+\.\d+|\d+|\.\d+")
-# an exponent right after a literal: 1e-3 is refused by name, never expanded
-# (Fraction("1e999999999") would write out a billion digits)
-_SCIENTIFIC = re.compile(r"[eE][+-]?\d")
+_NUMBER = r"\d+\.\d+|\d+|\.\d+"
+# One token per match, after any whitespace: a number followed by an
+# exponent such as 1e-3 (refused by name, never expanded:
+# Fraction("1e999999999") would write out a billion digits), any other
+# number, an identifier, or any other single character.  A number cannot
+# contain an e, so the first group matches exactly the numbers that the
+# second would match with an exponent behind them.
+_TOKEN = re.compile(
+    rf"\s*(?:({_NUMBER})(?=[eE][+-]?\d)|({_NUMBER})|([A-Za-z_][A-Za-z_0-9]*)|(\S))"
+)
+_END = ("", "", "", "")
 
 
 class _Parser:
-    """Recursive descent over + - * / ^ with parentheses.
+    """Recursive descent over + - * / ^ with parentheses, on the tokens of
+    one regex pass; a token's column is found only for an error.
 
     Accepts a superset of what render and render_poly produce: decimals,
     parentheses and powers of parenthesized groups, so hand-written input
     can say (0.3*x1^2 + ...)^2 without pre-expansion.  '/' only by a
-    constant.  Every value is built in the ring, so its normalization
-    (truncation, pullback bound) applies as the text is read.
+    constant.
+
+    A product of numbers, symbols and their powers is carried as one
+    monomial, a coefficient and an exponent vector, and becomes a ClassPoly
+    only when it meets a parenthesized group.  Groups, their powers and
+    their products are computed in the ring, so its normalization applies
+    to each group as it is read.  A sum adds its terms into one dict in the
+    order of ClassPoly.__add__, deleting a key whose sum is 0 and dropping
+    a monomial that dies in the ring (both grades are additive, so a dead
+    factor kills the product).  Coefficients are computed as the ring
+    computes them: the same values, with the same int/Fraction types.
     """
 
     def __init__(self, ctx: RingContext, text: str, names: Sequence[str], line: int):
@@ -606,108 +623,187 @@ class _Parser:
         self.text = text
         self.names = {name: i for i, name in enumerate(names)}
         self.line = line
-        self.pos = 0
+        self.dies = ctx._dies if ctx.bounded else None
+        self.width = len(ctx.symbols)
+        # (scientific number, number, identifier, character), one field set
+        self.tokens = _TOKEN.findall(text)
+        self.tokens.append(_END)
+        self.i = 0
+        # (exponent token, its length) if the last power read an exponent
+        self.exponent: tuple[int, int] | None = None
 
-    def error(self, message: str):
-        raise SystemParseError(message, self.line, self.pos + 1)
+    def start(self, j: int) -> int:
+        """Offset of token j in the text."""
+        for n, m in enumerate(_TOKEN.finditer(self.text)):
+            if n == j:
+                return m.start(m.lastindex)
+        return len(self.text)
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def error(self, message: str, j: int, offset: int = 0):
+        """Raise at token j, or offset characters past its start."""
+        raise SystemParseError(message, self.line, self.start(j) + offset + 1)
 
     def parse(self) -> ClassPoly:
-        p = self.expr()
-        if self.peek():
-            self.error(f"unexpected {self.text[self.pos]!r}")
-        return p
+        terms = self.expr()
+        if self.tokens[self.i] is not _END:
+            self.error(f"unexpected {self.text[self.start(self.i)]!r}", self.i)
+        return ClassPoly._of(self.ctx, terms)
 
-    def expr(self) -> ClassPoly:
-        sign = 1
-        ch = self.peek()
-        if ch == "+" or ch == "-":
-            sign = -1 if ch == "-" else 1
-            self.pos += 1
-        acc = sign * self.term()
+    def expr(self) -> dict[Exponents, Coefficient]:
+        tokens, dies = self.tokens, self.dies
+        out: dict[Exponents, Coefficient] = {}
+        op = tokens[self.i][3]
+        negate = op == "-"
+        if negate or op == "+":
+            self.i += 1
+        first = True
         while True:
-            ch = self.peek()
-            if ch != "+" and ch != "-":
-                return acc
-            self.pos += 1
-            rhs = self.term()
-            acc = acc + rhs if ch == "+" else acc - rhs
-
-    def term(self) -> ClassPoly:
-        acc = self.power()
-        while True:
-            ch = self.peek()
-            if ch == "*":
-                self.pos += 1
-                acc = acc * self.power()
-            elif ch == "/":
-                self.pos += 1
-                divisor = self.power()
-                if divisor.total_degree() > 0:
-                    self.error("can only divide by a constant")
-                value = divisor.constant_term()
-                if value == 0:
-                    self.error("division by zero")
-                acc = acc * self.ctx.constant(Fraction(1) / value)
+            value = self.term()
+            if type(value) is tuple:
+                c, e = value
+                items = () if not c or (dies and dies(e)) else ((e, -c if negate else c),)
             else:
-                return acc
+                if first:
+                    # the first term is multiplied by its sign, which
+                    # groups its terms by grade
+                    value = (-1 if negate else 1) * value
+                    negate = False
+                items = value.terms.items()
+                if negate:
+                    items = [(e, -c) for e, c in items]
+            for e, c in items:
+                if e in out:
+                    s = out[e] + c
+                    if s == 0:
+                        del out[e]
+                    else:
+                        out[e] = s
+                else:
+                    out[e] = c
+            op = tokens[self.i][3]
+            if op != "+" and op != "-":
+                return out
+            self.i += 1
+            negate = op == "-"
+            first = False
 
-    def power(self) -> ClassPoly:
+    def term(self) -> tuple[Coefficient, Exponents] | ClassPoly:
+        """A product: (coefficient, exponents) while it is a monomial, a
+        ClassPoly once it has met a group."""
+        tokens = self.tokens
+        value = self.power()
+        if type(value) is tuple:
+            coeff, expts, poly = value[0], self.exponents(value[1]), None
+        else:
+            poly = value
+        while True:
+            op = tokens[self.i][3]
+            if op == "*":
+                self.i += 1
+                value = self.power()
+                if type(value) is tuple:
+                    if poly is None:
+                        coeff = coeff * value[0]
+                        for i, k in value[1]:
+                            expts[i] += k
+                    else:
+                        poly = poly * self.lift(value[0], self.exponents(value[1]))
+                elif poly is None:
+                    poly = self.lift(coeff, expts) * value
+                else:
+                    poly = poly * value
+            elif op == "/":
+                self.i += 1
+                inverse = Fraction(1) / self.divisor()
+                if poly is None:
+                    coeff = coeff * _exact(inverse)
+                else:
+                    poly = poly * self.ctx.constant(inverse)
+            else:
+                return (coeff, tuple(expts)) if poly is None else poly
+
+    def exponents(self, pairs: Iterable[tuple[int, int]]) -> list[int]:
+        expts = [0] * self.width
+        for i, k in pairs:
+            expts[i] += k
+        return expts
+
+    def lift(self, coeff: Coefficient, expts: Sequence[int]) -> ClassPoly:
+        """The monomial as a ClassPoly; zero when it dies in the ring."""
+        e = tuple(expts)
+        alive = coeff != 0 and not (self.dies and self.dies(e))
+        return ClassPoly._of(self.ctx, {e: coeff} if alive else {})
+
+    def divisor(self) -> Coefficient:
+        """The nonzero constant after a '/'."""
+        value = self.power()
+        if type(value) is tuple:
+            value = self.lift(value[0], self.exponents(value[1]))
+        # an error points past the divisor and the space behind it, or
+        # right after its exponent
+        at = self.exponent or (self.i, 0)
+        if value.total_degree() > 0:
+            self.error("can only divide by a constant", *at)
+        c = value.constant_term()
+        if c == 0:
+            self.error("division by zero", *at)
+        return c
+
+    def power(self) -> tuple[Coefficient, tuple[tuple[int, int], ...]] | ClassPoly:
+        """An atom, raised to an integer exponent if one follows; a
+        monomial as (coefficient, (symbol index, exponent) pairs)."""
         base = self.atom()
-        if self.peek() == "^":
-            self.pos += 1
-            self.skip_ws()
-            m = _NUM.match(self.text, self.pos)
-            if not m or "." in m.group():
-                self.error("expected integer exponent")
-            digits = m.group()
-            # the length test comes first: int() refuses strings of over 4300 digits
-            if len(digits.lstrip("0")) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
-                self.error(f"exponent above the bound {MAX_EXPONENT}")
-            self.pos = m.end()
-            return base ** int(digits)
-        return base
+        tokens = self.tokens
+        if tokens[self.i][3] != "^":
+            self.exponent = None
+            return base
+        j = self.i + 1
+        digits = tokens[j][0] or tokens[j][1]
+        if not digits or "." in digits:
+            self.error("expected integer exponent", j)
+        # the length test comes first: int() refuses strings of over 4300 digits
+        if len(digits.lstrip("0")) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+            self.error(f"exponent above the bound {MAX_EXPONENT}", j)
+        self.i = j + 1
+        self.exponent = (j, len(digits))
+        k = int(digits)
+        if type(base) is not tuple:
+            return base ** k
+        if not k:
+            return (1, ())
+        return (base[0] ** k, tuple((i, e * k) for i, e in base[1]))
 
-    def atom(self) -> ClassPoly:
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            p = self.expr()
-            if self.peek() != ")":
-                self.error("expected ')'")
-            self.pos += 1
-            return p
-        if ch == "-":
-            self.pos += 1
-            return -self.atom()
-        m = _NUM.match(self.text, self.pos)
-        if m:
-            if _SCIENTIFIC.match(self.text, m.end()):
-                self.error("scientific notation is not supported; write the number as a decimal")
-            tok = m.group()
-            if tok.startswith("."):
-                tok = "0" + tok
+    def atom(self) -> tuple[Coefficient, tuple[tuple[int, int], ...]] | ClassPoly:
+        scientific, number, name, char = self.tokens[self.i]
+        if name:
+            index = self.names.get(name)
+            if index is None:
+                self.error(f"undeclared variable {name!r}", self.i)
+            self.i += 1
+            return (1, ((index, 1),))
+        if number:
+            if number.startswith("."):
+                number = "0" + number
             try:
-                value = Fraction(tok)
+                value = _exact(Fraction(number)) if "." in number else int(number)
             except ValueError:  # int() refuses strings of over 4300 digits
-                self.error(f"numeric literal of {len(tok)} characters is too long")
-            self.pos = m.end()
-            return self.ctx.constant(value)
-        m = IDENTIFIER.match(self.text, self.pos)
-        if m:
-            name = m.group()
-            if name not in self.names:
-                self.error(f"undeclared variable {name!r}")
-            self.pos = m.end()
-            return self.ctx.var(self.names[name])
-        self.error("expected a number, variable, or '('")
+                self.error(f"numeric literal of {len(number)} characters is too long", self.i)
+            self.i += 1
+            return (value, ())
+        if scientific:
+            self.error("scientific notation is not supported; write the number as a decimal", self.i)
+        if char == "(":
+            self.i += 1
+            terms = self.expr()
+            if self.tokens[self.i][3] != ")":
+                self.error("expected ')'", self.i)
+            self.i += 1
+            return ClassPoly._of(self.ctx, terms)
+        if char == "-":
+            self.i += 1
+            value = self.atom()
+            return (-value[0], value[1]) if type(value) is tuple else -value
+        self.error("expected a number, variable, or '('", self.i)
 
 
 def parse(

@@ -86,6 +86,8 @@ def _check_input(fs: Sequence[Poly], m: int) -> tuple[int, int]:
     if any(f.nvars != n for f in fs):
         raise ValueError("defining polynomials disagree on variable count")
     k = len(fs)
+    if m < 0:
+        raise ValueError(f"need m >= 0, got m={m}: {k} equations in {n} variables")
     if m >= n:
         raise ValueError(f"need m < n, got m={m}, n={n}")
     if k < n - m:
@@ -220,12 +222,21 @@ _META_LINE = re.compile(r"#\s*(n|k|m|formulation)\s*:\s*(\S+)\s*$")
 
 def parse_system_text(text: str) -> PolySystem:
     variables: tuple[str, ...] | None = None
-    meta: dict[str, str] = {}
+    meta: dict[str, int | str] = {}
     polys: list[Poly] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         mm = _META_LINE.match(raw.strip())
         if mm:
-            meta[mm.group(1)] = mm.group(2)
+            key, value = mm.groups()
+            if key != "formulation":
+                try:
+                    value = int(value)
+                except ValueError:
+                    col = len(raw) - len(raw.lstrip()) + mm.start(2) + 1
+                    raise SystemParseError(
+                        f"'{key}' must be an integer, got {value!r}", lineno, col
+                    ) from None
+            meta[key] = value
             continue
         # columns in errors count from the start of the file line, so the
         # polynomial is parsed with its indentation in place
@@ -253,7 +264,7 @@ def parse_system_text(text: str) -> PolySystem:
         raise SystemParseError("no 'vars:' declaration found", 1, 1)
     metadata = None
     if {"n", "k", "m", "formulation"} <= meta.keys():
-        metadata = SystemMeta(int(meta["n"]), int(meta["k"]), int(meta["m"]), meta["formulation"])
+        metadata = SystemMeta(meta["n"], meta["k"], meta["m"], meta["formulation"])
     return PolySystem(variables, tuple(polys), metadata)
 
 

@@ -193,6 +193,16 @@ def test_system_malformed_input(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("form", ["minor", "lagrange"])
+def test_system_refuses_more_equations_than_variables(capsys, tmp_path, form):
+    over = tmp_path / "over.txt"
+    over.write_text("vars: x1 x2\nx1 - 1\nx2 - 1\nx1 + x2 - 2\n")
+    code, out, err = run(capsys, "system", "--input", str(over), "--form", form)
+    assert code == 1
+    assert out == ""
+    assert "need m >= 0, got m=-1: 3 equations in 2 variables" in err
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------

@@ -180,6 +180,12 @@ def test_minor_system_input_validation():
         build_minor_system([p3("x1")], m=1)  # k=1 < n-m=2
     with pytest.raises(ValueError):
         build_minor_system([], m=1)
+    # more equations than variables: m = n - k < 0
+    over = [p2("x1 - 1"), p2("x2 - 1"), p2("x1 + x2 - 2")]
+    with pytest.raises(ValueError, match="need m >= 0, got m=-1"):
+        build_minor_system(over, m=-1)
+    with pytest.raises(ValueError, match="need m >= 0, got m=-1"):
+        build_lagrange_system(over)
 
 
 # -- Lagrange systems --------------------------------------------------------
@@ -292,6 +298,18 @@ def test_overlong_numeric_literal_is_located():
     with pytest.raises(SystemParseError) as err:
         p2(f"x1 - 0.{digits}")
     assert err.value.col == 6
+
+
+@pytest.mark.parametrize(
+    "line, col, key",
+    [("# n: two", 6, "n"), ("  #  k :  1.5  ", 11, "k"), ("# m:-", 5, "m")],
+)
+def test_metadata_values_must_be_integers(line, col, key):
+    with pytest.raises(SystemParseError, match=f"'{key}' must be an integer") as err:
+        parse_system_text(f"vars: x1 x2\n{line}\nx1 + x2\n")
+    assert (err.value.line, err.value.col) == (2, col)
+    meta = "# n: 2\n# k: 1\n# m: 1\n# formulation: minors\n"
+    assert parse_system_text(f"vars: x1 x2\n{meta}x1\n").metadata == SystemMeta(2, 1, 1, "minors")
 
 
 def test_system_validates_variable_counts():
