@@ -11,6 +11,8 @@ Subcommands
 Exit codes: 0 success, 1 computational failure, 2 usage error.  Every
 subcommand accepts --json for machine-readable output.  The environment
 variable BND_THREADS (a positive integer) sets solver parallelism.
+The argument parser is built on the first call to main and reused by every
+later call in the process; each call still parses into a fresh namespace.
 
 Variety input files (for system/solve) use the system text format: a
 `vars:` line naming the coordinates, then one defining polynomial per
@@ -20,6 +22,7 @@ line; `#` starts a comment.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -515,6 +518,7 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bnd",
@@ -576,8 +580,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -315,8 +315,14 @@ def bnd_of_profile(profile: PolarProfile) -> int:
 
 def bnd_affine(spec: VarietySpec) -> int:
     """BND of the affine variety cut by the spec's equations in C^n:
-    the projective count minus the count of the part at infinity."""
+    the projective count minus the count of the part at infinity.
+
+    A generic 0-dimensional intersection has no part at infinity: its
+    deg X points are all affine, so its count is the projective one.
+    """
     closure = replace(spec, affine=False)
+    if spec.dim == 0:
+        return bnd_variety(closure)
     infinity = hyperplane_section_spec(spec)
     return bnd_variety(closure) - bnd_variety(infinity)
 

@@ -22,8 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
+from typing import TYPE_CHECKING
 
-from .ring import ClassPoly, SymbolSpec, declare_ring, invert_unit
+if TYPE_CHECKING:
+    from .ring import ClassPoly
 
 
 @dataclass(frozen=True)
@@ -144,17 +146,19 @@ class PolarProfile:
 def ci_profile(spec: VarietySpec) -> PolarProfile:
     """Profile of the (projective closure of the) complete intersection.
 
-    c(T_X) = (1+h)^(n+1) / prod_i (1 + d_i h), truncated at dim X.
+    c(T_X) = (1+h)^(n+1) / prod_i (1 + d_i h), truncated at dim X.  The
+    scalars come from an integer recurrence, with no ring: start from the
+    binomials C(n+1, i), and divide by each 1 + d h in turn as
+    gamma_i <- gamma_i - d * gamma_(i-1) for i = 1..m, in ascending i.
     """
     m = spec.dim
-    ctx = declare_ring([SymbolSpec("h", 1)], truncation=m)
-    h = ctx.sym("h")
-    total = (1 + h) ** (spec.ambient_dim + 1)
+    gammas = [comb(spec.ambient_dim + 1, i) for i in range(m + 1)]
     for d in spec.degrees:
-        total = total * invert_unit(1 + d * h)
-    gammas = tuple(total.terms.get((i,), Fraction(0)) for i in range(m + 1))
-    return PolarProfile.from_chern(
-        m, spec.fundamental_degree, gammas, ambient=spec.ambient_dim, degrees=spec.degrees
+        for i in range(1, m + 1):
+            gammas[i] -= d * gammas[i - 1]
+    gammas = tuple(gammas)
+    return PolarProfile(
+        m, spec.fundamental_degree, gammas, chern_to_polar(m, gammas), spec.ambient_dim, spec.degrees
     )
 
 
@@ -190,7 +194,9 @@ def evaluate_class(a: ClassPoly, profile: PolarProfile) -> int:
 
     Each monomial turns into its product of polar scalars times deg X; the
     input must be homogeneous of codimension exactly m, so the degree pairing
-    against X makes sense.
+    against X makes sense.  The scalars are ints, so the sum is exact in int
+    arithmetic, or in Fraction arithmetic where a coefficient is a Fraction;
+    a value that is not an integer raises.
     """
     m = profile.m
     names = [s.name for s in a.ctx.symbols]
@@ -200,12 +206,13 @@ def evaluate_class(a: ClassPoly, profile: PolarProfile) -> int:
         )
     if not a.is_homogeneous(m):
         raise ValueError(f"class is not homogeneous of codimension {m}")
-    total = Fraction(0)
+    qs = profile.polar_coeffs
+    total = 0
     for expts, coeff in a.terms.items():
-        scalar = Fraction(1)
-        for j, e in enumerate(expts[1:], start=1):
-            scalar *= Fraction(profile.polar_coeffs[j]) ** e
-        total += coeff * scalar
+        for j in range(1, m + 1):
+            if expts[j]:
+                coeff *= qs[j] ** expts[j]
+        total += coeff
     total *= profile.fundamental_degree
     if total.denominator != 1:
         raise ValueError(f"class does not evaluate to an integer: {total}")

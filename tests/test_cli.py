@@ -8,7 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from bnd.cli import CHECKS, _check_formula, _check_minor_system, _check_solver, main
+from bnd.cli import (
+    CHECKS,
+    _build_parser,
+    _check_formula,
+    _check_minor_system,
+    _check_solver,
+    main,
+)
 from bnd.systems import parse_system_text
 
 ELLIPSE_FILE = "vars: x1 x2\nx1^2 + x2^2/2 - 1\n"
@@ -94,6 +101,9 @@ def test_missing_subcommand_is_usage_error(capsys):
         (("edd", "--ambient", "2", "--degrees", "3"), "9"),
         (("edd", "--ambient", "3", "--degrees", "2,3"), "24"),
         (("edd", "--ambient", "2", "--degrees", "1"), "1"),
+        # deg X generic affine points, none at infinity: D(D-1) ordered pairs
+        (("bnd", "--ambient", "1", "--degrees", "2", "--affine"), "2"),
+        (("bnd", "--ambient", "2", "--degrees", "2,2", "--affine"), "12"),
     ],
 )
 def test_bnd_and_edd_values(capsys, argv, expected):
@@ -108,6 +118,36 @@ def test_bnd_json_declares_assumptions(capsys):
     assert payload["bnd"] == 204  # = 4^4 - 4*4^2 + 3*4 for the projective quartic
     assert payload["assumes_general_position"] is True
     assert payload["affine"] is False
+
+
+@pytest.mark.parametrize("ambient, degrees, expected", [("1", "2", 2), ("2", "2,2", 12)])
+def test_zero_dimensional_affine_bnd_json(capsys, ambient, degrees, expected):
+    code, out, _ = run(
+        capsys, "bnd", "--ambient", ambient, "--degrees", degrees, "--affine", "--json"
+    )
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["bnd"] == expected
+    assert payload["affine"] is True
+    assert payload["zero_dimensional"] is True
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+def test_cached_parser_keeps_calls_independent(capsys):
+    quadric = ("bnd", "--ambient", "3", "--degrees", "2")
+    assert run(capsys, *quadric, "--affine")[:2] == (0, "6\n")
+    assert run(capsys, *quadric)[:2] == (0, "12\n")
+    code, out, _ = run(capsys, *quadric, "--json")
+    assert code == 0 and json.loads(out)["bnd"] == 12
+    assert run(capsys, *quadric)[:2] == (0, "12\n")
+    with pytest.raises(SystemExit) as info:
+        main(["bnd", "--ambient", "3"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, *quadric, "--affine")[:2] == (0, "6\n")
 
 
 def test_degrees_validation(capsys):
