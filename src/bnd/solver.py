@@ -22,6 +22,13 @@ non-isolated representatives.  The step length is the first of
 1, 1/2, .., 2^-30 that lowers the residual, searched in three batched
 blocks.
 
+A Newton row stops when it converges (residual below residual_tol / 100),
+when it diverges (non-finite, or no step length lowers the residual), when
+its residual did not halve over the last newton_window iterations, or at
+newton_max_iter.  Rows far from any real root otherwise spend the whole
+iteration cap near a fixed residual.  The rows stopped for no progress and
+those still active at the cap are counted in the diagnostics.
+
 Set BND_THREADS to split the Newton batches across worker threads (at most
 os.cpu_count() of them); the merge is order-preserving, so the thread count
 never changes the output.
@@ -58,11 +65,19 @@ class SolverConfig:
     """Search parameters.  box is one (lo, hi) interval per coordinate;
     leave box/density as None for defaults chosen from the dimension
     (box (-3.5, 3.5) everywhere; density 20 for curves in the plane,
-    10 in 3-space, 6 beyond)."""
+    10 in 3-space, 6 beyond).
+
+    A Newton row stops when its residual is below residual_tol / 100
+    (frozen), when it is non-finite or no step length lowers it
+    (diverged), when it did not halve over the last newton_window
+    iterations (no progress), or after newton_max_iter iterations.  A row
+    stopped for no progress or at the cap keeps its point, and counts as
+    converged if its residual is below residual_tol after the polish."""
 
     box: tuple[tuple[float, float], ...] | None = None
     density: int | None = None
     newton_max_iter: int = 100
+    newton_window: int = 20
     residual_tol: float = 1e-10
     cluster_radius: float = 1e-6
     sep_threshold: float = 1e-4
@@ -75,6 +90,8 @@ class SolverConfig:
             raise ValueError("density must be >= 2")
         if self.residual_tol <= 0 or self.newton_max_iter < 1:
             raise ValueError("bad tolerance or iteration cap")
+        if self.newton_window < 1:
+            raise ValueError("newton_window must be >= 1")
         if self.box is not None:
             for lo, hi in self.box:
                 if not lo < hi:
@@ -328,31 +345,45 @@ def _step_length(
 
 def _newton_batch(
     sysc: _CompiledSystem, z0: np.ndarray, config: SolverConfig
-) -> tuple[np.ndarray, np.ndarray, int, int]:
+) -> tuple[np.ndarray, np.ndarray, dict]:
     """Damped Newton from each row of z0.  Returns (solutions, residuals,
-    iterations run, rows that took the pseudoinverse step); rows that
-    diverged carry nan.  F is evaluated once per point: each step reuses
-    the values the step-length search kept."""
+    counts); rows that diverged carry nan.  The counts are the iterations
+    run, the row steps that took the pseudoinverse, the rows stopped for
+    making no progress, and the rows still active at the iteration cap.
+    F is evaluated once per point: each step reuses the values the
+    step-length search kept."""
     z = z0.copy()
     n_pts = z.shape[0]
+    counts = dict.fromkeys(
+        ("newton_iterations", "step_fallbacks", "no_progress", "iteration_cap"), 0
+    )
     if n_pts == 0:
-        return z, np.zeros(0), 0, 0
+        return z, np.zeros(0), counts
     vals = sysc.eval(z)
     res = np.max(np.abs(vals), axis=1)
     active = np.ones(n_pts, dtype=bool)
     freeze_tol = config.residual_tol * 1e-2
-    iterations = fallbacks = 0
+    window = config.newton_window
+    # past[k % window] holds the residuals after step k until step k + window
+    past = np.empty((window, n_pts))
 
-    for _ in range(config.newton_max_iter):
+    for k in range(config.newton_max_iter + 1):
         active &= res > freeze_tol
         active &= np.isfinite(res)
-        if not active.any():
+        if k >= window:
+            stuck = active & (res > 0.5 * past[k % window])
+            counts["no_progress"] += int(stuck.sum())
+            active &= ~stuck
+        past[k % window] = res
+        if k == config.newton_max_iter or not active.any():
             break
-        iterations += 1
         za = z[active]
         step, wild = _newton_step(sysc.jacobian(za), vals[active])
-        fallbacks += wild
+        counts["step_fallbacks"] += wild
         z[active], vals[active], res[active] = _step_length(sysc, za, step, res[active])
+
+    counts["newton_iterations"] = k
+    counts["iteration_cap"] = int(active.sum())
 
     # polish: two undamped steps sharpen converged roots to machine precision
     done = np.isfinite(res) & (res < config.residual_tol * 10)
@@ -361,7 +392,7 @@ def _newton_batch(
             break
         zd = z[done]
         step, wild = _newton_step(sysc.jacobian(zd), vals[done])
-        fallbacks += wild
+        counts["step_fallbacks"] += wild
         cand = zd - step
         cand_vals = sysc.eval(cand)
         cand_res = np.max(np.abs(cand_vals), axis=1)
@@ -370,7 +401,7 @@ def _newton_batch(
         z[rows] = cand[better]
         vals[rows] = cand_vals[better]
         res[rows] = cand_res[better]
-    return z, res, iterations, fallbacks
+    return z, res, counts
 
 
 def _canonical_pair(x: np.ndarray, y: np.ndarray, tol: float) -> bool:
@@ -422,13 +453,10 @@ def find_bottlenecks(
     starts = len(idx_i)
     diagnostics["start_pairs"] = int(starts)
 
-    # threads echoes BND_THREADS; threads_used counts the workers that ran
+    # threads echoes BND_THREADS; threads_used counts the workers that ran.
+    # With no start pairs every stage below runs on empty arrays, so the
+    # diagnostics carry the same keys, all zero.
     diagnostics["threads"] = threads
-    if starts == 0:
-        diagnostics.update(
-            threads_used=1, newton_iterations=0, step_fallbacks=0, converged=0, verified=0
-        )
-        return SolveResult((), True, diagnostics)
 
     a, b = samples[idx_i], samples[idx_j]
     # multiplier init: least-squares fit of x - y against the gradients
@@ -448,8 +476,9 @@ def find_bottlenecks(
             parts = list(pool.map(lambda c: _newton_batch(lag_c, c, config), chunks))
     z = np.concatenate([p[0] for p in parts])
     res = np.concatenate([p[1] for p in parts])
-    diagnostics["newton_iterations"] = max(p[2] for p in parts)
-    diagnostics["step_fallbacks"] = sum(p[3] for p in parts)
+    diagnostics["newton_iterations"] = max(p[2]["newton_iterations"] for p in parts)
+    for key in ("step_fallbacks", "no_progress", "iteration_cap"):
+        diagnostics[key] = sum(p[2][key] for p in parts)
 
     ok = np.isfinite(res) & (res < config.residual_tol)
     diagnostics["converged"] = int(ok.sum())
@@ -590,6 +619,13 @@ def result_table(result: SolveResult) -> str:
         f"{len(result.pairs)} pair(s); search is heuristic "
         f"(possibly_incomplete={result.possibly_incomplete})"
     )
+    starts = result.diagnostics.get("start_pairs", 0)
+    if starts and not result.diagnostics.get("converged"):
+        # unlike an empty real locus, which leaves no start pairs at all
+        lines.append(
+            f"no start of {starts} converged; residual_tol is absolute, so a rescaled "
+            "equation or a non-reduced input (a repeated factor) may be the cause"
+        )
     return "\n".join(lines)
 
 

@@ -295,7 +295,36 @@ def test_solve_json_reports_step_telemetry(capsys, ellipse_path):
     diagnostics = json.loads(out)["diagnostics"]
     assert diagnostics["newton_iterations"] >= 1
     assert diagnostics["step_fallbacks"] >= 0
+    assert diagnostics["no_progress"] >= 0 and diagnostics["iteration_cap"] >= 0
     assert diagnostics["threads_used"] == 1
+
+
+@pytest.mark.parametrize(
+    "body,unconverged",
+    [
+        ("100000*x1^2 + 50000*x2^2 - 100000", True),  # the ellipse above, times 10^5
+        ("(x1^2+x2^2-1)^2", True),  # non-reduced
+        ("x1^2 + x2^2 + 1", False),  # empty real locus: no start pairs at all
+    ],
+)
+def test_solve_tells_failed_starts_from_empty_locus(capsys, tmp_path, body, unconverged):
+    path = tmp_path / "curve.txt"
+    path.write_text(f"vars: x1 x2\n{body}\n")
+    code, out, _ = run(capsys, "solve", "--input", str(path), "--density", "8")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1].startswith("0 pair(s)")
+    note = [l for l in lines if l.startswith("no start of ")]
+    assert len(note) == int(unconverged)
+    if unconverged:
+        assert note[0] == lines[2] and "residual_tol" in note[0] and "non-reduced" in note[0]
+    assert lines[-1] == "no isolated pairs found"
+    code, out, _ = run(capsys, "solve", "--input", str(path), "--density", "8", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["pairs"] == [] and payload["narrowest_separation"] is None
+    assert (payload["diagnostics"]["start_pairs"] > 0) == unconverged
+    assert payload["diagnostics"]["converged"] == 0
 
 
 def test_solve_bad_box_is_usage_error(capsys, ellipse_path):

@@ -17,6 +17,7 @@ from bnd.solver import (
     BottleneckPair,
     SolverConfig,
     _CompiledSystem,
+    _newton_batch,
     _newton_step,
     _step_length,
     _thread_count,
@@ -70,6 +71,7 @@ def test_config_defaults():
         {"density": 1},
         {"residual_tol": 0.0},
         {"newton_max_iter": 0},
+        {"newton_window": 0},
         {"box": ((1.0, 1.0),)},
     ],
 )
@@ -349,12 +351,45 @@ def test_step_telemetry_independent_of_threads(monkeypatch):
     monkeypatch.setenv("BND_THREADS", "3")
     threaded = find_bottlenecks(ELLIPSE, FAST)
     assert threaded.diagnostics["threads_used"] == min(3, os.cpu_count() or 1)
-    for key in ("newton_iterations", "step_fallbacks"):
+    for key in ("newton_iterations", "step_fallbacks", "no_progress", "iteration_cap"):
         assert threaded.diagnostics[key] == base.diagnostics[key]
     assert 1 <= base.diagnostics["newton_iterations"] <= FAST.newton_max_iter
     assert base.diagnostics["step_fallbacks"] > 0
+    assert base.diagnostics["no_progress"] > 0
     empty = find_bottlenecks([parse_poly("x1^2 + x2^2 + 1", V2)], FAST)
     assert empty.diagnostics["newton_iterations"] == empty.diagnostics["step_fallbacks"] == 0
+
+
+# (x1^2 + x2^2 + 1)(x1 - 3) = x1*x2 = 0 has the one real root (3, 0).  Newton
+# from (3.2, 0.1) converges to it; from (0.2, 0.6) the residual creeps down
+# from 3.9 to 2.9 over 20 iterations, and left alone the row stalls at
+# iteration 28.
+ONE_ROOT = _CompiledSystem(
+    [parse_poly("(x1^2 + x2^2 + 1)*(x1 - 3)", V2), parse_poly("x1*x2", V2)], 2
+)
+NEAR_ROOT, FAR_FROM_ROOT = (3.2, 0.1), (0.2, 0.6)
+
+
+@pytest.mark.parametrize("window", [5, 10, 20])
+def test_no_progress_rule_stops_a_creeping_row(window):
+    cfg = SolverConfig(newton_window=window)
+    z, res, counts = _newton_batch(ONE_ROOT, np.array([NEAR_ROOT, FAR_FROM_ROOT]), cfg)
+    # the first row freezes at the root within a few iterations
+    assert res[0] <= cfg.residual_tol * 1e-2
+    assert np.allclose(z[0], (3.0, 0.0), atol=1e-12)
+    # the second is stopped after exactly window iterations, long before
+    # the cap, and keeps its point and residual
+    assert counts["no_progress"] == 1 and counts["iteration_cap"] == 0
+    assert counts["newton_iterations"] == window < cfg.newton_max_iter
+    assert np.isfinite(z[1]).all() and 2.0 < res[1] < 3.9
+
+
+def test_iteration_cap_counts_rows_still_active():
+    cfg = SolverConfig(newton_max_iter=10)  # below the window of 20
+    z, res, counts = _newton_batch(ONE_ROOT, np.array([NEAR_ROOT, FAR_FROM_ROOT]), cfg)
+    assert counts["newton_iterations"] == 10
+    assert counts["iteration_cap"] == 1 and counts["no_progress"] == 0
+    assert res[0] <= cfg.residual_tol * 1e-2 and np.isfinite(res[1])
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +473,10 @@ def test_zero_start_path_reports_threads(monkeypatch):
     assert empty.diagnostics["start_pairs"] == 0
     assert empty.diagnostics["threads"] == 2
     assert empty.diagnostics["threads_used"] == 1
+    # the same keys as a run with start pairs, every count zero
+    assert list(empty.diagnostics) == list(find_bottlenecks(ELLIPSE, FAST).diagnostics)
+    counts = {k: v for k, v in empty.diagnostics.items() if not k.startswith("threads")}
+    assert set(counts.values()) == {0}
 
 
 def test_thread_count_capped_at_cpu_count(monkeypatch):
@@ -551,6 +590,7 @@ def test_result_table_lists_every_pair(ellipse_result):
     assert len(lines) == 2 + len(ellipse_result)
     assert "possibly_incomplete=True" in lines[-1]
     assert "True" in lines[1]
+    assert "converged" not in table
 
 
 def test_plot_data_roundtrip(ellipse_result):
