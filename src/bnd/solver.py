@@ -24,8 +24,8 @@ blocks.
 
 A Newton row stops when it converges (residual below residual_tol / 100),
 when it diverges (non-finite, or no step length lowers the residual), when
-its residual did not halve over the last newton_window iterations, or at
-newton_max_iter.  Rows far from any real root otherwise spend the whole
+its residual did not halve over the last NO_PROGRESS_WINDOW iterations, or
+at newton_max_iter.  Rows far from any real root otherwise spend the whole
 iteration cap near a fixed residual.  The rows stopped for no progress and
 those still active at the cap are counted in the diagnostics.
 
@@ -58,6 +58,9 @@ STEP_LIMIT = 1e7
 # 2^-12..2^-30, each block in one evaluation
 STEP_LENGTHS = np.ldexp(1.0, -np.arange(31))
 STEP_BLOCKS = (slice(1, 4), slice(4, 12), slice(12, 31))
+# a damped Newton row whose residual did not halve over this many
+# iterations stops (no progress)
+NO_PROGRESS_WINDOW = 20
 
 
 @dataclass(frozen=True)
@@ -69,7 +72,7 @@ class SolverConfig:
 
     A Newton row stops when its residual is below residual_tol / 100
     (frozen), when it is non-finite or no step length lowers it
-    (diverged), when it did not halve over the last newton_window
+    (diverged), when it did not halve over the last NO_PROGRESS_WINDOW
     iterations (no progress), or after newton_max_iter iterations.  A row
     stopped for no progress or at the cap keeps its point, and counts as
     converged if its residual is below residual_tol after the polish."""
@@ -77,7 +80,6 @@ class SolverConfig:
     box: tuple[tuple[float, float], ...] | None = None
     density: int | None = None
     newton_max_iter: int = 100
-    newton_window: int = 20
     residual_tol: float = 1e-10
     cluster_radius: float = 1e-6
     sep_threshold: float = 1e-4
@@ -90,8 +92,6 @@ class SolverConfig:
             raise ValueError("density must be >= 2")
         if self.residual_tol <= 0 or self.newton_max_iter < 1:
             raise ValueError("bad tolerance or iteration cap")
-        if self.newton_window < 1:
-            raise ValueError("newton_window must be >= 1")
         if self.box is not None:
             for lo, hi in self.box:
                 if not lo < hi:
@@ -363,14 +363,15 @@ def _newton_batch(
     res = np.max(np.abs(vals), axis=1)
     active = np.ones(n_pts, dtype=bool)
     freeze_tol = config.residual_tol * 1e-2
-    window = config.newton_window
+    window = NO_PROGRESS_WINDOW
     # past[k % window] holds the residuals after step k until step k + window
     past = np.empty((window, n_pts))
 
     for k in range(config.newton_max_iter + 1):
         active &= res > freeze_tol
         active &= np.isfinite(res)
-        if k >= window:
+        # at the cap the loop ends anyway: rows still active count there
+        if window <= k < config.newton_max_iter:
             stuck = active & (res > 0.5 * past[k % window])
             counts["no_progress"] += int(stuck.sum())
             active &= ~stuck

@@ -71,7 +71,6 @@ def test_config_defaults():
         {"density": 1},
         {"residual_tol": 0.0},
         {"newton_max_iter": 0},
-        {"newton_window": 0},
         {"box": ((1.0, 1.0),)},
     ],
 )
@@ -371,8 +370,9 @@ NEAR_ROOT, FAR_FROM_ROOT = (3.2, 0.1), (0.2, 0.6)
 
 
 @pytest.mark.parametrize("window", [5, 10, 20])
-def test_no_progress_rule_stops_a_creeping_row(window):
-    cfg = SolverConfig(newton_window=window)
+def test_no_progress_rule_stops_a_creeping_row(monkeypatch, window):
+    monkeypatch.setattr(solver, "NO_PROGRESS_WINDOW", window)
+    cfg = SolverConfig()
     z, res, counts = _newton_batch(ONE_ROOT, np.array([NEAR_ROOT, FAR_FROM_ROOT]), cfg)
     # the first row freezes at the root within a few iterations
     assert res[0] <= cfg.residual_tol * 1e-2
@@ -390,6 +390,20 @@ def test_iteration_cap_counts_rows_still_active():
     assert counts["newton_iterations"] == 10
     assert counts["iteration_cap"] == 1 and counts["no_progress"] == 0
     assert res[0] <= cfg.residual_tol * 1e-2 and np.isfinite(res[1])
+
+
+# From (0.1, 10) the residual falls 293, 72.8, 18.8, 5.58, 3.00, 2.97, 2.95
+# over steps 0..6: with a window of 3 it halves over every window up to
+# step 5 and first fails to at step 6.
+@pytest.mark.parametrize("cap, stop", [(6, "iteration_cap"), (7, "no_progress")])
+def test_window_rule_leaves_the_cap_to_iteration_cap(monkeypatch, cap, stop):
+    monkeypatch.setattr(solver, "NO_PROGRESS_WINDOW", 3)
+    cfg = SolverConfig(newton_max_iter=cap)
+    z, res, counts = _newton_batch(ONE_ROOT, np.array([(0.1, 10.0)]), cfg)
+    assert counts["newton_iterations"] == 6
+    other = ({"iteration_cap", "no_progress"} - {stop}).pop()
+    assert counts[stop] == 1 and counts[other] == 0
+    assert 2.9 < res[0] < 3.0
 
 
 # ---------------------------------------------------------------------------
