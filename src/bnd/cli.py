@@ -64,7 +64,6 @@ from .systems import (
     build_minor_system,
     format_system,
     parse_system_text,
-    render_poly,
 )
 
 
@@ -213,9 +212,11 @@ def cmd_system(args) -> int:
         out = build_lagrange_system(fs)
     text = format_system(out)
     if args.json:
+        # the polynomials are the last lines of the text, one each
+        lines = text.splitlines()
         payload = {
             "variables": list(out.variables),
-            "polynomials": [render_poly(p, out.variables) for p in out.polynomials],
+            "polynomials": lines[len(lines) - len(out.polynomials) :],
             "text": text,
         }
         if out.metadata:

@@ -274,12 +274,6 @@ def ed_degree(profile: PolarProfile) -> int:
     return sum(polar_degrees(profile))
 
 
-def conormal_class_coeffs(profile: PolarProfile) -> list[int]:
-    """Coefficients of the conormal cycle in the bidegree basis on
-    P^n x P^n: (deg p_m, ..., deg p_0)."""
-    return list(reversed(polar_degrees(profile)))
-
-
 # ---------------------------------------------------------------------------
 # bottleneck degrees
 # ---------------------------------------------------------------------------

@@ -538,13 +538,25 @@ def divide_monic(
 # ---------------------------------------------------------------------------
 
 
-def _render_terms(items: Iterable[tuple[Exponents, Coefficient]], names: Sequence[str]) -> str:
-    """Signed terms in the given order, e.g. ``3/2*h^2 - p1 + 1``."""
+def _render_terms(
+    items: Iterable[tuple[Exponents, Coefficient]],
+    names: Sequence[str],
+    monomials: dict[Exponents, str] | None = None,
+) -> str:
+    """Signed terms in the given order, e.g. ``3/2*h^2 - p1 + 1``.
+
+    monomials caches the text of each exponent vector; callers that render
+    many polynomials over the same names pass one dict to all of them.
+    """
+    if monomials is None:
+        monomials = {}
     chunks = []
     for expts, coeff in items:
-        mono = "*".join(
-            name if k == 1 else f"{name}^{k}" for name, k in zip(names, expts) if k
-        )
+        mono = monomials.get(expts)
+        if mono is None:
+            mono = monomials[expts] = "*".join(
+                name if k == 1 else f"{name}^{k}" for name, k in zip(names, expts) if k
+            )
         mag = abs(coeff)
         if not mono:
             body = str(mag)
@@ -564,10 +576,15 @@ def render(a: ClassPoly) -> str:
     return _render_terms(a.sorted_terms(), [s.name for s in a.ctx.symbols])
 
 
-def render_poly(p: ClassPoly, names: Sequence[str]) -> str:
-    """Text form in descending total degree, symbol i written as names[i]."""
-    items = sorted(p.terms.items(), key=lambda ec: (-sum(ec[0]), tuple(-x for x in ec[0])))
-    return _render_terms(items, names)
+def render_poly(
+    p: ClassPoly, names: Sequence[str], monomials: dict[Exponents, str] | None = None
+) -> str:
+    """Text form in descending total degree, symbol i written as names[i];
+    monomials is a cache of monomial text as in _render_terms."""
+    # exponent vectors are distinct, so reversing the ascending order gives
+    # descending degree, then descending exponents
+    items = sorted(p.terms.items(), key=lambda ec: (sum(ec[0]), ec[0]), reverse=True)
+    return _render_terms(items, names, monomials)
 
 
 # Largest exponent the parser expands.  It keeps one power such as
@@ -586,16 +603,34 @@ class SystemParseError(ValueError):
 
 
 _NUMBER = r"\d+\.\d+|\d+|\.\d+"
-# One token per match, after any whitespace: a number followed by an
-# exponent such as 1e-3 (refused by name, never expanded:
-# Fraction("1e999999999") would write out a billion digits), any other
-# number, an identifier, or any other single character.  A number cannot
-# contain an e, so the first group matches exactly the numbers that the
-# second would match with an exponent behind them.
+_NAME = IDENTIFIER.pattern
+# One factor of a monomial run: '*', a symbol, and a power whose digits are
+# not the integer part of a decimal (x1^2.5 is refused as before).  The
+# lookaheads keep backtracking from splitting a name or an exponent.
+_FACTOR = rf"\*{_NAME}(?![A-Za-z_0-9])(?:\^\d+(?!\d|\.\d))?"
+# One token per match, after any whitespace:
+#   1. a number followed by an exponent such as 1e-3 (refused by name, never
+#      expanded: Fraction("1e999999999") would write out a billion digits);
+#      a number cannot contain an e, so this group matches exactly the
+#      numbers that group 2 would match with an exponent behind them;
+#   2. any other number;
+#   3. a monomial run: one or more factors '*name' or '*name^k' with no
+#      space between them, e.g. '*x1^2*y3*lam1', that is not followed by
+#      another '^' (x1*x2^2^3 lexes factor by factor and fails as before);
+#   4. an identifier;
+#   5. any other single character.
+# A run always starts with its '*', so it is read only where the grammar
+# reads '*' and a power: a term's first factor, a divisor and the operand
+# of a unary minus stay single atoms, and every run means "times this
+# monomial".
 _TOKEN = re.compile(
-    rf"\s*(?:({_NUMBER})(?=[eE][+-]?\d)|({_NUMBER})|([A-Za-z_][A-Za-z_0-9]*)|(\S))"
+    rf"\s*(?:({_NUMBER})(?=[eE][+-]?\d)|({_NUMBER})"
+    rf"|((?:{_FACTOR})+)(?!\s*\^)"
+    rf"|({_NAME})|(\S))"
 )
-_END = ("", "", "", "")
+# the factors of a run, once _TOKEN has matched it
+_RUN_FACTOR = re.compile(rf"\*({_NAME})(?:\^(\d+))?")
+_END = ("", "", "", "", "")
 
 
 class _Parser:
@@ -609,23 +644,35 @@ class _Parser:
 
     A product of numbers, symbols and their powers is carried as one
     monomial, a coefficient and an exponent vector, and becomes a ClassPoly
-    only when it meets a parenthesized group.  Groups, their powers and
-    their products are computed in the ring, so its normalization applies
-    to each group as it is read.  A sum adds its terms into one dict in the
-    order of ClassPoly.__add__, deleting a key whose sum is 0 and dropping
-    a monomial that dies in the ring (both grades are additive, so a dead
-    factor kills the product).  Coefficients are computed as the ring
-    computes them: the same values, with the same int/Fraction types.
+    only when it meets a parenthesized group.  The exponent vector of each
+    distinct monomial run (see _TOKEN) and of each bare symbol is read once
+    and kept in runs, a dict that callers may share between the lines of
+    one system.  Groups, their powers and their products are computed in
+    the ring, so its normalization applies to each group as it is read.  A
+    sum adds its terms into one dict in the order of ClassPoly.__add__,
+    deleting a key whose sum is 0 and dropping a monomial that dies in the
+    ring (both grades are additive, so a dead factor kills the product).
+    Coefficients are computed as the ring computes them: the same values,
+    with the same int/Fraction types.
     """
 
-    def __init__(self, ctx: RingContext, text: str, names: Sequence[str], line: int):
+    def __init__(
+        self,
+        ctx: RingContext,
+        text: str,
+        names: Sequence[str],
+        line: int,
+        runs: dict[str, Exponents] | None = None,
+    ):
         self.ctx = ctx
         self.text = text
         self.names = {name: i for i, name in enumerate(names)}
         self.line = line
         self.dies = ctx._dies if ctx.bounded else None
         self.width = len(ctx.symbols)
-        # (scientific number, number, identifier, character), one field set
+        self.zero = (0,) * self.width
+        self.runs = {} if runs is None else runs
+        # (scientific number, number, run, identifier, character), one set
         self.tokens = _TOKEN.findall(text)
         self.tokens.append(_END)
         self.i = 0
@@ -652,7 +699,7 @@ class _Parser:
     def expr(self) -> dict[Exponents, Coefficient]:
         tokens, dies = self.tokens, self.dies
         out: dict[Exponents, Coefficient] = {}
-        op = tokens[self.i][3]
+        op = tokens[self.i][4]
         negate = op == "-"
         if negate or op == "+":
             self.i += 1
@@ -680,7 +727,7 @@ class _Parser:
                         out[e] = s
                 else:
                     out[e] = c
-            op = tokens[self.i][3]
+            op = tokens[self.i][4]
             if op != "+" and op != "-":
                 return out
             self.i += 1
@@ -690,24 +737,31 @@ class _Parser:
     def term(self) -> tuple[Coefficient, Exponents] | ClassPoly:
         """A product: (coefficient, exponents) while it is a monomial, a
         ClassPoly once it has met a group."""
-        tokens = self.tokens
+        tokens, runs = self.tokens, self.runs
         value = self.power()
         if type(value) is tuple:
-            coeff, expts, poly = value[0], self.exponents(value[1]), None
+            coeff, expts = value
+            poly = None
         else:
             poly = value
         while True:
-            op = tokens[self.i][3]
-            if op == "*":
+            _, _, run, _, op = tokens[self.i]
+            if run:
+                e = runs.get(run) or self.read_run(run)
+                self.i += 1
+                if poly is None:
+                    expts = _times(expts, e)
+                else:
+                    poly = poly * self.lift(1, e)
+            elif op == "*":
                 self.i += 1
                 value = self.power()
                 if type(value) is tuple:
                     if poly is None:
                         coeff = coeff * value[0]
-                        for i, k in value[1]:
-                            expts[i] += k
+                        expts = _times(expts, value[1])
                     else:
-                        poly = poly * self.lift(value[0], self.exponents(value[1]))
+                        poly = poly * self.lift(*value)
                 elif poly is None:
                     poly = self.lift(coeff, expts) * value
                 else:
@@ -720,17 +774,33 @@ class _Parser:
                 else:
                     poly = poly * self.ctx.constant(inverse)
             else:
-                return (coeff, tuple(expts)) if poly is None else poly
+                return (coeff, expts or self.zero) if poly is None else poly
 
-    def exponents(self, pairs: Iterable[tuple[int, int]]) -> list[int]:
-        expts = [0] * self.width
-        for i, k in pairs:
-            expts[i] += k
+    def read_run(self, text: str) -> Exponents:
+        """The exponent vector of the run text at the current token, kept
+        in runs."""
+        vector = [0] * self.width
+        for m in _RUN_FACTOR.finditer(text):
+            index = self.names.get(m[1])
+            if index is None:
+                self.error(f"undeclared variable {m[1]!r}", self.i, m.start(1))
+            if m[2] is None:
+                vector[index] += 1
+            else:
+                vector[index] += self.exponent_value(m[2], self.i, m.start(2))
+        expts = self.runs[text] = tuple(vector)
         return expts
 
-    def lift(self, coeff: Coefficient, expts: Sequence[int]) -> ClassPoly:
+    def exponent_value(self, digits: str, j: int, offset: int = 0) -> int:
+        """The exponent digits at token j (offset characters in), bounded."""
+        # the length test comes first: int() refuses strings of over 4300 digits
+        if len(digits.lstrip("0")) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+            self.error(f"exponent above the bound {MAX_EXPONENT}", j, offset)
+        return int(digits)
+
+    def lift(self, coeff: Coefficient, expts: Exponents) -> ClassPoly:
         """The monomial as a ClassPoly; zero when it dies in the ring."""
-        e = tuple(expts)
+        e = expts or self.zero
         alive = coeff != 0 and not (self.dies and self.dies(e))
         return ClassPoly._of(self.ctx, {e: coeff} if alive else {})
 
@@ -738,7 +808,7 @@ class _Parser:
         """The nonzero constant after a '/'."""
         value = self.power()
         if type(value) is tuple:
-            value = self.lift(value[0], self.exponents(value[1]))
+            value = self.lift(*value)
         # an error points past the divisor and the space behind it, or
         # right after its exponent
         at = self.exponent or (self.i, 0)
@@ -749,40 +819,31 @@ class _Parser:
             self.error("division by zero", *at)
         return c
 
-    def power(self) -> tuple[Coefficient, tuple[tuple[int, int], ...]] | ClassPoly:
+    def power(self) -> tuple[Coefficient, Exponents] | ClassPoly:
         """An atom, raised to an integer exponent if one follows; a
-        monomial as (coefficient, (symbol index, exponent) pairs)."""
+        monomial as (coefficient, exponents), with () for no symbols."""
         base = self.atom()
         tokens = self.tokens
-        if tokens[self.i][3] != "^":
+        if tokens[self.i][4] != "^":
             self.exponent = None
             return base
         j = self.i + 1
         digits = tokens[j][0] or tokens[j][1]
         if not digits or "." in digits:
             self.error("expected integer exponent", j)
-        # the length test comes first: int() refuses strings of over 4300 digits
-        if len(digits.lstrip("0")) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
-            self.error(f"exponent above the bound {MAX_EXPONENT}", j)
+        k = self.exponent_value(digits, j)
         self.i = j + 1
         self.exponent = (j, len(digits))
-        k = int(digits)
         if type(base) is not tuple:
             return base ** k
         if not k:
             return (1, ())
-        return (base[0] ** k, tuple((i, e * k) for i, e in base[1]))
+        return (base[0] ** k, tuple(e * k for e in base[1]))
 
-    def atom(self) -> tuple[Coefficient, tuple[tuple[int, int], ...]] | ClassPoly:
-        scientific, number, name, char = self.tokens[self.i]
-        if name:
-            index = self.names.get(name)
-            if index is None:
-                self.error(f"undeclared variable {name!r}", self.i)
-            self.i += 1
-            return (1, ((index, 1),))
+    def atom(self) -> tuple[Coefficient, Exponents] | ClassPoly:
+        scientific, number, _, name, char = self.tokens[self.i]
         if number:
-            if number.startswith("."):
+            if number[0] == ".":
                 number = "0" + number
             try:
                 value = _exact(Fraction(number)) if "." in number else int(number)
@@ -790,12 +851,21 @@ class _Parser:
                 self.error(f"numeric literal of {len(number)} characters is too long", self.i)
             self.i += 1
             return (value, ())
+        if name:
+            expts = self.runs.get(name)
+            if expts is None:
+                index = self.names.get(name)
+                if index is None:
+                    self.error(f"undeclared variable {name!r}", self.i)
+                expts = self.runs[name] = self.zero[:index] + (1,) + self.zero[index + 1 :]
+            self.i += 1
+            return (1, expts)
         if scientific:
             self.error("scientific notation is not supported; write the number as a decimal", self.i)
         if char == "(":
             self.i += 1
             terms = self.expr()
-            if self.tokens[self.i][3] != ")":
+            if self.tokens[self.i][4] != ")":
                 self.error("expected ')'", self.i)
             self.i += 1
             return ClassPoly._of(self.ctx, terms)
@@ -803,15 +873,33 @@ class _Parser:
             self.i += 1
             value = self.atom()
             return (-value[0], value[1]) if type(value) is tuple else -value
+        # a run here stands where the grammar reads its leading '*'
         self.error("expected a number, variable, or '('", self.i)
 
 
+def _times(a: Exponents, b: Exponents) -> Exponents:
+    """Product of two monomials' exponent vectors, () meaning no symbols."""
+    if not a:
+        return b
+    if not b:
+        return a
+    return tuple(map(add, a, b))
+
+
 def parse(
-    ctx: RingContext, text: str, names: Sequence[str] | None = None, line: int = 1
+    ctx: RingContext,
+    text: str,
+    names: Sequence[str] | None = None,
+    line: int = 1,
+    runs: dict[str, Exponents] | None = None,
 ) -> ClassPoly:
     """Parse polynomial text into ctx; names[i] spells symbol i (default:
     the symbol names).  Raises SystemParseError, located by line and column.
+
+    runs caches the exponent vectors of monomial runs; pass one dict to
+    every line parsed with the same ctx and names, such as the lines of a
+    system, and each distinct run is read once.
     """
     if names is None:
         names = [s.name for s in ctx.symbols]
-    return _Parser(ctx, text, names, line).parse()
+    return _Parser(ctx, text, names, line, runs).parse()

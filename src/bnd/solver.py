@@ -75,7 +75,8 @@ class SolverConfig:
     (diverged), when it did not halve over the last NO_PROGRESS_WINDOW
     iterations (no progress), or after newton_max_iter iterations.  A row
     stopped for no progress or at the cap keeps its point, and counts as
-    converged if its residual is below residual_tol after the polish."""
+    converged if its residual is below residual_tol after the polish, as
+    unconverged if not."""
 
     box: tuple[tuple[float, float], ...] | None = None
     density: int | None = None
@@ -481,9 +482,13 @@ def find_bottlenecks(
     for key in ("step_fallbacks", "no_progress", "iteration_cap"):
         diagnostics[key] = sum(p[2][key] for p in parts)
 
-    ok = np.isfinite(res) & (res < config.residual_tol)
+    # every start ends one of three ways: converged, non-finite (diverged
+    # or stalled in the step search), or finite but above residual_tol
+    finite = np.isfinite(res)
+    ok = finite & (res < config.residual_tol)
     diagnostics["converged"] = int(ok.sum())
-    diagnostics["diverged"] = int(starts - ok.sum())
+    diagnostics["diverged"] = int((~finite).sum())
+    diagnostics["unconverged"] = int((finite & ~ok).sum())
     z, res = z[ok], res[ok]
 
     x, y = z[:, :n], z[:, n : 2 * n]

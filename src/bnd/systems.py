@@ -33,7 +33,8 @@ Poly = ClassPoly
 
 def det(rows: Sequence[Sequence[Poly]]) -> Poly:
     """Determinant by Laplace expansion along the first row; the matrices
-    here are small (at most a handful of rows)."""
+    here are small (at most a handful of rows).  build_minor_system gives
+    the same polynomials, term order included, with shared sub-minors."""
     size = len(rows)
     if any(len(r) != size for r in rows):
         raise ValueError("matrix is not square")
@@ -114,12 +115,28 @@ def build_minor_system(fs: Sequence[Poly], m: int) -> PolySystem:
     grad_y = [[p.diff(n + j) for j in range(n)] for p in fy]
 
     def minors(rows: list[list[Poly]]) -> list[Poly]:
+        # each minor expands along its first row, as det does; the minors of
+        # the rows below it are computed once and shared across column sets
+        done: dict[tuple[tuple[int, ...], tuple[int, ...]], Poly] = {}
+
+        def minor(ri: tuple[int, ...], ci: tuple[int, ...]) -> Poly:
+            if len(ri) == 1:
+                return rows[ri[0]][ci[0]]
+            if (ri, ci) not in done:
+                top, below = rows[ri[0]], ri[1:]
+                acc = top[ci[0]] * minor(below, ci[1:])
+                for j in range(1, len(ci)):
+                    t = top[ci[j]] * minor(below, ci[:j] + ci[j + 1 :])
+                    acc = acc - t if j % 2 else acc + t
+                done[ri, ci] = acc
+            return done[ri, ci]
+
         size = n - m + 1
-        out = []
-        for ri in combinations(range(len(rows)), size):
-            for ci in combinations(range(n), size):
-                out.append(det([[rows[r][c] for c in ci] for r in ri]))
-        return out
+        return [
+            minor(ri, ci)
+            for ri in combinations(range(len(rows)), size)
+            for ci in combinations(range(n), size)
+        ]
 
     j_xy = [[y[j] - x[j] for j in range(n)]] + grad_x
     j_yx = [[x[j] - y[j] for j in range(n)]] + grad_y
@@ -212,8 +229,10 @@ def format_system(system: PolySystem) -> str:
     if system.metadata is not None:
         md = system.metadata
         lines += [f"# n: {md.n}", f"# k: {md.k}", f"# m: {md.m}", f"# formulation: {md.formulation}"]
+    # the text of each monomial, written once for the whole system
+    monomials: dict = {}
     for p in system.polynomials:
-        lines.append(render_poly(p, system.variables))
+        lines.append(render_poly(p, system.variables, monomials))
     return "\n".join(lines) + "\n"
 
 
@@ -224,6 +243,8 @@ def parse_system_text(text: str) -> PolySystem:
     variables: tuple[str, ...] | None = None
     meta: dict[str, int | str] = {}
     polys: list[Poly] = []
+    # the exponent vectors of the monomial runs seen so far in this text
+    runs: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         mm = _META_LINE.match(raw.strip())
         if mm:
@@ -258,8 +279,9 @@ def parse_system_text(text: str) -> PolySystem:
                 if not IDENTIFIER.fullmatch(name):
                     raise SystemParseError(f"bad variable name {name!r}", lineno, col)
             variables = tuple(names)
+            ctx = coordinate_ring(len(variables))
             continue
-        polys.append(parse_poly(line, variables, lineno))
+        polys.append(parse_text(ctx, line, variables, lineno, runs))
     if variables is None:
         raise SystemParseError("no 'vars:' declaration found", 1, 1)
     metadata = None

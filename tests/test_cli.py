@@ -209,6 +209,9 @@ def test_system_json(capsys, ellipse_path):
     assert len(payload["polynomials"]) == 4
     assert payload["metadata"]["formulation"] == "minors"
     assert parse_system_text(payload["text"]).polynomials
+    # the list is the body of the text: every line after the declarations
+    body = [line for line in payload["text"].splitlines() if not line.startswith(("vars:", "#"))]
+    assert payload["polynomials"] == body
 
 
 def test_system_reads_stdin(capsys, monkeypatch):

@@ -15,7 +15,6 @@ from bnd.engine import (
     bnd_variety,
     check_work_bound,
     compute_B,
-    conormal_class_coeffs,
     conormal_context,
     ed_degree,
     epsilon_oracle,
@@ -202,13 +201,6 @@ def test_epsilon_oracle_validates_profile():
 def test_ed_degree_is_polar_sum():
     assert ed_degree(plane_curve(3)) == 9  # classical: d^2 for a plane curve
     assert ed_degree(surface(2)) == 6
-
-
-def test_conormal_class_coeffs_reversed_polar():
-    for d in range(2, 6):
-        assert conormal_class_coeffs(plane_curve(d)) == [d * d - d, d]
-    assert conormal_class_coeffs(surface(2)) == [2, 2, 2]
-    assert len(conormal_class_coeffs(ci_profile(VarietySpec(5, (2, 2))))) == 4
 
 
 # -- bottleneck degrees ------------------------------------------------------

@@ -25,7 +25,7 @@ from bnd.ring import (
     coordinate_ring,
     parse,
 )
-from bnd.systems import build_minor_system, format_system, parse_poly
+from bnd.systems import build_lagrange_system, build_minor_system, format_system, parse_poly
 
 _NUM = re.compile(r"\d+\.\d+|\d+|\.\d+")
 # an exponent right after a literal: 1e-3 is refused by name, never expanded
@@ -254,15 +254,45 @@ def test_random_expressions_parse_as_the_character_parser_does(ring):
     assert parsed >= 300 and errors <= {"can only divide by a constant"}, (parsed, errors)
 
 
+# hypersurface and codim-2 inputs with integer, Fraction and decimal
+# coefficients; their systems put names such as y5, lam2 and mu1 inside
+# monomial runs
+EMITTED = {
+    "curve": (2, ["x1^4 - x1^2*x2 + 3/10*x2^2 - 1.5*x1 + 2"]),
+    "codim2 n4": (4, [
+        "x1^2 - 3/10*x2*x3 + 1.5*x4^2 - x1*x4 + 2",
+        "0.25*x2^2*x4 + x1*x3 - 7/3*x4 + x2 - 1",
+    ]),
+    "codim2 n5": (5, [
+        "x1*x5 - 0.3*x2^2 + 2/7*x3*x4 - x5^2 + 1",
+        "x4^2 + 1.25*x1*x2 - 3*x3*x5 + 5/2*x5 - 4",
+    ]),
+}
+
+
+def emitted_systems():
+    for nvars, texts in EMITTED.values():
+        fs = [parse_poly(t, [f"x{i}" for i in range(1, nvars + 1)]) for t in texts]
+        yield build_minor_system(fs, nvars - len(fs)), [f"*y{nvars}"] if len(fs) == 2 else []
+        yield build_lagrange_system(fs), ["*lam2", "*mu1"] if len(fs) == 2 else []
+
+
 def test_emitted_system_parses_as_the_character_parser_does():
-    f = parse_poly("x1^4 - x1^2*x2 + 3/10*x2^2 - 1.5*x1 + 2", ("x1", "x2"))
-    system = build_minor_system([f], m=1)
-    lines = format_system(system).splitlines()
-    polys = [line for line in lines if line[0] not in "#v"]
-    assert len(polys) == len(system.polynomials)
-    ctx = coordinate_ring(len(system.variables))
-    for text in polys:
-        assert assert_same(ctx, text, system.variables)[0] == "terms"
+    for system, inside in emitted_systems():
+        emitted = format_system(system)
+        assert all(name in emitted for name in inside)
+        polys = [line for line in emitted.splitlines() if line[0] not in "#v"]
+        assert len(polys) == len(system.polynomials)
+        names = system.variables
+        ctx = coordinate_ring(len(names))
+        runs: dict = {}
+        for text, p in zip(polys, system.polynomials):
+            want = assert_same(ctx, text, names)
+            assert want[0] == "terms"
+            # one runs dict over the lines of a system, as parse_system_text
+            # keeps it, gives the same terms as a fresh one per line
+            assert outcome(lambda *a: parse(*a, runs=runs), ctx, text, names) == want
+            assert dict(want[1]) == p.terms
 
 
 @pytest.mark.parametrize(
@@ -347,6 +377,27 @@ MALFORMED = [
     f"x1 - 0.{DIGITS}",
     f"x1 - .{DIGITS}",
     "x1 + y9",
+    # monomial runs: '*name' and '*name^k' factors lexed as one token
+    "x1^2^3",
+    "x1*x2^2^3",
+    "x1*x2^2 ^3",
+    "x1^2.5*x2",
+    "x1*x2^2.5*h",
+    "x1*x2^101",
+    f"x1*h*x2^{'0' * 50}{MAX_EXPONENT + 1}",
+    "x1*x2*q3*h",
+    "2*x1*h^2*x2e5",
+    "x1*x2^",
+    "x1*x2^x1",
+    "x1*x2^2x1",
+    "x1 + *x2",
+    "x1/*x2",
+    "x1/2*x2*q3",
+    "x1/x2*h",
+    "x1/x2^2*h",
+    "x1/-x2^0*h + 1/x1",
+    "x1*x2^1.*h",
+    "x1*x2\u00e9*h",
 ]
 
 

@@ -359,6 +359,24 @@ def test_step_telemetry_independent_of_threads(monkeypatch):
     assert empty.diagnostics["newton_iterations"] == empty.diagnostics["step_fallbacks"] == 0
 
 
+@pytest.mark.parametrize("scale", [1, 100000])
+def test_start_outcomes_partition_the_starts(scale):
+    """Each start ends converged, non-finite (diverged) or finite above
+    residual_tol (unconverged); only the rule stops and the cap leave a
+    finite row unconverged."""
+    f = parse_poly(f"{scale}*x1^2 + {scale}/2*x2^2 - {scale}", V2)
+    d = find_bottlenecks([f], FAST).diagnostics
+    assert d["converged"] + d["diverged"] + d["unconverged"] == d["start_pairs"] > 0
+    assert d["unconverged"] <= d["no_progress"] + d["iteration_cap"]
+    if scale == 1:
+        assert d["converged"] > d["diverged"] + d["unconverged"]
+    else:
+        # the absolute residual_tol: every row the rule stopped is finite
+        # and counts as unconverged, not as diverged
+        assert d["converged"] == 0
+        assert d["unconverged"] == d["no_progress"] + d["iteration_cap"] > d["diverged"]
+
+
 # (x1^2 + x2^2 + 1)(x1 - 3) = x1*x2 = 0 has the one real root (3, 0).  Newton
 # from (3.2, 0.1) converges to it; from (0.2, 0.6) the residual creeps down
 # from 3.9 to 2.9 over 20 iterations, and left alone the row stalls at

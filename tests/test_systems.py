@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import combinations, product
 from math import comb, sqrt
 
 import pytest
@@ -155,6 +157,46 @@ def test_minor_counts_and_order():
     assert len(sys.polynomials) == 4 + 1 + 1
     k, n, m = 2, 3, 1
     assert comb(k + 1, n - m + 1) * comb(n, n - m + 1) == 1
+
+
+def _dense(rng, n, degree):
+    """A random polynomial in n variables with every monomial of degree at
+    most degree, integer and Fraction coefficients."""
+    terms = {}
+    for e in product(range(degree + 1), repeat=n):
+        if sum(e) <= degree:
+            c = rng.choice([c for c in range(-9, 10) if c])
+            terms[e] = Fraction(c, rng.choice([1, 1, 2, 3]))
+    return Poly(n, terms)
+
+
+@pytest.mark.parametrize("n, degrees, seed", [(4, (2, 2), 0), (4, (2, 3), 1), (5, (2, 2), 2)])
+def test_shared_minors_equal_det(n, degrees, seed):
+    """The minors with shared sub-minors are det of each minor matrix, with
+    the same terms in the same order."""
+    rng = random.Random(seed)
+    fs = [_dense(rng, n, d) for d in degrees]
+    m = n - len(fs)
+    system = build_minor_system(fs, m)
+    total = 2 * n
+    x = [Poly.var(total, i) for i in range(n)]
+    y = [Poly.var(total, n + i) for i in range(n)]
+    fx = [f.embed(total, 0) for f in fs]
+    fy = [f.embed(total, n) for f in fs]
+    j_xy = [[y[j] - x[j] for j in range(n)]] + [[p.diff(j) for j in range(n)] for p in fx]
+    j_yx = [[x[j] - y[j] for j in range(n)]] + [[p.diff(n + j) for j in range(n)] for p in fy]
+    size = n - m + 1
+    want = [
+        det([[rows[r][c] for c in ci] for r in ri])
+        for rows in (j_xy, j_yx)
+        for ri in combinations(range(len(rows)), size)
+        for ci in combinations(range(n), size)
+    ]
+    got = system.polynomials[2 * len(fs) :]
+    assert len(got) == len(want) == 2 * comb(len(fs) + 1, size) * comb(n, size)
+    for p, q in zip(got, want):
+        assert list(p.terms.items()) == list(q.terms.items())
+        assert [type(c) for c in p.terms.values()] == [type(c) for c in q.terms.values()]
 
 
 def test_minor_system_swap_symmetry():
