@@ -620,9 +620,9 @@ _FACTOR = rf"\*{_NAME}(?![A-Za-z_0-9])(?:\^\d+(?!\d|\.\d))?"
 #   4. an identifier;
 #   5. any other single character.
 # A run always starts with its '*', so it is read only where the grammar
-# reads '*' and a power: a term's first factor, a divisor and the operand
-# of a unary minus stay single atoms, and every run means "times this
-# monomial".
+# reads '*' and a power: a term's first factor, a divisor and the power
+# after a unary minus start with a single atom, and every run means "times
+# this monomial".
 _TOKEN = re.compile(
     rf"\s*(?:({_NUMBER})(?=[eE][+-]?\d)|({_NUMBER})"
     rf"|((?:{_FACTOR})+)(?!\s*\^)"
@@ -820,10 +820,16 @@ class _Parser:
         return c
 
     def power(self) -> tuple[Coefficient, Exponents] | ClassPoly:
-        """An atom, raised to an integer exponent if one follows; a
-        monomial as (coefficient, exponents), with () for no symbols."""
-        base = self.atom()
+        """An atom, raised to an integer exponent if one follows, or '-'
+        and a power, so a sign inside a term negates the whole power as a
+        leading sign does: -x1^2 is -(x1^2).  A monomial as (coefficient,
+        exponents), with () for no symbols."""
         tokens = self.tokens
+        if tokens[self.i][4] == "-":
+            self.i += 1
+            value = self.power()
+            return (-value[0], value[1]) if type(value) is tuple else -value
+        base = self.atom()
         if tokens[self.i][4] != "^":
             self.exponent = None
             return base
@@ -869,10 +875,6 @@ class _Parser:
                 self.error("expected ')'", self.i)
             self.i += 1
             return ClassPoly._of(self.ctx, terms)
-        if char == "-":
-            self.i += 1
-            value = self.atom()
-            return (-value[0], value[1]) if type(value) is tuple else -value
         # a run here stands where the grammar reads its leading '*'
         self.error("expected a number, variable, or '('", self.i)
 

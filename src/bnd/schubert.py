@@ -18,8 +18,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
-from .ring import ClassPoly, RingContext, SymbolSpec, declare_ring, substitute
+from .ring import (
+    ClassPoly,
+    Coefficient,
+    Exponents,
+    RingContext,
+    SymbolSpec,
+    declare_ring,
+    substitute,
+)
 
 
 @dataclass(frozen=True)
@@ -69,25 +78,38 @@ def _segre(ctx: RingContext, l: int) -> ClassPoly:
     return cur
 
 
-def _symmetrize(poly_x: ClassPoly, ctx_e: RingContext) -> ClassPoly:
-    """Rewrite a symmetric polynomial in x1, x2 in terms of e1, e2.
+def _symmetrize(terms: dict[Exponents, Coefficient], ctx_e: RingContext) -> ClassPoly:
+    """The e1, e2 form of a symmetric polynomial in x1, x2, given as its
+    terms: a dict from (a, b) to the coefficient of x1^a*x2^b.
 
-    Classical leading-term elimination: the lex-leading monomial c*x1^a*x2^b
-    of a symmetric polynomial has a >= b and is the leading monomial of
-    c*e1^(a-b)*e2^b; subtract and repeat.  A nonzero residual means the input
-    was not symmetric, which is a bug, not an input condition.
+    Leading-term elimination on the dict: visit each x1^a*x2^b with a >= b
+    in descending lex order; its residual coefficient c is the coefficient
+    of e1^(a-b)*e2^b, whose expansion
+
+        sum_j  C(a-b, j) * x1^(b+j) * x2^(a-j)
+
+    touches only (a, b) and monomials after it, and is subtracted in exact
+    arithmetic.  The e-terms come out in that order.  A residual left at
+    the end means the input was not symmetric, which is a bug, not an
+    input condition.
     """
-    ctx_x = poly_x.ctx
-    images = {"e1": ctx_x.sym("x1") + ctx_x.sym("x2"), "e2": ctx_x.sym("x1") * ctx_x.sym("x2")}
-    out = ctx_e.zero()
-    rem = poly_x
-    while not rem.is_zero():
-        (a, b), c = max(rem.terms.items(), key=lambda t: t[0])
-        assert a >= b, f"not symmetric: leading x1^{a}*x2^{b}"
-        mono = ctx_e.monomial(c, e1=a - b, e2=b)
-        out = out + mono
-        rem = rem - substitute(mono, images, ctx_x)
-    return out
+    rem = dict(terms)
+    top = max((a + b for a, b in rem), default=0)
+    out: dict[Exponents, Coefficient] = {}
+    for a in range(top, -1, -1):
+        for b in range(min(a, top - a), -1, -1):
+            c = rem.pop((a, b), 0)
+            if not c:
+                continue
+            out[(a - b, b)] = c
+            for j in range(a - b):
+                key = (b + j, a - j)
+                rem[key] = rem.get(key, 0) - comb(a - b, j) * c
+    left = [(a, b) for (a, b), c in rem.items() if c]
+    if left:
+        a, b = max(left)
+        raise RuntimeError(f"not symmetric: residual x1^{a}*x2^{b}")
+    return ctx_e.poly(out)
 
 
 # ---------------------------------------------------------------------------
@@ -100,26 +122,34 @@ def chern_tangent_grassmannian(n: int) -> ClassPoly:
     """Total Chern class of T(Gr(2, n+1)) as a polynomial in e1, e2.
 
     T_G = Hom(S, Q) = S^ (x) Q, so with x1, x2 the Chern roots of S^ the
-    total class is a product of two rank-(n-1) twists,
+    total class is a product of two rank-(n-1) twists, F(x1, x2)*F(x2, x1)
+    with
 
-        prod_i  sum_{l=0}^{n-1}  c_l(Q) * (1 + x_i)^(n-1-l),
+        F(x1, x2) = sum_{l=0}^{n-1}  h_l(x1, x2) * (1 + x1)^(n-1-l),
 
-    with c_l(Q) the degree-l piece of 1/c(S).  The product is symmetric in
-    x1, x2 and is returned rewritten in e1, e2.
+    where h_l = sum_i x1^i * x2^(l-i), the degree-l piece of 1/c(S), is
+    c_l(Q).  F is written down term by term with the binomials
+    C(n-1-l, j) of its second factor; the product is one multiplication in
+    the (x1, x2) ring truncated at dim G, and it is returned rewritten in
+    e1, e2 by _symmetrize.  The e1, e2 form of a symmetric polynomial is
+    unique and truncation commutes with the graded map e -> x, so the
+    representative does not depend on how the product is formed.
     """
     ctx_e = grassmannian_context(n)
     ctx_x = declare_ring(
         [SymbolSpec("x1", 1), SymbolSpec("x2", 1)], truncation=2 * (n - 1)
     )
-    images = {"e1": ctx_x.sym("x1") + ctx_x.sym("x2"), "e2": ctx_x.sym("x1") * ctx_x.sym("x2")}
-    total = ctx_x.one()
-    for var in ("x1", "x2"):
-        xi = ctx_x.sym(var)
-        factor = ctx_x.zero()
-        for l in range(n):
-            factor = factor + substitute(_segre(ctx_e, l), images, ctx_x) * (1 + xi) ** (n - 1 - l)
-        total = total * factor
-    return _symmetrize(total, ctx_e)
+    # every term of F has degree l + j <= n-1, inside the truncation
+    twist: dict[Exponents, int] = {}
+    for l in range(n):
+        for j in range(n - l):
+            binom = comb(n - 1 - l, j)
+            for i in range(l + 1):
+                key = (i + j, l - i)
+                twist[key] = twist.get(key, 0) + binom
+    swapped = {(b, a): c for (a, b), c in twist.items()}
+    total = ClassPoly._of(ctx_x, twist) * ClassPoly._of(ctx_x, swapped)
+    return _symmetrize(total.terms, ctx_e)
 
 
 def schubert_representative(index: SchubertIndex, n: int) -> ClassPoly:

@@ -1,11 +1,13 @@
 """The token parser of bnd.ring against the character-level parser it
 replaced.
 
-`_CharParser` below is that parser, kept verbatim as the reference: it
-builds every number and symbol as a ClassPoly and combines them with the
-ring's own arithmetic.  The parser in bnd.ring must give the same terms in
-the same key order with the same int/Fraction coefficient types, and the
-same error, line and column, on every input.
+`_CharParser` below is that parser, kept as the reference: it builds every
+number and symbol as a ClassPoly and combines them with the ring's own
+arithmetic.  It differs from the replaced parser in one grammar rule, made
+in both parsers: a unary minus inside a term negates the whole power after
+it, so x1*-x2^2 is -x1*x2^2.  The parser in bnd.ring must give the same
+terms in the same key order with the same int/Fraction coefficient types,
+and the same error, line and column, on every input.
 """
 
 import random
@@ -102,6 +104,9 @@ class _CharParser:
                 return acc
 
     def power(self) -> ClassPoly:
+        if self.peek() == "-":
+            self.pos += 1
+            return -self.power()
         base = self.atom()
         if self.peek() == "^":
             self.pos += 1
@@ -126,9 +131,6 @@ class _CharParser:
                 self.error("expected ')'")
             self.pos += 1
             return p
-        if ch == "-":
-            self.pos += 1
-            return -self.atom()
         m = _NUM.match(self.text, self.pos)
         if m:
             if _SCIENTIFIC.match(self.text, m.end()):
@@ -425,3 +427,32 @@ def test_well_formed_edge_cases():
         "(x1 + x2)^2*(x1 - x2)/4", "2*(x1 + 1)*x2*(h - 1)/3", "(2*0.5)*(x1 + 1)",
     ]:
         assert assert_same(ctx, text, names)[0] == "terms"
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        # a unary minus inside a term negates the whole power after it,
+        # as a leading sign does
+        ("x1*-x2^2", "-x1*x2^2"),
+        ("x1 - -x2^2", "x1 + x2^2"),
+        ("2/-x1^0", "-2"),
+        ("-x1^2", "-(x1^2)"),
+        ("x1*- -x2^3", "x1*x2^3"),
+        # a group in parentheses is the base of its power
+        ("(-x1)^2", "x1^2"),
+        ("x1*(-x2)^3", "-x1*x2^3"),
+    ],
+)
+def test_unary_minus_applies_to_the_power(text, want):
+    ctx, names = RINGS["coordinate"]
+    assert assert_same(ctx, text, names)[0] == "terms"
+    assert parse(ctx, text, names) == parse(ctx, want, names)
+
+
+def test_unary_minus_does_not_start_a_second_power():
+    # -x1^2^3 fails as x1^2^3 does, at the second '^'
+    ctx, names = RINGS["coordinate"]
+    for text in ("x1^2^3", "-x1^2^3", "x2*-x1^2^3"):
+        got = assert_same(ctx, text, names)
+        assert got[0] == "error" and "unexpected '^'" in got[2], (text, got)

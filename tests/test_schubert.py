@@ -3,9 +3,14 @@ from math import comb
 
 import pytest
 
-from bnd.ring import SymbolSpec, declare_ring, graded_piece, substitute
+import bnd.ring
+import bnd.schubert
+from bnd.engine import MAX_AMBIENT
+from bnd.ring import ClassPoly, SymbolSpec, declare_ring, graded_piece, substitute
 from bnd.schubert import (
     SchubertIndex,
+    _segre,
+    _symmetrize,
     chern_tangent_grassmannian,
     grassmannian_context,
     pullback_f,
@@ -117,7 +122,7 @@ def test_chern_tangent_n3_frozen():
 
 def test_chern_tangent_first_piece_is_anticanonical():
     # c1(T_G) = (n+1) * sigma_1
-    for n in range(2, 9):
+    for n in range(2, MAX_AMBIENT + 1):
         ctg = chern_tangent_grassmannian(n)
         assert graded_piece(ctg, 0) == 1
         assert graded_piece(ctg, 1) == (n + 1) * grassmannian_context(n).sym("e1")
@@ -125,9 +130,86 @@ def test_chern_tangent_first_piece_is_anticanonical():
 
 def test_chern_tangent_top_integrates_to_euler_characteristic():
     # chi(Gr(2, n+1)) = number of Schubert cells = C(n+1, 2)
-    for n in range(2, 8):
+    for n in range(2, MAX_AMBIENT + 1):
         top = graded_piece(chern_tangent_grassmannian(n), 2 * (n - 1))
         assert integral(top, n) == comb(n + 1, 2)
+
+
+def reference_symmetrize(poly_x, ctx_e):
+    """Leading-term elimination by substitution: the lex-leading monomial
+    c*x1^a*x2^b of a symmetric polynomial leads c*e1^(a-b)*e2^b, which is
+    substituted back into x1, x2 and subtracted."""
+    ctx_x = poly_x.ctx
+    images = {"e1": ctx_x.sym("x1") + ctx_x.sym("x2"), "e2": ctx_x.sym("x1") * ctx_x.sym("x2")}
+    out = ctx_e.zero()
+    rem = poly_x
+    while not rem.is_zero():
+        (a, b), c = max(rem.terms.items(), key=lambda t: t[0])
+        assert a >= b, f"not symmetric: leading x1^{a}*x2^{b}"
+        mono = ctx_e.monomial(c, e1=a - b, e2=b)
+        out = out + mono
+        rem = rem - substitute(mono, images, ctx_x)
+    return out
+
+
+def reference_chern_tangent(n):
+    """c(T Gr(2, n+1)) with each twist built from the Segre classes
+    substituted into x1, x2, then symmetrized by reference_symmetrize."""
+    ctx_e = grassmannian_context(n)
+    ctx_x = declare_ring([SymbolSpec("x1", 1), SymbolSpec("x2", 1)], truncation=2 * (n - 1))
+    images = {"e1": ctx_x.sym("x1") + ctx_x.sym("x2"), "e2": ctx_x.sym("x1") * ctx_x.sym("x2")}
+    total = ctx_x.one()
+    for var in ("x1", "x2"):
+        xi = ctx_x.sym(var)
+        factor = ctx_x.zero()
+        for l in range(n):
+            factor = factor + substitute(_segre(ctx_e, l), images, ctx_x) * (1 + xi) ** (n - 1 - l)
+        total = total * factor
+    return reference_symmetrize(total, ctx_e)
+
+
+def test_chern_tangent_equals_the_substitution_route():
+    # the same terms in the same order, with the same (int) coefficients
+    for n in range(2, 15):
+        got = chern_tangent_grassmannian(n).terms
+        want = reference_chern_tangent(n).terms
+        assert list(got.items()) == list(want.items()), n
+        assert all(type(c) is int for c in got.values()), n
+
+
+def test_symmetrize_refuses_a_non_symmetric_polynomial():
+    ctx_e = grassmannian_context(2)
+    with pytest.raises(RuntimeError, match="not symmetric"):
+        _symmetrize({(1, 0): 1}, ctx_e)
+    with pytest.raises(RuntimeError, match="not symmetric"):
+        _symmetrize({(2, 0): 1, (1, 1): 3, (0, 2): 2}, ctx_e)
+    e1, e2 = ctx_e.sym("e1"), ctx_e.sym("e2")
+    assert _symmetrize({(1, 0): 2, (0, 1): 2, (1, 1): -1}, ctx_e) == 2 * e1 - e2
+
+
+def test_chern_tangent_builds_without_substitution(monkeypatch):
+    # one multiplication, the product of the two twists, and no substitute
+    calls = []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("chern_tangent_grassmannian called substitute")
+
+    multiply = ClassPoly.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return multiply(self, other)
+
+    monkeypatch.setattr(bnd.ring, "substitute", refuse)
+    monkeypatch.setattr(bnd.schubert, "substitute", refuse)
+    monkeypatch.setattr(ClassPoly, "__mul__", counted)
+    monkeypatch.setattr(ClassPoly, "__rmul__", counted)
+    for n in (2, 7, 12):
+        chern_tangent_grassmannian.cache_clear()
+        calls.clear()
+        chern_tangent_grassmannian(n)
+        assert len(calls) <= 1, (n, len(calls))
+    chern_tangent_grassmannian.cache_clear()
 
 
 # -- pullbacks ---------------------------------------------------------------
