@@ -285,6 +285,11 @@ def cmd_solve(args) -> int:
             f"isolated pairs found: {isolated}; "
             f"complex bound for generic varieties of this shape: {bound} pairs"
         )
+        if isolated > bound:
+            print(
+                f"warning: the count exceeds the complex bound by {isolated - bound}, "
+                "so some pairs are duplicates or spurious"
+            )
     try:
         _, sep = narrowest_bottleneck(result.pairs)
         print(f"narrowest isolated separation {sep:.12g} (reach <= {sep / 2:.12g})")

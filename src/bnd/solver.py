@@ -37,6 +37,7 @@ never changes the output.
 from __future__ import annotations
 
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import suppress
@@ -91,10 +92,14 @@ class SolverConfig:
             raise ValueError("need sep_threshold > cluster_radius > 0")
         if self.density is not None and self.density < 2:
             raise ValueError("density must be >= 2")
-        if self.residual_tol <= 0 or self.newton_max_iter < 1:
-            raise ValueError("bad tolerance or iteration cap")
+        if not 0 < self.residual_tol < math.inf:
+            raise ValueError(f"residual_tol must be positive and finite, got {self.residual_tol}")
+        if self.newton_max_iter < 1:
+            raise ValueError("newton_max_iter must be >= 1")
         if self.box is not None:
             for lo, hi in self.box:
+                if not (math.isfinite(lo) and math.isfinite(hi)):
+                    raise ValueError(f"box bounds must be finite, got ({lo}, {hi})")
                 if not lo < hi:
                     raise ValueError(f"empty box interval ({lo}, {hi})")
 
@@ -149,9 +154,12 @@ class _CompiledSystem:
     leading rows.  Column i of the coefficient matrix holds the coefficients
     of f_i, column m + i*nvars + j those of df_i/dx_j.  At a batch of points
     one power table holds every variable's powers up to the top degree, built
-    by repeated multiplication; each monomial is the product of its nonzero
-    powers, and F and J are one matrix product each.  Nothing is written to
-    the instance after construction, so threads may share one.
+    by repeated multiplication.  Each monomial is the product of its nonzero
+    powers in variable order, formed as a running product one factor level
+    at a time over the monomials ranked by factor count (see _power_plan),
+    and F and J are one matrix product each over the monomials in table
+    order.  Nothing is written to the instance after construction, so
+    threads may share one.
     """
 
     def __init__(self, polys: Sequence[ClassPoly], nvars: int):
@@ -190,31 +198,45 @@ class _CompiledSystem:
 
 
 def _power_plan(exps: np.ndarray) -> tuple:
-    """(top degree, factors, starts) for the monomials exps: row r is the
-    product of the power-table rows factors[starts[r]:starts[r + 1]]."""
+    """(top degree, levels, rank) for the monomials exps.  Each monomial is
+    the product of its power-table rows in variable order.  Ranked by
+    factor count, most first, the monomials of rank below len(levels[j])
+    have a j-th factor, and levels[j] lists those table rows; rank[r] is
+    the rank of exps row r."""
     nvars = exps.shape[1]
-    factors: list[int] = []
-    starts = []
-    for e in exps.tolist():
-        starts.append(len(factors))
-        # x_v^d is table row 1 + (d-1)*nvars + v; a constant takes row 0, the ones
-        factors += [1 + (d - 1) * nvars + v for v, d in enumerate(e) if d] or [0]
-    top = int(exps.max(initial=0))
-    return top, np.array(factors, dtype=np.intp), np.array(starts, dtype=np.intp)
+    # x_v^d is table row 1 + (d-1)*nvars + v; a constant takes row 0, the ones
+    factors = [
+        [1 + (d - 1) * nvars + v for v, d in enumerate(e) if d] or [0] for e in exps.tolist()
+    ]
+    order = sorted(range(len(factors)), key=lambda r: -len(factors[r]))
+    ranked = [factors[r] for r in order]
+    depth = len(ranked[0]) if ranked else 1
+    levels = [np.array([f[j] for f in ranked if len(f) > j], dtype=np.intp) for j in range(depth)]
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    return int(exps.max(initial=0)), levels, rank
 
 
 def _monomials(plan: tuple, pts: np.ndarray) -> np.ndarray:
-    """(rows, N) values of the planned monomials at each point."""
-    top, factors, starts = plan
+    """(rows, N) values of the planned monomials at each point.
+
+    The monomials are running products, one level of factors at a time over
+    the leading ranks, so each is multiplied left to right in variable order
+    (the rounding of np.multiply.reduceat over its factors); one gather puts
+    them back in row order."""
+    top, levels, rank = plan
     x = pts.T
     table = np.empty((1 + top * x.shape[0], len(pts)))
     table[0] = 1.0
     pw = table[1:].reshape(top, *x.shape)  # a view: pw[d-1, v] = x_v^d
     pw[:1] = x
     for d in range(1, top):
-        np.multiply(pw[d - 1], x, out=pw[d])
-    # reduceat multiplies each row's factors in variable order
-    return np.multiply.reduceat(table[factors], starts, axis=0)
+        # pw[0] holds x contiguously; x itself is a strided view of pts
+        np.multiply(pw[d - 1], pw[0], out=pw[d])
+    acc = table[levels[0]]
+    for level in levels[1:]:
+        acc[: len(level)] *= table[level]
+    return acc[rank]
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +252,14 @@ def sample_variety(fs: Sequence[ClassPoly], config: SolverConfig | None = None) 
     outcome, not an error).  Points are deduplicated at a radius tied to the
     grid spacing so the sample is spread rather than clustered.
     """
-    config = config or SolverConfig()
-    n = fs[0].nvars
+    return _sample(_CompiledSystem(list(fs), fs[0].nvars), config or SolverConfig())
+
+
+def _sample(sysc: _CompiledSystem, config: SolverConfig) -> np.ndarray:
+    """sample_variety for the compiled defining system."""
+    n = sysc.nvars
     box = config.box_for(n)
     density = config.density_for(n)
-    sysc = _CompiledSystem(list(fs), n)
     rng = np.random.default_rng(config.seed)
 
     axes = [np.linspace(lo, hi, density) for lo, hi in box]
@@ -253,7 +278,7 @@ def sample_variety(fs: Sequence[ClassPoly], config: SolverConfig | None = None) 
         pts = pts - step * np.minimum(1.0, 1.0 / np.maximum(norm, 1e-30))
 
     vals = sysc.eval(pts)
-    good = np.max(np.abs(vals), axis=1) < config.residual_tol
+    good = _residual(vals) < config.residual_tol
     lo = np.array([b[0] for b in box]) - 0.5
     hi = np.array([b[1] for b in box]) + 0.5
     good &= np.all((pts >= lo) & (pts <= hi), axis=1)
@@ -264,7 +289,7 @@ def sample_variety(fs: Sequence[ClassPoly], config: SolverConfig | None = None) 
     span = max(b[1] - b[0] for b in box)
     # surfaces carry quadratically many sample points, and the search later
     # pairs samples quadratically again; thin them harder than curves
-    spread = 1.5 if n - len(fs) >= 2 else 3.0
+    spread = 1.5 if n - sysc.neqs >= 2 else 3.0
     radius = max(config.cluster_radius, span / (spread * density))
     kept = np.empty_like(pts)
     count = 0
@@ -281,6 +306,16 @@ def sample_variety(fs: Sequence[ClassPoly], config: SolverConfig | None = None) 
 # ---------------------------------------------------------------------------
 # Newton on the square system
 # ---------------------------------------------------------------------------
+
+
+def _residual(vals: np.ndarray) -> np.ndarray:
+    """max_i |F_i| over the last axis of vals, as np.max(np.abs(vals),
+    axis=-1) gives it (nan included), by one np.maximum per equation: numpy
+    reduces a short last axis row by row, about ten times slower."""
+    res = np.abs(vals[..., 0])
+    for i in range(1, vals.shape[-1]):
+        np.maximum(res, np.abs(vals[..., i]), out=res)
+    return res
 
 
 def _pinv_step(jac: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -315,22 +350,25 @@ def _newton_step(jac: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, int]:
 
 def _step_length(
     sysc: _CompiledSystem, z: np.ndarray, step: np.ndarray, cur_res: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Damped update of each row of z: z - t*step for the first t of
-    STEP_LENGTHS whose residual is below cur_res, with F there and that
-    residual.  A row that no t improves, or whose full step has a nan
-    residual, is stalled and carries nan."""
+    STEP_LENGTHS whose residual is below cur_res, with F there, that
+    residual, and the number of points at which F was evaluated.  A row
+    that no t improves, or whose full step has a nan residual, is stalled
+    and carries nan."""
     best = z - step
     best_vals = sysc.eval(best)
-    best_res = np.max(np.abs(best_vals), axis=1)
+    best_res = _residual(best_vals)
+    evaluated = len(best)
     search = np.flatnonzero(best_res >= cur_res)
     for block in STEP_BLOCKS:
         if not search.size:
             break
         t = STEP_LENGTHS[block, None]
         cand = z[search, None] - t * step[search, None]  # (rows, len(t), nvars)
+        evaluated += len(search) * len(t)
         cand_vals = sysc.eval(cand.reshape(-1, z.shape[1])).reshape(len(search), len(t), -1)
-        cand_res = np.max(np.abs(cand_vals), axis=2)
+        cand_res = _residual(cand_vals)
         hit = cand_res < cur_res[search, None]
         first = hit.argmax(axis=1)
         found = hit[np.arange(len(search)), first]
@@ -341,7 +379,7 @@ def _step_length(
         search = search[~found]
     stalled = ~(best_res < cur_res)
     best[stalled] = best_vals[stalled] = best_res[stalled] = np.nan
-    return best, best_vals, best_res
+    return best, best_vals, best_res, evaluated
 
 
 def _newton_batch(
@@ -350,18 +388,27 @@ def _newton_batch(
     """Damped Newton from each row of z0.  Returns (solutions, residuals,
     counts); rows that diverged carry nan.  The counts are the iterations
     run, the row steps that took the pseudoinverse, the rows stopped for
-    making no progress, and the rows still active at the iteration cap.
-    F is evaluated once per point: each step reuses the values the
-    step-length search kept."""
+    making no progress, the rows still active at the iteration cap, and
+    the points at which F and J were evaluated.  F is evaluated once per
+    point: each step reuses the values the step-length search kept."""
     z = z0.copy()
     n_pts = z.shape[0]
     counts = dict.fromkeys(
-        ("newton_iterations", "step_fallbacks", "no_progress", "iteration_cap"), 0
+        (
+            "newton_iterations",
+            "step_fallbacks",
+            "no_progress",
+            "iteration_cap",
+            "eval_points",
+            "jacobian_points",
+        ),
+        0,
     )
     if n_pts == 0:
         return z, np.zeros(0), counts
     vals = sysc.eval(z)
-    res = np.max(np.abs(vals), axis=1)
+    counts["eval_points"] = n_pts
+    res = _residual(vals)
     active = np.ones(n_pts, dtype=bool)
     freeze_tol = config.residual_tol * 1e-2
     window = NO_PROGRESS_WINDOW
@@ -382,7 +429,11 @@ def _newton_batch(
         za = z[active]
         step, wild = _newton_step(sysc.jacobian(za), vals[active])
         counts["step_fallbacks"] += wild
-        z[active], vals[active], res[active] = _step_length(sysc, za, step, res[active])
+        z[active], vals[active], res[active], evaluated = _step_length(
+            sysc, za, step, res[active]
+        )
+        counts["jacobian_points"] += len(za)
+        counts["eval_points"] += evaluated
 
     counts["newton_iterations"] = k
     counts["iteration_cap"] = int(active.sum())
@@ -397,7 +448,9 @@ def _newton_batch(
         counts["step_fallbacks"] += wild
         cand = zd - step
         cand_vals = sysc.eval(cand)
-        cand_res = np.max(np.abs(cand_vals), axis=1)
+        counts["jacobian_points"] += len(zd)
+        counts["eval_points"] += len(zd)
+        cand_res = _residual(cand_vals)
         better = cand_res <= res[done]
         rows = np.where(done)[0][better]
         z[rows] = cand[better]
@@ -444,7 +497,7 @@ def find_bottlenecks(
     minor_c = _CompiledSystem(list(minor.polynomials), 2 * n)
     fs_c = _CompiledSystem(fs, n)
 
-    samples = sample_variety(fs, config)
+    samples = _sample(fs_c, config)
     diagnostics = {"samples": int(len(samples))}
 
     idx_i, idx_j = np.triu_indices(len(samples), k=1)
@@ -479,7 +532,8 @@ def find_bottlenecks(
     z = np.concatenate([p[0] for p in parts])
     res = np.concatenate([p[1] for p in parts])
     diagnostics["newton_iterations"] = max(p[2]["newton_iterations"] for p in parts)
-    for key in ("step_fallbacks", "no_progress", "iteration_cap"):
+    summed = ("step_fallbacks", "no_progress", "iteration_cap", "eval_points", "jacobian_points")
+    for key in summed:
         diagnostics[key] = sum(p[2][key] for p in parts)
 
     # every start ends one of three ways: converged, non-finite (diverged
@@ -498,7 +552,7 @@ def find_bottlenecks(
 
     # independent cross-check against the minor formulation
     if len(z):
-        minor_res = np.max(np.abs(minor_c.eval(z[:, : 2 * n])), axis=1)
+        minor_res = _residual(minor_c.eval(z[:, : 2 * n]))
         verified = minor_res < config.residual_tol
         z, res, sep = z[verified], res[verified], sep[verified]
         res = np.maximum(res, minor_res[verified])

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from bnd import cli
 from bnd.cli import (
     CHECKS,
     _build_parser,
@@ -16,6 +17,7 @@ from bnd.cli import (
     _check_solver,
     main,
 )
+from bnd.solver import BottleneckPair, SolveResult
 from bnd.systems import parse_system_text
 
 ELLIPSE_FILE = "vars: x1 x2\nx1^2 + x2^2/2 - 1\n"
@@ -337,6 +339,51 @@ def test_solve_bad_box_is_usage_error(capsys, ellipse_path):
         capsys, "solve", "--input", ellipse_path, "--box", "0:1,0:1,0:1"
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "option,field",
+    [
+        (("--tol", "inf"), "residual_tol"),
+        (("--tol", "nan"), "residual_tol"),
+        (("--tol", "-1"), "residual_tol"),
+        (("--box=-inf:inf",), "box"),
+        (("--box=0:nan",), "box"),
+    ],
+)
+def test_solve_non_finite_tolerance_or_box_is_usage_error(capsys, ellipse_path, option, field):
+    code, out, err = run(capsys, "solve", "--input", ellipse_path, "--density", "8", *option)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and field in err
+
+
+def _fake_result(isolated):
+    """A solve result with the ellipse's short axis pair repeated."""
+    pair = BottleneckPair((-1.0, 0.0), (1.0, 0.0), 2.0, 0.0, (0.5,), (0.5,), True)
+    return SolveResult((pair,) * isolated, True, {"start_pairs": 1, "converged": 1})
+
+
+@pytest.mark.parametrize("isolated,warned", [(2, False), (3, True)])
+def test_solve_warns_above_the_complex_bound(capsys, monkeypatch, ellipse_path, isolated, warned):
+    monkeypatch.setattr(cli, "find_bottlenecks", lambda fs, config: _fake_result(isolated))
+    code, out, _ = run(capsys, "solve", "--input", ellipse_path)
+    assert code == 0
+    lines = out.splitlines()
+    bound_line = lines.index(
+        f"isolated pairs found: {isolated}; "
+        "complex bound for generic varieties of this shape: 2 pairs"
+    )
+    warning = [line for line in lines if line.startswith("warning:")]
+    assert len(warning) == int(warned)
+    if warned:
+        assert lines[bound_line + 1] == warning[0]
+        assert "exceeds the complex bound by 1" in warning[0]
+        assert "duplicates or spurious" in warning[0]
+    # the JSON output carries the bound and no warning
+    code, out, _ = run(capsys, "solve", "--input", ellipse_path, "--json")
+    payload = json.loads(out)
+    assert payload["complex_pair_bound"] == 2 and len(payload["pairs"]) == isolated
+    assert "warning" not in out
 
 
 def test_solve_rejects_unsupported_codimension(capsys, tmp_path):

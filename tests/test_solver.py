@@ -18,7 +18,10 @@ from bnd.solver import (
     SolverConfig,
     _CompiledSystem,
     _newton_batch,
+    _monomials,
     _newton_step,
+    _power_plan,
+    _residual,
     _step_length,
     _thread_count,
     classify_isolation,
@@ -76,6 +79,23 @@ def test_config_defaults():
 )
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
+        SolverConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"residual_tol": math.inf},
+        {"residual_tol": math.nan},
+        {"residual_tol": -1e-10},
+        {"box": ((-math.inf, math.inf), (0.0, 1.0))},
+        {"box": ((0.0, 1.0), (0.0, math.inf))},
+        {"box": ((math.nan, 1.0),)},
+    ],
+)
+def test_config_rejects_non_finite_values_by_name(kwargs):
+    (name,) = kwargs
+    with pytest.raises(ValueError, match=name):
         SolverConfig(**kwargs)
 
 
@@ -154,6 +174,130 @@ def test_evaluator_shared_between_threads():
         assert np.array_equal(v0, v1) and np.array_equal(j0, j1)
 
 
+# The reduceat kernel that the level-wise products replaced, kept as the
+# reference: row r of the result is the product of the power-table rows
+# factors[starts[r]:starts[r + 1]], multiplied left to right in variable order.
+# _power_plan/_monomials must give the same values bit for bit, signs of zero
+# and nan included, so that F, J and every residual the solver computes stay
+# the same.
+
+
+def reference_power_plan(exps):
+    nvars = exps.shape[1]
+    factors, starts = [], []
+    for e in exps.tolist():
+        starts.append(len(factors))
+        factors += [1 + (d - 1) * nvars + v for v, d in enumerate(e) if d] or [0]
+    top = int(exps.max(initial=0))
+    return top, np.array(factors, dtype=np.intp), np.array(starts, dtype=np.intp)
+
+
+def reference_monomials(plan, pts):
+    top, factors, starts = plan
+    x = pts.T
+    table = np.empty((1 + top * x.shape[0], len(pts)))
+    table[0] = 1.0
+    pw = table[1:].reshape(top, *x.shape)
+    pw[:1] = x
+    for d in range(1, top):
+        np.multiply(pw[d - 1], x, out=pw[d])
+    return np.multiply.reduceat(table[factors], starts, axis=0)
+
+
+def _assert_bitwise_equal(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+SPECIAL_VALUES = np.array([0.0, -0.0, 1e200, -1e200, 1e-200, np.inf, -np.inf, np.nan])
+
+
+def _fuzz_exponents(rng, nvars, degree):
+    """Random exponent rows of total degree <= degree: constants, absent
+    variables and repeated rows included, and sometimes no rows at all."""
+    rows = int(rng.choice([0, 1, 2, 5, 20, 60]))
+    exps = rng.integers(0, degree + 1, (rows, nvars)) * (rng.random((rows, nvars)) < 0.6)
+    over = exps.sum(axis=1) > degree
+    exps[over] = 0
+    if nvars > 1 and rng.random() < 0.5:
+        exps[:, rng.integers(nvars)] = 0
+    return exps.astype(np.intp)
+
+
+def _fuzz_points(rng, count, nvars):
+    pts = rng.uniform(-2.5, 2.5, (count, nvars))
+    special = rng.random((count, nvars)) < 0.15
+    pts[special] = rng.choice(SPECIAL_VALUES, int(special.sum()))
+    return pts
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_monomials_equal_reduceat_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        nvars = int(rng.integers(1, 9))
+        exps = _fuzz_exponents(rng, nvars, int(rng.integers(0, 7)))
+        for count in (0, 1, 7, 300):
+            pts = _fuzz_points(rng, count, nvars)
+            with np.errstate(all="ignore"):
+                got = _monomials(_power_plan(exps), pts)
+                want = reference_monomials(reference_power_plan(exps), pts)
+            _assert_bitwise_equal(got, want)
+
+
+def test_monomials_edge_shapes():
+    pts = np.array([[-0.0, 2.0, np.nan], [3.0, -0.0, 1e200]])
+    cases = [
+        np.zeros((0, 3), dtype=np.intp),  # an empty system
+        np.zeros((4, 3), dtype=np.intp),  # constants only
+        np.array([[0, 5, 0], [0, 0, 0], [2, 0, 1], [1, 1, 1]]),  # x1 absent from one
+    ]
+    for exps in cases:
+        with np.errstate(all="ignore"):
+            got = _monomials(_power_plan(exps), pts)
+            want = reference_monomials(reference_power_plan(exps), pts)
+        _assert_bitwise_equal(got, want)
+    # the running products keep the rounding of a left-to-right product in
+    # variable order, which here differs from the reversed order
+    x = np.array([[0.1, 0.2, 0.3]])
+    got = _monomials(_power_plan(np.array([[1, 1, 1]])), x)[0, 0]
+    assert got == (0.1 * 0.2) * 0.3 != (0.3 * 0.2) * 0.1
+
+
+def test_compiled_system_equals_reduceat_evaluator():
+    """F and J of a Lagrange system from the reduceat monomials and the
+    same coefficient matrices: the matrix products see the same rows."""
+    lag = build_lagrange_system([parse_poly("x1^3 - 3*x1*x2^2 - x3", V3), SPHEROID[0]])
+    polys, nvars = list(lag.polynomials), len(lag.variables)
+    sysc = _CompiledSystem(polys, nvars)
+    rows = {}
+    for p in polys:
+        rows.update(dict.fromkeys(p.terms))
+    n_f = len(rows)
+    for p in polys:
+        for j in range(nvars):
+            rows.update(dict.fromkeys(p.diff(j).terms))
+    exps = np.array(list(rows), dtype=np.intp)
+    pts = _fuzz_points(np.random.default_rng(9), 500, nvars)
+    with np.errstate(all="ignore"):
+        vals = reference_monomials(reference_power_plan(exps[:n_f]), pts).T @ sysc.f_coeffs
+        jac = reference_monomials(reference_power_plan(exps), pts).T @ sysc.j_coeffs
+        _assert_bitwise_equal(sysc.eval(pts), vals)
+        _assert_bitwise_equal(sysc.jacobian(pts), jac.reshape(len(pts), len(polys), nvars))
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (1, 1), (300, 1), (300, 6), (40, 19, 10), (7, 3, 2)])
+def test_residual_equals_max_abs(shape):
+    rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+    vals = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, shape)
+    special = rng.random(shape) < 0.1
+    vals[special] = rng.choice(SPECIAL_VALUES, int(special.sum()))
+    if vals.size:
+        vals[0] = np.nan  # a whole row of nan
+    _assert_bitwise_equal(_residual(vals), np.max(np.abs(vals), axis=-1))
+
+
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
@@ -174,6 +318,21 @@ def test_sample_ellipse_covers_curve():
 def test_sample_empty_real_locus():
     pts = sample_variety([parse_poly("x1^2 + x2^2 + 1", V2)])
     assert pts.shape == (0, 2)
+
+
+def test_defining_system_is_compiled_once(monkeypatch):
+    built = []
+    init = _CompiledSystem.__init__
+
+    def counting(self, polys, nvars):
+        built.append(nvars)
+        init(self, polys, nvars)
+
+    monkeypatch.setattr(_CompiledSystem, "__init__", counting)
+    find_bottlenecks(ELLIPSE, FAST)
+    # the defining, minor and Lagrange systems, once each: the sampling
+    # shares the defining system with the multiplier initialization
+    assert built == [6, 4, 2]
 
 
 def test_sample_ellipsoid_residual():
@@ -247,12 +406,22 @@ def _halving_batch(rng, rows):
     return z, step, cur_res, kind
 
 
+class _CountedIdentity(_FlaggedIdentity):
+    def __init__(self):
+        self.points = 0
+
+    def eval(self, pts):
+        self.points += len(pts)
+        return super().eval(pts)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_step_length_equals_sequential_halving(seed):
     z, step, cur_res, kind = _halving_batch(np.random.default_rng(seed), 300)
-    sysc = _FlaggedIdentity()
-    want = _sequential_halving(sysc, z, step, cur_res)
-    best, vals, res = _step_length(sysc, z, step, cur_res)
+    want = _sequential_halving(_FlaggedIdentity(), z, step, cur_res)
+    sysc = _CountedIdentity()
+    best, vals, res, evaluated = _step_length(sysc, z, step, cur_res)
+    assert evaluated == sysc.points > len(z)
     for a, b in zip((best, res), want):
         assert np.array_equal(a, b, equal_nan=True)
     # the values returned are F at the rows kept, nan where a row stalled
@@ -312,9 +481,11 @@ def test_newton_step_near_singular_row_takes_pinv():
 def test_newton_iteration_call_counts(monkeypatch):
     # inside the Newton batch, each iteration is one jacobian call followed by
     # at most 1 + 3 evals: the full step and three step blocks; F at the point
-    # is the value the previous step-length search kept
+    # is the value the previous step-length search kept.  The diagnostics
+    # count the points of these calls.
     monkeypatch.delenv("BND_THREADS", raising=False)
     calls = []
+    points = {"eval": 0, "jacobian": 0}
     counting = [False]
     for name in ("eval", "jacobian"):
         original = getattr(_CompiledSystem, name)
@@ -322,6 +493,7 @@ def test_newton_iteration_call_counts(monkeypatch):
         def wrapped(self, pts, _name=name, _original=original):
             if counting[0]:
                 calls.append(_name)
+                points[_name] += len(pts)
             return _original(self, pts)
 
         monkeypatch.setattr(_CompiledSystem, name, wrapped)
@@ -343,6 +515,10 @@ def test_newton_iteration_call_counts(monkeypatch):
     # the damped iterations, then at most two polishing steps
     assert iterations <= len(segments) - 1 <= iterations + 2
     assert max(len(seg) for seg in segments[1:]) <= 1 + 3
+    assert result.diagnostics["eval_points"] == points["eval"]
+    assert result.diagnostics["jacobian_points"] == points["jacobian"]
+    # at least one point per start and per step
+    assert points["eval"] > points["jacobian"] >= result.diagnostics["start_pairs"]
 
 
 def test_step_telemetry_independent_of_threads(monkeypatch):
@@ -350,13 +526,21 @@ def test_step_telemetry_independent_of_threads(monkeypatch):
     monkeypatch.setenv("BND_THREADS", "3")
     threaded = find_bottlenecks(ELLIPSE, FAST)
     assert threaded.diagnostics["threads_used"] == min(3, os.cpu_count() or 1)
-    for key in ("newton_iterations", "step_fallbacks", "no_progress", "iteration_cap"):
+    keys = (
+        "newton_iterations",
+        "step_fallbacks",
+        "no_progress",
+        "iteration_cap",
+        "eval_points",
+        "jacobian_points",
+    )
+    for key in keys:
         assert threaded.diagnostics[key] == base.diagnostics[key]
     assert 1 <= base.diagnostics["newton_iterations"] <= FAST.newton_max_iter
     assert base.diagnostics["step_fallbacks"] > 0
     assert base.diagnostics["no_progress"] > 0
     empty = find_bottlenecks([parse_poly("x1^2 + x2^2 + 1", V2)], FAST)
-    assert empty.diagnostics["newton_iterations"] == empty.diagnostics["step_fallbacks"] == 0
+    assert all(empty.diagnostics[key] == 0 for key in keys)
 
 
 @pytest.mark.parametrize("scale", [1, 100000])
