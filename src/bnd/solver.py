@@ -221,9 +221,9 @@ def _monomials(plan: tuple, pts: np.ndarray) -> np.ndarray:
     """(rows, N) values of the planned monomials at each point.
 
     The monomials are running products, one level of factors at a time over
-    the leading ranks, so each is multiplied left to right in variable order
-    (the rounding of np.multiply.reduceat over its factors); one gather puts
-    them back in row order."""
+    the leading ranks, so each is rounded as the left-to-right product of
+    its factors in variable order; one gather puts them back in row order,
+    which fixes the summation order of the matrix products after it."""
     top, levels, rank = plan
     x = pts.T
     table = np.empty((1 + top * x.shape[0], len(pts)))

@@ -330,7 +330,7 @@ def test_defining_system_is_compiled_once(monkeypatch):
 
     monkeypatch.setattr(_CompiledSystem, "__init__", counting)
     find_bottlenecks(ELLIPSE, FAST)
-    # the defining, minor and Lagrange systems, once each: the sampling
+    # the Lagrange, minor and defining systems, once each: the sampling
     # shares the defining system with the multiplier initialization
     assert built == [6, 4, 2]
 
