@@ -64,8 +64,10 @@ from .schubert import (
 # Largest ambient dimension the exact engine works in.  A query about an
 # m-dimensional variety in P^n runs in n_eff = max(2m+1, n) (compute_B(m, n)
 # in n itself), and the cost grows about 2x per dimension and with n through
-# the Chern class of Gr(2, n+1): compute_B(10, 21) takes about 1.5 s on a
-# 2-vCPU host (0.3 s of it that Chern class), compute_B(11, 23) 3 s.
+# the Chern class of Gr(2, n+1).  Cold, in a fresh process on a shared
+# 2-vCPU host (Python 3.11, three runs each): compute_B(10, 21) takes
+# 1.6-1.7 s, of which chern_tangent_grassmannian(21) is 0.06-0.07 s, and
+# compute_B(11, 23), with the bound lifted, 3.0-3.1 s.
 MAX_AMBIENT = 21
 
 
@@ -325,10 +327,8 @@ def bnd_variety(spec: VarietySpec) -> int:
     """BND of the variety described by the spec, affine or projective."""
     if spec.affine:
         return bnd_affine(spec)
-    if spec.dim == 0:
-        d = spec.fundamental_degree
-        return d * (d - 1)
-    check_work_bound(spec.dim, spec.ambient_dim)
+    if spec.dim >= 1:
+        check_work_bound(spec.dim, spec.ambient_dim)
     return bnd_of_profile(ci_profile(spec))
 
 

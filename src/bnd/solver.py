@@ -26,8 +26,10 @@ A Newton row stops when it converges (residual below residual_tol / 100),
 when it diverges (non-finite, or no step length lowers the residual), when
 its residual did not halve over the last NO_PROGRESS_WINDOW iterations, or
 at newton_max_iter.  Rows far from any real root otherwise spend the whole
-iteration cap near a fixed residual.  The rows stopped for no progress and
-those still active at the cap are counted in the diagnostics.
+iteration cap near a fixed residual.  A stopped row is final: it converged
+if its residual is below residual_tol.  The rows stopped by the step-length
+search, for no progress and still active at the cap are counted in the
+diagnostics.
 
 Set BND_THREADS to split the Newton batches across worker threads (at most
 os.cpu_count() of them); the merge is order-preserving, so the thread count
@@ -76,8 +78,8 @@ class SolverConfig:
     (diverged), when it did not halve over the last NO_PROGRESS_WINDOW
     iterations (no progress), or after newton_max_iter iterations.  A row
     stopped for no progress or at the cap keeps its point, and counts as
-    converged if its residual is below residual_tol after the polish, as
-    unconverged if not."""
+    converged if its residual is below residual_tol, as unconverged if
+    not."""
 
     box: tuple[tuple[float, float], ...] | None = None
     density: int | None = None
@@ -387,16 +389,18 @@ def _newton_batch(
 ) -> tuple[np.ndarray, np.ndarray, dict]:
     """Damped Newton from each row of z0.  Returns (solutions, residuals,
     counts); rows that diverged carry nan.  The counts are the iterations
-    run, the row steps that took the pseudoinverse, the rows stopped for
-    making no progress, the rows still active at the iteration cap, and
-    the points at which F and J were evaluated.  F is evaluated once per
-    point: each step reuses the values the step-length search kept."""
+    run, the row steps that took the pseudoinverse, the rows the
+    step-length search stopped (stalled), the rows stopped for making no
+    progress, the rows still active at the iteration cap, and the points
+    at which F and J were evaluated.  F is evaluated once per point: each
+    step reuses the values the step-length search kept."""
     z = z0.copy()
     n_pts = z.shape[0]
     counts = dict.fromkeys(
         (
             "newton_iterations",
             "step_fallbacks",
+            "stalled",
             "no_progress",
             "iteration_cap",
             "eval_points",
@@ -432,30 +436,13 @@ def _newton_batch(
         z[active], vals[active], res[active], evaluated = _step_length(
             sysc, za, step, res[active]
         )
+        # a step the search keeps lowers a finite residual: nan means stalled
+        counts["stalled"] += int(np.isnan(res[active]).sum())
         counts["jacobian_points"] += len(za)
         counts["eval_points"] += evaluated
 
     counts["newton_iterations"] = k
     counts["iteration_cap"] = int(active.sum())
-
-    # polish: two undamped steps sharpen converged roots to machine precision
-    done = np.isfinite(res) & (res < config.residual_tol * 10)
-    for _ in range(2):
-        if not done.any():
-            break
-        zd = z[done]
-        step, wild = _newton_step(sysc.jacobian(zd), vals[done])
-        counts["step_fallbacks"] += wild
-        cand = zd - step
-        cand_vals = sysc.eval(cand)
-        counts["jacobian_points"] += len(zd)
-        counts["eval_points"] += len(zd)
-        cand_res = _residual(cand_vals)
-        better = cand_res <= res[done]
-        rows = np.where(done)[0][better]
-        z[rows] = cand[better]
-        vals[rows] = cand_vals[better]
-        res[rows] = cand_res[better]
     return z, res, counts
 
 
@@ -532,9 +519,9 @@ def find_bottlenecks(
     z = np.concatenate([p[0] for p in parts])
     res = np.concatenate([p[1] for p in parts])
     diagnostics["newton_iterations"] = max(p[2]["newton_iterations"] for p in parts)
-    summed = ("step_fallbacks", "no_progress", "iteration_cap", "eval_points", "jacobian_points")
-    for key in summed:
-        diagnostics[key] = sum(p[2][key] for p in parts)
+    for key in parts[0][2]:
+        if key != "newton_iterations":
+            diagnostics[key] = sum(p[2][key] for p in parts)
 
     # every start ends one of three ways: converged, non-finite (diverged
     # or stalled in the step search), or finite but above residual_tol

@@ -106,6 +106,8 @@ def test_missing_subcommand_is_usage_error(capsys):
         # deg X generic affine points, none at infinity: D(D-1) ordered pairs
         (("bnd", "--ambient", "1", "--degrees", "2", "--affine"), "2"),
         (("bnd", "--ambient", "2", "--degrees", "2,2", "--affine"), "12"),
+        # two points in P^22: no ring work, so MAX_AMBIENT does not refuse it
+        (("bnd", "--ambient", "22", "--degrees", ",".join(["2"] + ["1"] * 21)), "2"),
     ],
 )
 def test_bnd_and_edd_values(capsys, argv, expected):
@@ -302,6 +304,14 @@ def test_solve_json_reports_step_telemetry(capsys, ellipse_path):
     assert diagnostics["step_fallbacks"] >= 0
     assert diagnostics["no_progress"] >= 0 and diagnostics["iteration_cap"] >= 0
     assert diagnostics["threads_used"] == 1
+
+
+def test_readme_names_every_solve_diagnostic(capsys, ellipse_path):
+    code, out, _ = run(capsys, "solve", "--input", ellipse_path, "--density", "8", "--json")
+    assert code == 0
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    missing = [key for key in json.loads(out)["diagnostics"] if f"`{key}`" not in readme]
+    assert missing == []
 
 
 @pytest.mark.parametrize(

@@ -512,8 +512,8 @@ def test_newton_iteration_call_counts(monkeypatch):
     assert iterations >= 10
     segments = "".join("|" if c == "jacobian" else "e" for c in calls).split("|")
     assert len(segments[0]) == 1  # the starting residual
-    # the damped iterations, then at most two polishing steps
-    assert iterations <= len(segments) - 1 <= iterations + 2
+    # exactly one J per damped iteration
+    assert len(segments) - 1 == iterations
     assert max(len(seg) for seg in segments[1:]) <= 1 + 3
     assert result.diagnostics["eval_points"] == points["eval"]
     assert result.diagnostics["jacobian_points"] == points["jacobian"]
@@ -522,13 +522,16 @@ def test_newton_iteration_call_counts(monkeypatch):
 
 
 def test_step_telemetry_independent_of_threads(monkeypatch):
-    base = find_bottlenecks(ELLIPSE, FAST)
+    # on the spheroid the damped loop takes pinv steps and stops rows for
+    # no progress (the ellipse takes no pinv step at FAST)
+    base = find_bottlenecks(SPHEROID, FAST)
     monkeypatch.setenv("BND_THREADS", "3")
-    threaded = find_bottlenecks(ELLIPSE, FAST)
+    threaded = find_bottlenecks(SPHEROID, FAST)
     assert threaded.diagnostics["threads_used"] == min(3, os.cpu_count() or 1)
     keys = (
         "newton_iterations",
         "step_fallbacks",
+        "stalled",
         "no_progress",
         "iteration_cap",
         "eval_points",
@@ -606,6 +609,16 @@ def test_window_rule_leaves_the_cap_to_iteration_cap(monkeypatch, cap, stop):
     other = ({"iteration_cap", "no_progress"} - {stop}).pop()
     assert counts[stop] == 1 and counts[other] == 0
     assert 2.9 < res[0] < 3.0
+
+
+def test_step_search_counts_stalled_rows():
+    # x1^2 + 1 has no real root: from 0 the (pinv) step is zero, and from
+    # 0.5 the damped steps shrink x1 until no step length lowers 1 + x1^2
+    no_root = _CompiledSystem([parse_poly("x1^2 + 1", ("x1",))], 1)
+    z, res, counts = _newton_batch(no_root, np.array([(0.0,), (0.5,)]), SolverConfig())
+    assert counts["stalled"] == 2
+    assert np.isnan(res).all()
+    assert counts["no_progress"] == counts["iteration_cap"] == 0
 
 
 # ---------------------------------------------------------------------------
