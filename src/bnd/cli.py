@@ -29,8 +29,6 @@ import sys
 from dataclasses import replace
 from itertools import chain, combinations
 
-import numpy as np
-
 from .engine import (
     ambient_stability,
     bnd_variety,
@@ -49,15 +47,6 @@ from .schubert import (
     pullback_f,
     schubert_pullback_direct,
     schubert_representative,
-)
-from .solver import (
-    SolverConfig,
-    find_bottlenecks,
-    narrowest_bottleneck,
-    plot_data,
-    result_json,
-    result_table,
-    write_json,
 )
 from .systems import (
     build_lagrange_system,
@@ -233,6 +222,17 @@ def cmd_system(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    # imported here, so that the exact commands never load numpy
+    from .solver import (
+        SolverConfig,
+        find_bottlenecks,
+        narrowest_bottleneck,
+        plot_data,
+        result_json,
+        result_table,
+        write_json,
+    )
+
     source = _load_system(args.input)
     fs = list(source.polynomials)
     n = len(source.variables)
@@ -388,6 +388,10 @@ def _check_solver(text: str, counts_ok, expected_pairs, tol: float):
     """Solve the variety in `text`.  counts_ok(found, isolated) judges the
     pair counts; each expected canonical pair must lie within tol of one
     found pair."""
+    import numpy as np
+
+    from .solver import find_bottlenecks
+
     result = find_bottlenecks(list(parse_system_text(text).polynomials))
     found = len(result.pairs)
     isolated = sum(p.isolated for p in result.pairs)

@@ -593,6 +593,14 @@ def render_poly(
 MAX_EXPONENT = 100
 
 
+def _exponent(digits: str) -> int | None:
+    """The exponent written as digits, or None above MAX_EXPONENT."""
+    # the length test comes first: int() refuses strings of over 4300 digits
+    if len(digits.lstrip("0")) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+        return None
+    return int(digits)
+
+
 class SystemParseError(ValueError):
     """Malformed polynomial text, located by line and column."""
 
@@ -632,10 +640,25 @@ _TOKEN = re.compile(
 _RUN_FACTOR = re.compile(rf"\*({_NAME})(?:\^(\d+))?")
 _END = ("", "", "", "", "")
 
+# A line in the form render_poly writes, with any indentation: signed terms
+# joined by ' + ' and ' - ', each an integer, a monomial, or an integer
+# times a monomial, where a monomial is factors 'name' or 'name^k' joined
+# by '*'.  The lookahead keeps backtracking from splitting a name.
+_POWER = rf"{_NAME}(?![A-Za-z_0-9])(?:\^[0-9]+)?"
+_MONO = rf"{_POWER}(?:\*{_POWER})*"
+_TERM = rf"(?:[0-9]+(?:\*{_MONO})?|{_MONO})"
+_CANONICAL = re.compile(rf"\s*(-?{_TERM}(?: [+-] {_TERM})*)\s*")
+
 
 class _Parser:
     """Recursive descent over + - * / ^ with parentheses, on the tokens of
     one regex pass; a token's column is found only for an error.
+
+    parse calls it for every line that _read_canonical does not take: text
+    that is not in render_poly's canonical form, and canonical text with an
+    error in it, so that every error, its message and its column come from
+    here.  It is also the reference the line reader is tested against; the
+    two share the MAX_EXPONENT bound through _exponent.
 
     Accepts a superset of what render and render_poly produce: decimals,
     parentheses and powers of parenthesized groups, so hand-written input
@@ -793,10 +816,10 @@ class _Parser:
 
     def exponent_value(self, digits: str, j: int, offset: int = 0) -> int:
         """The exponent digits at token j (offset characters in), bounded."""
-        # the length test comes first: int() refuses strings of over 4300 digits
-        if len(digits.lstrip("0")) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+        k = _exponent(digits)
+        if k is None:
             self.error(f"exponent above the bound {MAX_EXPONENT}", j, offset)
-        return int(digits)
+        return k
 
     def lift(self, coeff: Coefficient, expts: Exponents) -> ClassPoly:
         """The monomial as a ClassPoly; zero when it dies in the ring."""
@@ -888,6 +911,72 @@ def _times(a: Exponents, b: Exponents) -> Exponents:
     return tuple(map(add, a, b))
 
 
+def _read_canonical(
+    ctx: RingContext, text: str, names: Sequence[str], runs: dict[str, Exponents]
+) -> dict[Exponents, Coefficient] | None:
+    """The terms of a line in the form render_poly writes (see _CANONICAL),
+    summed as _Parser.expr sums them: in the same order, with the same int
+    coefficients, a key whose sum is 0 deleted and a zero or dead term
+    dropped.  None when the line is in another form, names an undeclared
+    symbol, has an exponent above MAX_EXPONENT or a literal too long for
+    int(); _Parser then reads it and reports any error.
+
+    The exponent vector of each monomial text is kept in runs under that
+    text.  _Parser keeps a bare symbol there under its name, with the same
+    vector, and a run under text that starts with '*'.
+    """
+    m = _CANONICAL.fullmatch(text)
+    if m is None:
+        return None
+    dies = ctx._dies if ctx.bounded else None
+    index = None
+    out: dict[Exponents, Coefficient] = {}
+    parts = m[1].split(" ")
+    # parts alternates terms and the signs between them
+    for j in range(0, len(parts), 2):
+        body = parts[j]
+        if j:
+            negate = parts[j - 1] == "-"
+        else:
+            negate = body[0] == "-"
+            if negate:
+                body = body[1:]
+        if body[0] <= "9":
+            digits, _, mono = body.partition("*")
+            try:
+                c = int(digits)
+            except ValueError:  # int() refuses strings of over 4300 digits
+                return None
+        else:
+            c, mono = 1, body
+        e = runs.get(mono)
+        if e is None:
+            if index is None:
+                index = {name: i for i, name in enumerate(names)}
+            vector = [0] * len(ctx.symbols)
+            for factor in mono.split("*") if mono else ():
+                name, _, power = factor.partition("^")
+                i = index.get(name)
+                k = _exponent(power) if power else 1
+                if i is None or k is None:
+                    return None
+                vector[i] += k
+            e = runs[mono] = tuple(vector)
+        if not c or (dies and dies(e)):
+            continue
+        if negate:
+            c = -c
+        if e in out:
+            s = out[e] + c
+            if s == 0:
+                del out[e]
+            else:
+                out[e] = s
+        else:
+            out[e] = c
+    return out
+
+
 def parse(
     ctx: RingContext,
     text: str,
@@ -898,10 +987,23 @@ def parse(
     """Parse polynomial text into ctx; names[i] spells symbol i (default:
     the symbol names).  Raises SystemParseError, located by line and column.
 
-    runs caches the exponent vectors of monomial runs; pass one dict to
-    every line parsed with the same ctx and names, such as the lines of a
-    system, and each distinct run is read once.
+    A line in the canonical form that render_poly writes (integer
+    coefficients times monomials) is read by _read_canonical, with string
+    splits and no tokens; any other text, and any canonical line with an
+    error in it, goes through the recursive descent of _Parser.  Both give
+    the same terms in the same order with the same coefficient types, and
+    both refuse an exponent above MAX_EXPONENT, so errors, their messages
+    and their columns are the descent's on every input.
+
+    runs caches the exponent vectors of monomials; pass one dict to every
+    line parsed with the same ctx and names, such as the lines of a system,
+    and each distinct monomial is read once.
     """
     if names is None:
         names = [s.name for s in ctx.symbols]
-    return _Parser(ctx, text, names, line, runs).parse()
+    if runs is None:
+        runs = {}
+    terms = _read_canonical(ctx, text, names, runs)
+    if terms is None:
+        return _Parser(ctx, text, names, line, runs).parse()
+    return ClassPoly._of(ctx, terms)

@@ -41,7 +41,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -512,6 +511,10 @@ def find_bottlenecks(
         diagnostics["threads_used"] = 1
         parts = [_newton_batch(lag_c, z0, config)]
     else:
+        # imported here: concurrent.futures loads logging, about 8 ms that
+        # a single-threaded solve would pay on its first call
+        from concurrent.futures import ThreadPoolExecutor
+
         diagnostics["threads_used"] = workers
         chunks = np.array_split(z0, workers)
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -566,27 +569,23 @@ def find_bottlenecks(
         )
     candidates.sort()
 
-    kept_keys = np.empty((len(candidates), 2 * n))  # row i: pairs[i]
-    pairs = []
-    for s, xx, yy, r, lam, mu in candidates:
-        key = np.array(xx + yy)
-        if pairs and (
-            np.linalg.norm(kept_keys[: len(pairs)] - key, axis=1).min() <= config.cluster_radius
+    kept_keys = np.empty((len(candidates), 2 * n))  # row i: kept[i]
+    kept = []
+    for candidate in candidates:
+        key = np.array(candidate[1] + candidate[2])
+        if kept and (
+            np.linalg.norm(kept_keys[: len(kept)] - key, axis=1).min() <= config.cluster_radius
         ):
             continue
-        kept_keys[len(pairs)] = key
-        zvec = np.array(xx + yy + lam + mu)
-        pairs.append(
-            BottleneckPair(
-                x=xx,
-                y=yy,
-                separation=s,
-                residual=r,
-                lam=lam,
-                mu=mu,
-                isolated=_isolated(lag_c, zvec),
-            )
+        kept_keys[len(kept)] = key
+        kept.append(candidate)
+    zs = np.array([xx + yy + lam + mu for _, xx, yy, _, lam, mu in kept])
+    pairs = [
+        BottleneckPair(
+            x=xx, y=yy, separation=s, residual=r, lam=lam, mu=mu, isolated=bool(isolated)
         )
+        for (s, xx, yy, r, lam, mu), isolated in zip(kept, _isolated_rows(lag_c, zs))
+    ]
     diagnostics["pairs"] = len(pairs)
     return SolveResult(tuple(pairs), True, diagnostics)
 
@@ -604,10 +603,13 @@ def _thread_count() -> tuple[int, int]:
     return threads, min(threads, os.cpu_count() or 1)
 
 
-def _isolated(sysc: _CompiledSystem, zvec: np.ndarray) -> bool:
-    jac = sysc.jacobian(zvec[None, :])[0]
-    sing = np.linalg.svd(jac, compute_uv=False)
-    return bool(sing[-1] >= RANK_CUTOFF * sing[0])
+def _isolated_rows(sysc: _CompiledSystem, zs: np.ndarray) -> np.ndarray:
+    """Per row of zs, whether the square system's Jacobian there has full
+    numerical rank: one Jacobian evaluation and one batched SVD for all."""
+    if not len(zs):
+        return np.zeros(0, dtype=bool)
+    sing = np.linalg.svd(sysc.jacobian(zs), compute_uv=False)
+    return sing[:, -1] >= RANK_CUTOFF * sing[:, 0]
 
 
 def classify_isolation(pair: BottleneckPair, system: PolySystem) -> bool:
@@ -619,7 +621,7 @@ def classify_isolation(pair: BottleneckPair, system: PolySystem) -> bool:
     if len(system.variables) != zvec.size:
         raise ValueError("pair does not match the system's variables")
     sysc = _CompiledSystem(list(system.polynomials), len(system.variables))
-    return _isolated(sysc, zvec)
+    return bool(_isolated_rows(sysc, zvec[None, :])[0])
 
 
 def narrowest_bottleneck(pairs: Sequence[BottleneckPair]) -> tuple[BottleneckPair, float]:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from bnd import cli
+from bnd import cli, solver
 from bnd.cli import (
     CHECKS,
     _build_parser,
@@ -375,7 +375,7 @@ def _fake_result(isolated):
 
 @pytest.mark.parametrize("isolated,warned", [(2, False), (3, True)])
 def test_solve_warns_above_the_complex_bound(capsys, monkeypatch, ellipse_path, isolated, warned):
-    monkeypatch.setattr(cli, "find_bottlenecks", lambda fs, config: _fake_result(isolated))
+    monkeypatch.setattr(solver, "find_bottlenecks", lambda fs, config: _fake_result(isolated))
     code, out, _ = run(capsys, "solve", "--input", ellipse_path)
     assert code == 0
     lines = out.splitlines()
@@ -490,3 +490,22 @@ def test_module_invocation():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "2*h + 5*p1"
+
+
+def test_exact_commands_do_not_import_numpy(tmp_path, ellipse_path):
+    # one process, so that no command can lean on another's imports
+    commands = [
+        ["formula", "--dim", "1", "--ambient", "3"],
+        ["bnd", "--ambient", "2", "--degrees", "4"],
+        ["edd", "--ambient", "3", "--degrees", "2,3"],
+        ["system", "--input", ellipse_path, "--form", "minor", "--output", str(tmp_path / "m")],
+        ["system", "--input", ellipse_path, "--form", "lagrange", "--json"],
+    ]
+    script = (
+        "import sys, bnd.cli\n"
+        f"codes = [bnd.cli.main(argv) for argv in {commands!r}]\n"
+        "print(codes, 'numpy' in sys.modules, 'bnd.solver' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] False False"

@@ -8,26 +8,41 @@ in both parsers: a unary minus inside a term negates the whole power after
 it, so x1*-x2^2 is -x1*x2^2.  The parser in bnd.ring must give the same
 terms in the same key order with the same int/Fraction coefficient types,
 and the same error, line and column, on every input.
+
+bnd.ring.parse reads a line in the canonical form of render_poly with its
+line reader and any other text with its recursive descent, _Parser; the
+tests at the end hold the reader to the descent and to _CharParser, and
+check that emitted systems never reach the descent.
 """
 
 import random
 import re
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 import pytest
 
 from bnd.engine import conormal_context, formula_context
+import bnd.ring
 from bnd.ring import (
     IDENTIFIER,
     MAX_EXPONENT,
     ClassPoly,
     RingContext,
     SystemParseError,
+    _Parser,
+    _read_canonical,
     coordinate_ring,
     parse,
 )
-from bnd.systems import build_lagrange_system, build_minor_system, format_system, parse_poly
+from bnd.systems import (
+    build_lagrange_system,
+    build_minor_system,
+    format_system,
+    parse_poly,
+    parse_system_text,
+)
 
 _NUM = re.compile(r"\d+\.\d+|\d+|\.\d+")
 # an exponent right after a literal: 1e-3 is refused by name, never expanded
@@ -456,3 +471,150 @@ def test_unary_minus_does_not_start_a_second_power():
     for text in ("x1^2^3", "-x1^2^3", "x2*-x1^2^3"):
         got = assert_same(ctx, text, names)
         assert got[0] == "error" and "unexpected '^'" in got[2], (text, got)
+
+
+# -- the canonical line reader -------------------------------------------------
+
+
+def descent_parse(ctx, text, names=None, line=1):
+    if names is None:
+        names = [s.name for s in ctx.symbols]
+    return _Parser(ctx, text, names, line).parse()
+
+
+def assert_same_three_ways(ctx, text, names=None, line=1):
+    """parse, the descent alone and the character parser agree on text."""
+    want = outcome(reference_parse, ctx, text, names, line)
+    assert outcome(descent_parse, ctx, text, names, line) == want, repr(text)
+    assert outcome(parse, ctx, text, names, line) == want, repr(text)
+    return want
+
+
+def canonical(ctx, text, names=None):
+    """Whether the line reader takes text (it returns None to fall back)."""
+    spelled = names or [s.name for s in ctx.symbols]
+    return _read_canonical(ctx, text, spelled, {}) is not None
+
+
+def random_canonical(rng, names):
+    """A line in the form render_poly writes, from a small pool of terms so
+    that monomials repeat and cancel; with zero coefficients, zero and
+    repeated exponents, constants and indentation."""
+    pool = []
+    for _ in range(rng.randint(1, 5)):
+        factors = [
+            rng.choice(names) + rng.choice(["", "", "^0", "^1", "^2", "^3", "^03"])
+            for _ in range(rng.randint(0, 3))
+        ]
+        coeff = rng.choice(["", "", "1", "2", "0", "7", "12", "007"])
+        if not factors:
+            pool.append(coeff or "5")
+        elif coeff:
+            pool.append(coeff + "*" + "*".join(factors))
+        else:
+            pool.append("*".join(factors))
+    text = rng.choice(["", "", "", "  ", "\t"]) + rng.choice(["", "-"])
+    for t in range(rng.randint(1, 8)):
+        if t:
+            text += rng.choice([" + ", " - "])
+        text += rng.choice(pool)
+    return text + rng.choice(["", "", " ", "\n"])
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+def test_random_canonical_lines_read_as_the_descent_does(ring):
+    ctx, names = RINGS[ring]
+    spelled = names or [s.name for s in ctx.symbols]
+    rng = random.Random(1600 + sorted(RINGS).index(ring))
+    for _ in range(500):
+        text = random_canonical(rng, spelled)
+        assert canonical(ctx, text, names), repr(text)
+        assert assert_same_three_ways(ctx, text, names)[0] == "terms"
+
+
+@pytest.mark.parametrize(
+    "ring, text, want",
+    [
+        # equal monomials add up, and a key whose sum is 0 is deleted and
+        # comes back at the end
+        ("coordinate", "x1 + x2 - x1 + x1", [((0, 1, 0), 1), ((1, 0, 0), 1)]),
+        ("coordinate", "2*x1*x2 - x2*x1 - x1*x2", []),
+        # zero coefficients, zero exponents and repeated factors
+        ("coordinate", "0*x1 + x1^0 + 3", [((0, 0, 0), 4)]),
+        ("coordinate", "x1*x1 - x1^2 + 2*x1^1*x3*x1", [((2, 0, 1), 2)]),
+        ("coordinate", "-0 - 7", [((0, 0, 0), -7)]),
+        ("coordinate", "\t  -x2^3 + 5  ", [((0, 3, 0), -1), ((0, 0, 0), 5)]),
+        # a monomial that dies in the ring is dropped
+        ("formula", "h^3 + p1 - h*p2 + 2*h^2", [((0, 1, 0), 1), ((2, 0, 0), 2)]),
+        ("conormal", "h^3 + xi*c2 + xi^4 + h*c1", [((1, 0, 0, 1), 1), ((0, 1, 1, 0), 1)]),
+    ],
+)
+def test_canonical_lines(ring, text, want):
+    ctx, names = RINGS[ring]
+    assert canonical(ctx, text, names)
+    got = assert_same_three_ways(ctx, text, names)
+    assert got[1] == want and set(got[2]) <= {int}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        f"x1^{MAX_EXPONENT + 1}",
+        f"2*x2*x1^{MAX_EXPONENT + 1}",
+        "x1 + y9",
+        f"{DIGITS}*x1",
+        f"x1 - {DIGITS}",
+        "2/3*x1",
+        "0.5*x1",
+        "x1^2^3",
+        "x1  + x2",
+        "x1 +  x2",
+        "(x1)",
+        "- x1",
+        "+x1",
+        "x1 * x2",
+        "1e5*x1",
+        "x1+x2",
+        "",
+        "x1 +",
+    ],
+)
+def test_other_lines_fall_back_to_the_descent(text):
+    ctx, names = RINGS["coordinate"]
+    assert not canonical(ctx, text, names)
+    assert_same_three_ways(ctx, text, names, line=7)
+
+
+def _dense_int_poly(rng, nvars, degree):
+    """Every monomial of degree at most degree, with nonzero integer
+    coefficients, so that the emitted systems are canonical."""
+    terms = {
+        e: rng.choice([c for c in range(-9, 10) if c])
+        for e in product(range(degree + 1), repeat=nvars)
+        if sum(e) <= degree
+    }
+    return ClassPoly(coordinate_ring(nvars), terms)
+
+
+def test_emitted_systems_never_reach_the_descent(monkeypatch):
+    built = []
+
+    class Counting(_Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(args[1])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(bnd.ring, "_Parser", Counting)
+    rng = random.Random(16)
+    for nvars in range(2, 6):
+        for codim in (1, 2):
+            if codim >= nvars:
+                continue
+            fs = [_dense_int_poly(rng, nvars, 2) for _ in range(codim)]
+            for system in (build_minor_system(fs, nvars - codim), build_lagrange_system(fs)):
+                parsed = parse_system_text(format_system(system))
+                assert parsed.polynomials == system.polynomials
+    assert built == []
+    # the ellipse has a '/': the descent reads it
+    parse_system_text("vars: x1 x2\nx1^2 + x2^2/2 - 1\n")
+    assert built == ["x1^2 + x2^2/2 - 1"]
