@@ -17,26 +17,6 @@ from .profiles import PolarProfile, VarietySpec, ci_profile, polar_degrees
 from .ring import ClassPoly, parse, render
 from .systems import PolySystem, build_lagrange_system, build_minor_system, parse_poly
 
-# The solver needs numpy; its names are imported on first use (PEP 562), so
-# the exact commands run without numpy.
-_SOLVER_NAMES = {
-    "BottleneckPair",
-    "SolveResult",
-    "SolverConfig",
-    "classify_isolation",
-    "find_bottlenecks",
-    "narrowest_bottleneck",
-    "sample_variety",
-}
-
-
-def __getattr__(name: str):
-    if name in _SOLVER_NAMES:
-        from . import solver
-
-        return getattr(solver, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "BottleneckPair",
     "ClassPoly",
@@ -63,5 +43,17 @@ __all__ = [
     "render",
     "sample_variety",
 ]
+
+
+# The solver needs numpy; its names in __all__ are the only ones not
+# defined above, so they alone reach __getattr__ and are imported on first
+# use (PEP 562), and the exact commands run without numpy.
+def __getattr__(name: str):
+    if name in __all__:
+        from . import solver
+
+        return getattr(solver, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

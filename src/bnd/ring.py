@@ -612,33 +612,16 @@ class SystemParseError(ValueError):
 
 _NUMBER = r"\d+\.\d+|\d+|\.\d+"
 _NAME = IDENTIFIER.pattern
-# One factor of a monomial run: '*', a symbol, and a power whose digits are
-# not the integer part of a decimal (x1^2.5 is refused as before).  The
-# lookaheads keep backtracking from splitting a name or an exponent.
-_FACTOR = rf"\*{_NAME}(?![A-Za-z_0-9])(?:\^\d+(?!\d|\.\d))?"
 # One token per match, after any whitespace:
 #   1. a number followed by an exponent such as 1e-3 (refused by name, never
 #      expanded: Fraction("1e999999999") would write out a billion digits);
 #      a number cannot contain an e, so this group matches exactly the
 #      numbers that group 2 would match with an exponent behind them;
 #   2. any other number;
-#   3. a monomial run: one or more factors '*name' or '*name^k' with no
-#      space between them, e.g. '*x1^2*y3*lam1', that is not followed by
-#      another '^' (x1*x2^2^3 lexes factor by factor and fails as before);
-#   4. an identifier;
-#   5. any other single character.
-# A run always starts with its '*', so it is read only where the grammar
-# reads '*' and a power: a term's first factor, a divisor and the power
-# after a unary minus start with a single atom, and every run means "times
-# this monomial".
-_TOKEN = re.compile(
-    rf"\s*(?:({_NUMBER})(?=[eE][+-]?\d)|({_NUMBER})"
-    rf"|((?:{_FACTOR})+)(?!\s*\^)"
-    rf"|({_NAME})|(\S))"
-)
-# the factors of a run, once _TOKEN has matched it
-_RUN_FACTOR = re.compile(rf"\*({_NAME})(?:\^(\d+))?")
-_END = ("", "", "", "", "")
+#   3. an identifier;
+#   4. any other single character.
+_TOKEN = re.compile(rf"\s*(?:({_NUMBER})(?=[eE][+-]?\d)|({_NUMBER})|({_NAME})|(\S))")
+_END = ("", "", "", "")
 
 # A line in the form render_poly writes, with any indentation: signed terms
 # joined by ' + ' and ' - ', each an integer, a monomial, or an integer
@@ -667,14 +650,12 @@ class _Parser:
 
     A product of numbers, symbols and their powers is carried as one
     monomial, a coefficient and an exponent vector, and becomes a ClassPoly
-    only when it meets a parenthesized group.  The exponent vector of each
-    distinct monomial run (see _TOKEN) and of each bare symbol is read once
-    and kept in runs, a dict that callers may share between the lines of
-    one system.  Groups, their powers and their products are computed in
-    the ring, so its normalization applies to each group as it is read.  A
-    sum adds its terms into one dict in the order of ClassPoly.__add__,
-    deleting a key whose sum is 0 and dropping a monomial that dies in the
-    ring (both grades are additive, so a dead factor kills the product).
+    only when it meets a parenthesized group.  Groups, their powers and
+    their products are computed in the ring, so its normalization applies
+    to each group as it is read.  A sum adds its terms into one dict in the
+    order of ClassPoly.__add__, deleting a key whose sum is 0 and dropping
+    a monomial that dies in the ring (both grades are additive, so a dead
+    factor kills the product).
     Coefficients are computed as the ring computes them: the same values,
     with the same int/Fraction types.
     """
@@ -685,17 +666,14 @@ class _Parser:
         text: str,
         names: Sequence[str],
         line: int,
-        runs: dict[str, Exponents] | None = None,
     ):
         self.ctx = ctx
         self.text = text
         self.names = {name: i for i, name in enumerate(names)}
         self.line = line
         self.dies = ctx._dies if ctx.bounded else None
-        self.width = len(ctx.symbols)
-        self.zero = (0,) * self.width
-        self.runs = {} if runs is None else runs
-        # (scientific number, number, run, identifier, character), one set
+        self.zero = (0,) * len(ctx.symbols)
+        # (scientific number, number, identifier, character), one set
         self.tokens = _TOKEN.findall(text)
         self.tokens.append(_END)
         self.i = 0
@@ -722,7 +700,7 @@ class _Parser:
     def expr(self) -> dict[Exponents, Coefficient]:
         tokens, dies = self.tokens, self.dies
         out: dict[Exponents, Coefficient] = {}
-        op = tokens[self.i][4]
+        op = tokens[self.i][3]
         negate = op == "-"
         if negate or op == "+":
             self.i += 1
@@ -750,7 +728,7 @@ class _Parser:
                         out[e] = s
                 else:
                     out[e] = c
-            op = tokens[self.i][4]
+            op = tokens[self.i][3]
             if op != "+" and op != "-":
                 return out
             self.i += 1
@@ -760,7 +738,7 @@ class _Parser:
     def term(self) -> tuple[Coefficient, Exponents] | ClassPoly:
         """A product: (coefficient, exponents) while it is a monomial, a
         ClassPoly once it has met a group."""
-        tokens, runs = self.tokens, self.runs
+        tokens = self.tokens
         value = self.power()
         if type(value) is tuple:
             coeff, expts = value
@@ -768,15 +746,8 @@ class _Parser:
         else:
             poly = value
         while True:
-            _, _, run, _, op = tokens[self.i]
-            if run:
-                e = runs.get(run) or self.read_run(run)
-                self.i += 1
-                if poly is None:
-                    expts = _times(expts, e)
-                else:
-                    poly = poly * self.lift(1, e)
-            elif op == "*":
+            op = tokens[self.i][3]
+            if op == "*":
                 self.i += 1
                 value = self.power()
                 if type(value) is tuple:
@@ -798,28 +769,6 @@ class _Parser:
                     poly = poly * self.ctx.constant(inverse)
             else:
                 return (coeff, expts or self.zero) if poly is None else poly
-
-    def read_run(self, text: str) -> Exponents:
-        """The exponent vector of the run text at the current token, kept
-        in runs."""
-        vector = [0] * self.width
-        for m in _RUN_FACTOR.finditer(text):
-            index = self.names.get(m[1])
-            if index is None:
-                self.error(f"undeclared variable {m[1]!r}", self.i, m.start(1))
-            if m[2] is None:
-                vector[index] += 1
-            else:
-                vector[index] += self.exponent_value(m[2], self.i, m.start(2))
-        expts = self.runs[text] = tuple(vector)
-        return expts
-
-    def exponent_value(self, digits: str, j: int, offset: int = 0) -> int:
-        """The exponent digits at token j (offset characters in), bounded."""
-        k = _exponent(digits)
-        if k is None:
-            self.error(f"exponent above the bound {MAX_EXPONENT}", j, offset)
-        return k
 
     def lift(self, coeff: Coefficient, expts: Exponents) -> ClassPoly:
         """The monomial as a ClassPoly; zero when it dies in the ring."""
@@ -848,19 +797,21 @@ class _Parser:
         leading sign does: -x1^2 is -(x1^2).  A monomial as (coefficient,
         exponents), with () for no symbols."""
         tokens = self.tokens
-        if tokens[self.i][4] == "-":
+        if tokens[self.i][3] == "-":
             self.i += 1
             value = self.power()
             return (-value[0], value[1]) if type(value) is tuple else -value
         base = self.atom()
-        if tokens[self.i][4] != "^":
+        if tokens[self.i][3] != "^":
             self.exponent = None
             return base
         j = self.i + 1
         digits = tokens[j][0] or tokens[j][1]
         if not digits or "." in digits:
             self.error("expected integer exponent", j)
-        k = self.exponent_value(digits, j)
+        k = _exponent(digits)
+        if k is None:
+            self.error(f"exponent above the bound {MAX_EXPONENT}", j)
         self.i = j + 1
         self.exponent = (j, len(digits))
         if type(base) is not tuple:
@@ -870,7 +821,7 @@ class _Parser:
         return (base[0] ** k, tuple(e * k for e in base[1]))
 
     def atom(self) -> tuple[Coefficient, Exponents] | ClassPoly:
-        scientific, number, _, name, char = self.tokens[self.i]
+        scientific, number, name, char = self.tokens[self.i]
         if number:
             if number[0] == ".":
                 number = "0" + number
@@ -881,24 +832,20 @@ class _Parser:
             self.i += 1
             return (value, ())
         if name:
-            expts = self.runs.get(name)
-            if expts is None:
-                index = self.names.get(name)
-                if index is None:
-                    self.error(f"undeclared variable {name!r}", self.i)
-                expts = self.runs[name] = self.zero[:index] + (1,) + self.zero[index + 1 :]
+            index = self.names.get(name)
+            if index is None:
+                self.error(f"undeclared variable {name!r}", self.i)
             self.i += 1
-            return (1, expts)
+            return (1, self.zero[:index] + (1,) + self.zero[index + 1 :])
         if scientific:
             self.error("scientific notation is not supported; write the number as a decimal", self.i)
         if char == "(":
             self.i += 1
             terms = self.expr()
-            if self.tokens[self.i][4] != ")":
+            if self.tokens[self.i][3] != ")":
                 self.error("expected ')'", self.i)
             self.i += 1
             return ClassPoly._of(self.ctx, terms)
-        # a run here stands where the grammar reads its leading '*'
         self.error("expected a number, variable, or '('", self.i)
 
 
@@ -912,7 +859,7 @@ def _times(a: Exponents, b: Exponents) -> Exponents:
 
 
 def _read_canonical(
-    ctx: RingContext, text: str, names: Sequence[str], runs: dict[str, Exponents]
+    ctx: RingContext, text: str, names: Sequence[str], monomials: dict[str, Exponents]
 ) -> dict[Exponents, Coefficient] | None:
     """The terms of a line in the form render_poly writes (see _CANONICAL),
     summed as _Parser.expr sums them: in the same order, with the same int
@@ -921,9 +868,8 @@ def _read_canonical(
     symbol, has an exponent above MAX_EXPONENT or a literal too long for
     int(); _Parser then reads it and reports any error.
 
-    The exponent vector of each monomial text is kept in runs under that
-    text.  _Parser keeps a bare symbol there under its name, with the same
-    vector, and a run under text that starts with '*'.
+    The exponent vector of each monomial text is kept in monomials under
+    that text.
     """
     m = _CANONICAL.fullmatch(text)
     if m is None:
@@ -949,7 +895,7 @@ def _read_canonical(
                 return None
         else:
             c, mono = 1, body
-        e = runs.get(mono)
+        e = monomials.get(mono)
         if e is None:
             if index is None:
                 index = {name: i for i, name in enumerate(names)}
@@ -961,7 +907,7 @@ def _read_canonical(
                 if i is None or k is None:
                     return None
                 vector[i] += k
-            e = runs[mono] = tuple(vector)
+            e = monomials[mono] = tuple(vector)
         if not c or (dies and dies(e)):
             continue
         if negate:
@@ -982,7 +928,7 @@ def parse(
     text: str,
     names: Sequence[str] | None = None,
     line: int = 1,
-    runs: dict[str, Exponents] | None = None,
+    monomials: dict[str, Exponents] | None = None,
 ) -> ClassPoly:
     """Parse polynomial text into ctx; names[i] spells symbol i (default:
     the symbol names).  Raises SystemParseError, located by line and column.
@@ -995,15 +941,15 @@ def parse(
     both refuse an exponent above MAX_EXPONENT, so errors, their messages
     and their columns are the descent's on every input.
 
-    runs caches the exponent vectors of monomials; pass one dict to every
-    line parsed with the same ctx and names, such as the lines of a system,
-    and each distinct monomial is read once.
+    monomials caches the exponent vectors of monomial texts; pass one dict
+    to every line parsed with the same ctx and names, such as the lines of
+    a system, and each distinct monomial is read once.
     """
     if names is None:
         names = [s.name for s in ctx.symbols]
-    if runs is None:
-        runs = {}
-    terms = _read_canonical(ctx, text, names, runs)
+    if monomials is None:
+        monomials = {}
+    terms = _read_canonical(ctx, text, names, monomials)
     if terms is None:
-        return _Parser(ctx, text, names, line, runs).parse()
+        return _Parser(ctx, text, names, line).parse()
     return ClassPoly._of(ctx, terms)

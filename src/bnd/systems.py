@@ -243,8 +243,8 @@ def parse_system_text(text: str) -> PolySystem:
     variables: tuple[str, ...] | None = None
     meta: dict[str, int | str] = {}
     polys: list[Poly] = []
-    # the exponent vectors of the monomial runs seen so far in this text
-    runs: dict = {}
+    # the exponent vectors of the monomials seen so far in this text
+    monomials: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         mm = _META_LINE.match(raw.strip())
         if mm:
@@ -281,7 +281,7 @@ def parse_system_text(text: str) -> PolySystem:
             variables = tuple(names)
             ctx = coordinate_ring(len(variables))
             continue
-        polys.append(parse_text(ctx, line, variables, lineno, runs))
+        polys.append(parse_text(ctx, line, variables, lineno, monomials))
     if variables is None:
         raise SystemParseError("no 'vars:' declaration found", 1, 1)
     metadata = None

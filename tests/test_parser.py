@@ -273,7 +273,7 @@ def test_random_expressions_parse_as_the_character_parser_does(ring):
 
 # hypersurface and codim-2 inputs with integer, Fraction and decimal
 # coefficients; their systems put names such as y5, lam2 and mu1 inside
-# monomial runs
+# products of several factors
 EMITTED = {
     "curve": (2, ["x1^4 - x1^2*x2 + 3/10*x2^2 - 1.5*x1 + 2"]),
     "codim2 n4": (4, [
@@ -302,13 +302,13 @@ def test_emitted_system_parses_as_the_character_parser_does():
         assert len(polys) == len(system.polynomials)
         names = system.variables
         ctx = coordinate_ring(len(names))
-        runs: dict = {}
+        monomials: dict = {}
         for text, p in zip(polys, system.polynomials):
             want = assert_same(ctx, text, names)
             assert want[0] == "terms"
-            # one runs dict over the lines of a system, as parse_system_text
+            # one monomials dict over the lines of a system, as parse_system_text
             # keeps it, gives the same terms as a fresh one per line
-            assert outcome(lambda *a: parse(*a, runs=runs), ctx, text, names) == want
+            assert outcome(lambda *a: parse(*a, monomials=monomials), ctx, text, names) == want
             assert dict(want[1]) == p.terms
 
 
@@ -394,7 +394,7 @@ MALFORMED = [
     f"x1 - 0.{DIGITS}",
     f"x1 - .{DIGITS}",
     "x1 + y9",
-    # monomial runs: '*name' and '*name^k' factors lexed as one token
+    # products of several factors, some with a power
     "x1^2^3",
     "x1*x2^2^3",
     "x1*x2^2 ^3",
