@@ -8,6 +8,15 @@ verified against the independent minor formulation, canonicalized as
 unordered pairs, deduplicated, classified as isolated or not by the
 singular values of the system Jacobian, and sorted by separation.
 
+F and J are evaluated EVAL_CHUNK points at a time, so that the temporaries
+of large batches stay in the heap instead of being faulted in again on
+every call; the values are those of one product over all the points.
+Least-squares steps against a single row or column (the sampling steps and
+the multiplier fit of a hypersurface) are g^T / |g|^2 without an SVD.
+Canonical orientation and the sort of the found pairs are array
+operations, and deduplication, like the thinning of the samples, is one
+greedy pass (_greedy_keep) that loops once per kept row.
+
 The search is heuristic: results always carry possibly_incomplete=True and
 the found count should be compared against the BND-derived complex bound,
 never read as exhaustive.
@@ -40,10 +49,11 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from contextlib import suppress
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -63,6 +73,13 @@ STEP_BLOCKS = (slice(1, 4), slice(4, 12), slice(12, 31))
 # a damped Newton row whose residual did not halve over this many
 # iterations stops (no progress)
 NO_PROGRESS_WINDOW = 20
+# F and J are evaluated EVAL_CHUNK points at a time.  The temporaries of a
+# batch of thousands of points go back to the system when freed and are
+# faulted in again by the next call, where a chunk's are reused within the
+# heap.  With glibc 2.36 a solve pass over the perfbench anchors takes about
+# 1,300 minor page faults at 256 points, 5,700 at 512, and more at 1,024
+# than unchunked (17,000).
+EVAL_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -89,6 +106,13 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.density, (numbers.Integral, type(None))):
+            raise ValueError(f"density must be an integer, got {self.density!r}")
+        if not isinstance(self.newton_max_iter, numbers.Integral):
+            raise ValueError(f"newton_max_iter must be an integer, got {self.newton_max_iter!r}")
+        if not math.isfinite(self.sep_threshold):
+            # every start pair would fall below twice the threshold
+            raise ValueError(f"sep_threshold must be finite, got {self.sep_threshold}")
         if not self.sep_threshold > self.cluster_radius > 0:
             raise ValueError("need sep_threshold > cluster_radius > 0")
         if self.density is not None and self.density < 2:
@@ -159,8 +183,8 @@ class _CompiledSystem:
     powers in variable order, formed as a running product one factor level
     at a time over the monomials ranked by factor count (see _power_plan),
     and F and J are one matrix product each over the monomials in table
-    order.  Nothing is written to the instance after construction, so
-    threads may share one.
+    order, per chunk of EVAL_CHUNK points.  Nothing is written to the
+    instance after construction, so threads may share one.
     """
 
     def __init__(self, polys: Sequence[ClassPoly], nvars: int):
@@ -190,12 +214,27 @@ class _CompiledSystem:
 
     def eval(self, pts: np.ndarray) -> np.ndarray:
         """(N, nvars) points -> (N, neqs) values."""
-        return _monomials(self.f_plan, pts).T @ self.f_coeffs
+        out = np.empty((len(pts), self.neqs))
+        for lo, hi in _chunks(len(pts)):
+            np.matmul(_monomials(self.f_plan, pts[lo:hi]).T, self.f_coeffs, out=out[lo:hi])
+        return out
 
     def jacobian(self, pts: np.ndarray) -> np.ndarray:
         """(N, nvars) points -> (N, neqs, nvars) partial derivatives."""
-        jac = _monomials(self.plan, pts).T @ self.j_coeffs
-        return jac.reshape(len(pts), self.neqs, self.nvars)
+        out = np.empty((len(pts), self.j_coeffs.shape[1]))
+        for lo, hi in _chunks(len(pts)):
+            np.matmul(_monomials(self.plan, pts[lo:hi]).T, self.j_coeffs, out=out[lo:hi])
+        return out.reshape(len(pts), self.neqs, self.nvars)
+
+
+def _chunks(count: int) -> Iterator[tuple[int, int]]:
+    """(lo, hi) bounds of EVAL_CHUNK points each, except that a lone last
+    point joins the chunk before it.  A product of one row takes another
+    BLAS routine, which rounds differently; every other row is computed as
+    in one product over all the points, because chunks start at multiples
+    of EVAL_CHUNK, and so of BLAS's row blocking."""
+    bounds = [*range(0, count - (count > 1), EVAL_CHUNK), count]
+    return zip(bounds, bounds[1:])
 
 
 def _power_plan(exps: np.ndarray) -> tuple:
@@ -292,16 +331,22 @@ def _sample(sysc: _CompiledSystem, config: SolverConfig) -> np.ndarray:
     # pairs samples quadratically again; thin them harder than curves
     spread = 1.5 if n - sysc.neqs >= 2 else 3.0
     radius = max(config.cluster_radius, span / (spread * density))
-    kept = np.empty_like(pts)
-    count = 0
-    for p in pts[np.lexsort(pts.T[::-1])]:
-        d = (kept[:count] - p)[:, None, :]
-        # a batch of 1-vector dot products rounds exactly as np.linalg.norm
-        # of a single vector does, so ties break as in a per-pair loop
-        if count == 0 or np.sqrt((d @ d.transpose(0, 2, 1)).min()) > radius:
-            kept[count] = p
-            count += 1
-    return kept[:count]
+    pts = pts[np.lexsort(pts.T[::-1])]
+    return pts[_greedy_keep(pts, radius)]
+
+
+def _greedy_keep(keys: np.ndarray, radius: float) -> np.ndarray:
+    """Indices of the rows of keys that a greedy pass in row order keeps:
+    each row farther than radius from every row kept before it.  Each kept
+    row drops the later rows within radius of it at once, so the loop runs
+    once per kept row."""
+    kept = []
+    rest = np.arange(len(keys))
+    while rest.size:
+        i, rest = rest[0], rest[1:]
+        kept.append(i)
+        rest = rest[np.linalg.norm(keys[rest] - keys[i], axis=1) > radius]
+    return np.array(kept, dtype=np.intp)
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +366,23 @@ def _residual(vals: np.ndarray) -> np.ndarray:
 
 def _pinv_step(jac: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Least-squares steps pinv(J) F, singular values below RANK_CUTOFF
-    times the largest counted as zero."""
-    return (np.linalg.pinv(jac, rcond=RANK_CUTOFF) @ vals[:, :, None])[:, :, 0]
+    times the largest counted as zero.  A single-row or single-column J = g
+    has one singular value |g|, which the relative cutoff always keeps: its
+    pinv is g^T / |g|^2, and zero where g = 0, with no SVD."""
+    if 1 not in jac.shape[1:]:
+        return (np.linalg.pinv(jac, rcond=RANK_CUTOFF) @ vals[:, :, None])[:, :, 0]
+    g = jac[:, 0] if jac.shape[1] == 1 else jac[:, :, 0]
+    # g / |g|^2 = h / (m |h|^2) for h = g / m: scaled by its largest entry m,
+    # |h|^2 neither under- nor overflows
+    m = np.abs(g).max(axis=1, keepdims=True)
+    m[m == 0] = 1.0
+    h = g / m
+    norm2 = (h * h).sum(axis=1, keepdims=True) * m
+    norm2[norm2 == 0] = np.inf
+    pinv_t = h / norm2
+    if jac.shape[1] == 1:
+        return pinv_t * vals
+    return (pinv_t * vals).sum(axis=1, keepdims=True)
 
 
 def _newton_step(jac: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, int]:
@@ -445,14 +505,29 @@ def _newton_batch(
     return z, res, counts
 
 
-def _canonical_pair(x: np.ndarray, y: np.ndarray, tol: float) -> bool:
-    """True if (x, y) is already in canonical order: x before y in a
-    tolerance-aware lexicographic comparison (noise-stable for pairs with
-    mirrored coordinates)."""
-    for a, b in zip(x, y):
-        if abs(a - b) > tol:
-            return a < b
-    return True
+def _distinct_pairs(
+    z: np.ndarray, res: np.ndarray, sep: np.ndarray, n: int, radius: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows (x, y, lam, mu) of z as distinct unordered pairs, with their
+    residuals and separations.  Each row is put in canonical order, x before
+    y in a lexicographic comparison that skips coordinates within radius of
+    each other (noise-stable for pairs with mirrored coordinates).  The rows
+    are sorted as the tuples (separation, x, y, residual, lam, mu), and a
+    row is kept unless its endpoints lie within radius of a kept row's."""
+    x, y = z[:, :n], z[:, n : 2 * n]
+    apart = np.abs(x - y) > radius
+    first = apart.argmax(axis=1)
+    at = np.arange(len(z)), first
+    swap = apart[at] & (x[at] > y[at])
+    k = (z.shape[1] - 2 * n) // 2
+    lam, mu = z[:, 2 * n : 2 * n + k], z[:, 2 * n + k :]
+    # both multiplier blocks are written against x - y, so swapping the
+    # endpoints negates and exchanges the multipliers
+    z = np.where(swap[:, None], np.concatenate([y, x, -mu, -lam], axis=1), z)
+    # np.lexsort takes its primary key last
+    order = np.lexsort(np.column_stack([sep, z[:, : 2 * n], res, z[:, 2 * n :]]).T[::-1])
+    kept = order[_greedy_keep(z[order, : 2 * n], radius)]
+    return z[kept], res[kept], sep[kept]
 
 
 def find_bottlenecks(
@@ -503,8 +578,8 @@ def find_bottlenecks(
     # multiplier init: least-squares fit of x - y against the gradients
     grads_a = fs_c.jacobian(a).transpose(0, 2, 1)
     grads_b = fs_c.jacobian(b).transpose(0, 2, 1)
-    lam0 = (np.linalg.pinv(grads_a) @ (a - b)[:, :, None])[:, :, 0]
-    mu0 = (np.linalg.pinv(grads_b) @ (a - b)[:, :, None])[:, :, 0]
+    lam0 = _pinv_step(grads_a, a - b)
+    mu0 = _pinv_step(grads_b, a - b)
     z0 = np.concatenate([a, b, lam0, mu0], axis=1)
 
     if workers == 1 or starts < 2 * workers:
@@ -548,43 +623,20 @@ def find_bottlenecks(
         res = np.maximum(res, minor_res[verified])
     diagnostics["verified"] = int(len(z))
 
-    # canonical orientation, then greedy dedup of unordered pairs
-    candidates = []
-    for row, r, s in zip(z, res, sep):
-        x, y = row[:n].copy(), row[n : 2 * n].copy()
-        lam, mu = row[2 * n : 2 * n + k].copy(), row[2 * n + k :].copy()
-        if not _canonical_pair(x, y, config.cluster_radius):
-            # both multiplier blocks are written against x - y, so swapping
-            # the endpoints negates and exchanges the multipliers
-            x, y, lam, mu = y, x, -mu, -lam
-        candidates.append(
-            (
-                float(s),
-                tuple(map(float, x)),
-                tuple(map(float, y)),
-                float(r),
-                tuple(map(float, lam)),
-                tuple(map(float, mu)),
-            )
-        )
-    candidates.sort()
-
-    kept_keys = np.empty((len(candidates), 2 * n))  # row i: kept[i]
-    kept = []
-    for candidate in candidates:
-        key = np.array(candidate[1] + candidate[2])
-        if kept and (
-            np.linalg.norm(kept_keys[: len(kept)] - key, axis=1).min() <= config.cluster_radius
-        ):
-            continue
-        kept_keys[len(kept)] = key
-        kept.append(candidate)
-    zs = np.array([xx + yy + lam + mu for _, xx, yy, _, lam, mu in kept])
+    z, res, sep = _distinct_pairs(z, res, sep, n, config.cluster_radius)
     pairs = [
         BottleneckPair(
-            x=xx, y=yy, separation=s, residual=r, lam=lam, mu=mu, isolated=bool(isolated)
+            x=tuple(row[:n]),
+            y=tuple(row[n : 2 * n]),
+            separation=s,
+            residual=r,
+            lam=tuple(row[2 * n : 2 * n + k]),
+            mu=tuple(row[2 * n + k :]),
+            isolated=bool(isolated),
         )
-        for (s, xx, yy, r, lam, mu), isolated in zip(kept, _isolated_rows(lag_c, zs))
+        for row, s, r, isolated in zip(
+            z.tolist(), sep.tolist(), res.tolist(), _isolated_rows(lag_c, z)
+        )
     ]
     diagnostics["pairs"] = len(pairs)
     return SolveResult(tuple(pairs), True, diagnostics)

@@ -1,10 +1,13 @@
 """Tests for the numeric bottleneck search."""
 
+import importlib.util
 import itertools
+import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,13 +16,17 @@ from bnd import solver
 from bnd.engine import bnd_variety
 from bnd.profiles import VarietySpec
 from bnd.solver import (
+    EVAL_CHUNK,
     RANK_CUTOFF,
     BottleneckPair,
     SolverConfig,
     _CompiledSystem,
+    _distinct_pairs,
+    _greedy_keep,
     _newton_batch,
     _monomials,
     _newton_step,
+    _pinv_step,
     _power_plan,
     _residual,
     _step_length,
@@ -33,7 +40,13 @@ from bnd.solver import (
     sample_variety,
     write_json,
 )
-from bnd.systems import Poly, build_lagrange_system, build_minor_system, parse_poly
+from bnd.systems import (
+    Poly,
+    build_lagrange_system,
+    build_minor_system,
+    parse_poly,
+    parse_system_text,
+)
 
 V2 = ("x1", "x2")
 V3 = ("x1", "x2", "x3")
@@ -48,6 +61,19 @@ FAST = SolverConfig(density=8)
 @pytest.fixture(scope="module")
 def ellipse_result():
     return find_bottlenecks(ELLIPSE)
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def perfbench_workloads():
+    """perfbench/workloads.py, which holds the solve anchors (name, variety
+    text, grid density, degrees); it imports nothing from the package."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # ---------------------------------------------------------------------------
@@ -75,10 +101,14 @@ def test_config_defaults():
         {"residual_tol": 0.0},
         {"newton_max_iter": 0},
         {"box": ((1.0, 1.0),)},
+        {"density": 8.0},  # np.linspace would raise a TypeError
+        {"density": 2.5},
+        {"newton_max_iter": 10.0},  # range would raise a TypeError
+        {"newton_max_iter": "10"},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="|".join(kwargs)):
         SolverConfig(**kwargs)
 
 
@@ -91,6 +121,8 @@ def test_config_rejects_bad_values(kwargs):
         {"box": ((-math.inf, math.inf), (0.0, 1.0))},
         {"box": ((0.0, 1.0), (0.0, math.inf))},
         {"box": ((math.nan, 1.0),)},
+        {"sep_threshold": math.inf},  # would drop every start pair
+        {"sep_threshold": math.nan},
     ],
 )
 def test_config_rejects_non_finite_values_by_name(kwargs):
@@ -287,6 +319,38 @@ def test_compiled_system_equals_reduceat_evaluator():
         _assert_bitwise_equal(sysc.jacobian(pts), jac.reshape(len(pts), len(polys), nvars))
 
 
+def _anchor_systems(workloads):
+    """(name, compiled system) for the Lagrange, minor and defining systems
+    of each perfbench solve anchor."""
+    for name, text, _, _ in workloads.SOLVE_ANCHORS:
+        fs = list(parse_system_text(text).polynomials)
+        n = fs[0].nvars
+        lag = build_lagrange_system(fs)
+        minor = build_minor_system(fs, n - len(fs))
+        yield f"{name} lagrange", _CompiledSystem(list(lag.polynomials), len(lag.variables))
+        yield f"{name} minor", _CompiledSystem(list(minor.polynomials), 2 * n)
+        yield f"{name} defining", _CompiledSystem(fs, n)
+
+
+def test_chunked_evaluation_equals_one_block(perfbench_workloads):
+    """F and J evaluated EVAL_CHUNK points at a time are bit for bit the
+    single matrix product over all the points, at batch sizes around the
+    chunk boundaries (a lone last point joins the chunk before it)."""
+    c = EVAL_CHUNK
+    rng = np.random.default_rng(11)
+    for name, sysc in _anchor_systems(perfbench_workloads):
+        for count in (0, 1, c - 1, c, c + 1, 3 * c + 7):
+            pts = rng.uniform(-3.5, 3.5, (count, sysc.nvars))
+            pts[rng.random(pts.shape) < 0.1] = 0.0
+            pts[rng.random(pts.shape) < 0.1] = -0.0
+            vals = _monomials(sysc.f_plan, pts).T @ sysc.f_coeffs
+            jac = _monomials(sysc.plan, pts).T @ sysc.j_coeffs
+            _assert_bitwise_equal(sysc.eval(pts), vals)
+            _assert_bitwise_equal(
+                sysc.jacobian(pts), jac.reshape(count, sysc.neqs, sysc.nvars)
+            )
+
+
 @pytest.mark.parametrize("shape", [(0, 3), (1, 1), (300, 1), (300, 6), (40, 19, 10), (7, 3, 2)])
 def test_residual_equals_max_abs(shape):
     rng = np.random.default_rng(len(shape) * 100 + shape[-1])
@@ -440,6 +504,46 @@ def _well_conditioned(rng, count, m):
 
 def _pinv_reference(jac, vals):
     return (np.linalg.pinv(jac, rcond=RANK_CUTOFF) @ vals[:, :, None])[:, :, 0]
+
+
+def _pinv_batch(rng, shape):
+    """Random (N, rows, cols) matrices with steps F, some rows scaled far
+    beyond where |g|^2 is representable and some zero."""
+    jac = rng.normal(size=shape) * 10.0 ** rng.choice([0, 0, 0, 200, -200], (shape[0], 1, 1))
+    jac[::17] = 0.0
+    return jac, rng.normal(size=shape[:2])
+
+
+@pytest.mark.parametrize("shape", [(300, 1, 3), (300, 1, 6), (300, 3, 1), (300, 6, 1), (40, 1, 1)])
+def test_rank_one_pinv_step_equals_pinv(monkeypatch, shape):
+    """A single-row or single-column J takes g^T / |g|^2 without an SVD,
+    and matches np.linalg.pinv with the same cutoff."""
+    rng = np.random.default_rng(shape[1] * 10 + shape[2])
+    jac, vals = _pinv_batch(rng, shape)
+    want = _pinv_reference(jac, vals)
+    calls = []
+    monkeypatch.setattr(np.linalg, "pinv", lambda *a, **k: calls.append(a))
+    step = _pinv_step(jac, vals)
+    assert calls == []
+    assert step.shape == want.shape == (shape[0], shape[2])
+    np.testing.assert_allclose(step, want, rtol=1e-12, atol=0)
+    assert not step[::17].any()  # g = 0: a zero step
+
+
+@pytest.mark.parametrize("shape", [(50, 2, 3), (50, 2, 6), (50, 3, 2), (50, 4, 4)])
+def test_pinv_step_keeps_the_svd_beyond_rank_one(monkeypatch, shape):
+    rng = np.random.default_rng(shape[1] * 10 + shape[2])
+    jac, vals = rng.normal(size=shape), rng.normal(size=shape[:2])
+    want = _pinv_reference(jac, vals)
+    pinv, calls = np.linalg.pinv, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return pinv(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", counted)
+    assert np.array_equal(_pinv_step(jac, vals), want)
+    assert calls == [shape]
 
 
 def test_newton_step_equals_pinv_step_when_well_conditioned():
@@ -667,6 +771,166 @@ def test_output_is_canonical(ellipse_result):
                 break
         for j in range(i + 1, len(keys)):
             assert np.linalg.norm(keys[i] - keys[j]) > cfg.cluster_radius
+
+
+# The per-row canonicalization, tuple sort and greedy dedup loop that
+# _distinct_pairs replaced, kept as the reference: it must keep the same
+# pairs, with the same bits, in the same order.
+
+
+def _canonical_pair(x, y, tol):
+    """True if (x, y) is already in canonical order: x before y in a
+    tolerance-aware lexicographic comparison."""
+    for a, b in zip(x, y):
+        if abs(a - b) > tol:
+            return a < b
+    return True
+
+
+def reference_distinct_pairs(z, res, sep, n, radius):
+    k = (z.shape[1] - 2 * n) // 2
+    candidates = []
+    for row, r, s in zip(z, res, sep):
+        x, y = row[:n].copy(), row[n : 2 * n].copy()
+        lam, mu = row[2 * n : 2 * n + k].copy(), row[2 * n + k :].copy()
+        if not _canonical_pair(x, y, radius):
+            x, y, lam, mu = y, x, -mu, -lam
+        candidates.append(
+            (
+                float(s),
+                tuple(map(float, x)),
+                tuple(map(float, y)),
+                float(r),
+                tuple(map(float, lam)),
+                tuple(map(float, mu)),
+            )
+        )
+    candidates.sort()
+    kept_keys = np.empty((len(candidates), 2 * n))
+    kept = []
+    for candidate in candidates:
+        key = np.array(candidate[1] + candidate[2])
+        if kept and np.linalg.norm(kept_keys[: len(kept)] - key, axis=1).min() <= radius:
+            continue
+        kept_keys[len(kept)] = key
+        kept.append(candidate)
+    return kept
+
+
+def _assert_distinct_pairs_equal_reference(z, res, sep, n, radius):
+    want = reference_distinct_pairs(z, res, sep, n, radius)
+    zs, rs, ss = _distinct_pairs(z, res, sep, n, radius)
+    k = (z.shape[1] - 2 * n) // 2
+    got = [
+        (s, tuple(row[:n]), tuple(row[n : 2 * n]), r, tuple(row[2 * n : 2 * n + k]), tuple(row[2 * n + k :]))
+        for row, r, s in zip(zs.tolist(), rs.tolist(), ss.tolist())
+    ]
+    # repr tells -0.0 from 0.0 and shows every bit of a float
+    assert repr(got) == repr(want)
+    return got
+
+
+def _candidate_rows(pairs, n, k, rng):
+    """(z, residual, separation) rows for (x, y) pairs in n coordinates
+    with k random multipliers for each endpoint."""
+    rows = [(*x, *y, *rng.normal(size=2 * k)) for x, y in pairs]
+    z = np.array(rows, dtype=float).reshape(len(rows), 2 * n + 2 * k)
+    sep = np.linalg.norm(z[:, :n] - z[:, n : 2 * n], axis=1)
+    return z, rng.uniform(0, 1e-10, len(z)), sep
+
+
+def test_distinct_pairs_mirrored_coordinates_within_radius():
+    # x and y agree to within the radius in the first coordinate, so the
+    # second decides the orientation; every pair is found in both
+    # orientations and with noise below the radius
+    rng = np.random.default_rng(1)
+    r = 1e-6
+    pairs = []
+    for base in ((0.0, -1.0, 0.0, 1.0), (0.3, 0.5, 0.3 + 0.4 * r, -0.5), (-0.0, 2.0, 0.0, -2.0)):
+        for _ in range(4):
+            x, y = np.array(base[:2]), np.array(base[2:])
+            x, y = x + rng.uniform(-0.3, 0.3, 2) * r, y + rng.uniform(-0.3, 0.3, 2) * r
+            pairs += [(x, y), (y, x)]
+    z, res, sep = _candidate_rows(pairs, 2, 1, rng)
+    got = _assert_distinct_pairs_equal_reference(z, res, sep, 2, r)
+    assert len(got) == 3
+    for _, x, y, _, lam, mu in got:
+        assert _canonical_pair(x, y, r)
+
+
+def test_distinct_pairs_neighbours_at_exactly_the_radius():
+    # keys 3 and 4 units apart in two coordinates are exactly 5 units apart:
+    # a neighbour at the radius is dropped, one an ulp of 0.5 beyond it kept
+    unit = 2.0**-22
+    radius = 5 * unit
+    rng = np.random.default_rng(2)
+    x0, y0 = np.array([-1.0, 0.25, 0.5]), np.array([1.0, 0.75, -0.5])
+    for extra, expect in ((0.0, 1), (2.0**-52, 2)):
+        pairs = [(x0, y0), (x0 + (0.0, 3 * unit, 4 * unit + extra), y0)]
+        z, res, sep = _candidate_rows(pairs, 3, 2, rng)
+        sep[:] = 2.0  # tied separations: the sort falls through to x and y
+        distance = np.linalg.norm(z[1, :6] - z[0, :6])
+        assert distance == radius if expect == 1 else distance > radius
+        got = _assert_distinct_pairs_equal_reference(z, res, sep, 3, radius)
+        assert len(got) == expect
+
+
+@pytest.mark.parametrize("count", [0, 1])
+def test_distinct_pairs_single_row_and_empty_set(count):
+    rng = np.random.default_rng(3)
+    pairs = [(np.array([1.0, -2.0]), np.array([-1.0, 2.0]))][:count]
+    z, res, sep = _candidate_rows(pairs, 2, 1, rng)
+    got = _assert_distinct_pairs_equal_reference(z, res, sep, 2, 1e-6)
+    assert len(got) == count
+    if count:
+        # swapped: x and y exchange, and so do the multipliers, negated
+        (_, x, y, _, lam, mu), = got
+        assert (x, y) == ((-1.0, 2.0), (1.0, -2.0))
+        assert (lam, mu) == ((-z[0, 5],), (-z[0, 4],))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_distinct_pairs_equal_reference_on_clusters(seed):
+    # clusters of near-duplicates around a few pairs, in both orientations,
+    # some at mirrored coordinates, for hypersurfaces and codimension 2
+    rng = np.random.default_rng(seed)
+    for n, k in ((2, 1), (3, 1), (3, 2), (5, 1)):
+        radius = 1e-6
+        centres = rng.integers(-2, 3, (6, 2, n)).astype(float)
+        pairs = []
+        for x, y in centres[rng.integers(0, 6, 80)]:
+            noise = rng.uniform(-1, 1, (2, n)) * radius * rng.choice([0.0, 0.3, 1.0, 3.0])
+            pair = (x + noise[0], y + noise[1])
+            pairs.append(pair if rng.random() < 0.5 else pair[::-1])
+        z, res, sep = _candidate_rows(pairs, n, k, rng)
+        _assert_distinct_pairs_equal_reference(z, res, sep, n, radius)
+
+
+def test_greedy_keep():
+    keys = np.array([[0.0], [0.5], [1.0], [1.4], [3.0], [2.5]])
+    assert _greedy_keep(keys, 1.0).tolist() == [0, 3, 4]
+    assert _greedy_keep(keys, 0.1).tolist() == list(range(6))
+    assert _greedy_keep(np.zeros((0, 3)), 1.0).tolist() == []
+
+
+def test_perfbench_anchor_pairs_are_found(perfbench_workloads):
+    """Recall on the perfbench solve anchors: at each anchor's benchmark
+    density and seed 0, every isolated pair pinned in
+    perfbench/reference/solve.json is found within 1e-6, in either
+    orientation."""
+    reference = json.loads((PERFBENCH / "reference" / "solve.json").read_text(encoding="utf-8"))
+    for name, text, density, _ in perfbench_workloads.SOLVE_ANCHORS:
+        fs = list(parse_system_text(text).polynomials)
+        result = find_bottlenecks(fs, SolverConfig(density=density, seed=0))
+        found = np.array([p.x + p.y for p in result.pairs if p.isolated])
+        n = fs[0].nvars
+        for want in reference[f"{name} seed0"]:
+            want = np.array(want)
+            flipped = np.concatenate([want[n:], want[:n]])
+            dist = np.minimum(
+                np.linalg.norm(found - want, axis=1), np.linalg.norm(found - flipped, axis=1)
+            )
+            assert dist.min() <= 1e-6, f"{name}: pinned pair {want.tolist()} not found"
 
 
 def test_fixed_seed_is_deterministic():
