@@ -16,7 +16,9 @@ later call in the process; each call still parses into a fresh namespace.
 
 Variety input files (for system/solve) use the system text format: a
 `vars:` line naming the coordinates, then one defining polynomial per
-line; `#` starts a comment.
+line; `#` starts a comment, except that a line of the form
+`# n|k|m|formulation: <value>` is read as metadata, so `# m: curve` is
+refused (n, k and m must be integers).
 """
 
 from __future__ import annotations

@@ -610,263 +610,156 @@ class SystemParseError(ValueError):
         self.col = col
 
 
-_NUMBER = r"\d+\.\d+|\d+|\.\d+"
-_NAME = IDENTIFIER.pattern
-# One token per match, after any whitespace:
-#   1. a number followed by an exponent such as 1e-3 (refused by name, never
-#      expanded: Fraction("1e999999999") would write out a billion digits);
-#      a number cannot contain an e, so this group matches exactly the
-#      numbers that group 2 would match with an exponent behind them;
-#   2. any other number;
-#   3. an identifier;
-#   4. any other single character.
-_TOKEN = re.compile(rf"\s*(?:({_NUMBER})(?=[eE][+-]?\d)|({_NUMBER})|({_NAME})|(\S))")
-_END = ("", "", "", "")
+_SPACE = re.compile(r"\s*")
+_NUMBER = re.compile(r"\d+\.\d+|\d+|\.\d+")
+# an exponent right after a number: 1e-3 is refused by name, never expanded
+# (Fraction("1e999999999") would write out a billion digits)
+_SCIENTIFIC = re.compile(r"[eE][+-]?\d")
 
-# A line in the form render_poly writes, with any indentation: signed terms
-# joined by ' + ' and ' - ', each an integer, a monomial, or an integer
-# times a monomial, where a monomial is factors 'name' or 'name^k' joined
-# by '*'.  The lookahead keeps backtracking from splitting a name.
-_POWER = rf"{_NAME}(?![A-Za-z_0-9])(?:\^[0-9]+)?"
+# A line in the form render and render_poly write, with any indentation:
+# signed terms joined by ' + ' and ' - ', each a coefficient, a monomial,
+# or a coefficient times a monomial, where a coefficient is an integer or
+# p/q (digits and slashes here; _read_canonical refuses any other) and a
+# monomial is factors 'name' or 'name^k' joined by '*'.  The lookahead
+# keeps backtracking from splitting a name.
+_POWER = rf"{IDENTIFIER.pattern}(?![A-Za-z_0-9])(?:\^[0-9]+)?"
 _MONO = rf"{_POWER}(?:\*{_POWER})*"
-_TERM = rf"(?:[0-9]+(?:\*{_MONO})?|{_MONO})"
+_TERM = rf"(?:[0-9][0-9/]*(?:\*{_MONO})?|{_MONO})"
 _CANONICAL = re.compile(rf"\s*(-?{_TERM}(?: [+-] {_TERM})*)\s*")
 
 
 class _Parser:
-    """Recursive descent over + - * / ^ with parentheses, on the tokens of
-    one regex pass; a token's column is found only for an error.
+    """Recursive descent over + - * / ^ with parentheses, for the text
+    _read_canonical does not take: decimals, parentheses, powers of
+    groups and any spacing, so hand-written input can say
+    (0.3*x1^2 + ...)^2 without pre-expansion.  '/' only by a constant.
 
-    parse calls it for every line that _read_canonical does not take: text
-    that is not in render_poly's canonical form, and canonical text with an
-    error in it, so that every error, its message and its column come from
-    here.  It is also the reference the line reader is tested against; the
-    two share the MAX_EXPONENT bound through _exponent.
-
-    Accepts a superset of what render and render_poly produce: decimals,
-    parentheses and powers of parenthesized groups, so hand-written input
-    can say (0.3*x1^2 + ...)^2 without pre-expansion.  '/' only by a
-    constant.
-
-    A product of numbers, symbols and their powers is carried as one
-    monomial, a coefficient and an exponent vector, and becomes a ClassPoly
-    only when it meets a parenthesized group.  Groups, their powers and
-    their products are computed in the ring, so its normalization applies
-    to each group as it is read.  A sum adds its terms into one dict in the
-    order of ClassPoly.__add__, deleting a key whose sum is 0 and dropping
-    a monomial that dies in the ring (both grades are additive, so a dead
-    factor kills the product).
-    Coefficients are computed as the ring computes them: the same values,
-    with the same int/Fraction types.
+    Every number, symbol and group is a ClassPoly combined with the ring's
+    + - * and **, so the ring's normalization (truncation, pullback bound)
+    applies as the text is read, and the terms, their order and their
+    int/Fraction types are those of the ring arithmetic the text spells
+    out.  The column of an error is its character position.
     """
 
-    def __init__(
-        self,
-        ctx: RingContext,
-        text: str,
-        names: Sequence[str],
-        line: int,
-    ):
+    def __init__(self, ctx: RingContext, text: str, names: Sequence[str], line: int):
         self.ctx = ctx
         self.text = text
         self.names = {name: i for i, name in enumerate(names)}
         self.line = line
-        self.dies = ctx._dies if ctx.bounded else None
-        self.zero = (0,) * len(ctx.symbols)
-        # (scientific number, number, identifier, character), one set
-        self.tokens = _TOKEN.findall(text)
-        self.tokens.append(_END)
-        self.i = 0
-        # (exponent token, its length) if the last power read an exponent
-        self.exponent: tuple[int, int] | None = None
+        self.pos = 0
 
-    def start(self, j: int) -> int:
-        """Offset of token j in the text."""
-        for n, m in enumerate(_TOKEN.finditer(self.text)):
-            if n == j:
-                return m.start(m.lastindex)
-        return len(self.text)
+    def error(self, message: str):
+        raise SystemParseError(message, self.line, self.pos + 1)
 
-    def error(self, message: str, j: int, offset: int = 0):
-        """Raise at token j, or offset characters past its start."""
-        raise SystemParseError(message, self.line, self.start(j) + offset + 1)
+    def peek(self) -> str:
+        """The next character after any whitespace; '' at the end."""
+        self.pos = _SPACE.match(self.text, self.pos).end()
+        return self.text[self.pos : self.pos + 1]
 
     def parse(self) -> ClassPoly:
-        terms = self.expr()
-        if self.tokens[self.i] is not _END:
-            self.error(f"unexpected {self.text[self.start(self.i)]!r}", self.i)
-        return ClassPoly._of(self.ctx, terms)
+        p = self.expr()
+        if self.peek():
+            self.error(f"unexpected {self.text[self.pos]!r}")
+        return p
 
-    def expr(self) -> dict[Exponents, Coefficient]:
-        tokens, dies = self.tokens, self.dies
-        out: dict[Exponents, Coefficient] = {}
-        op = tokens[self.i][3]
-        negate = op == "-"
-        if negate or op == "+":
-            self.i += 1
-        first = True
+    def expr(self) -> ClassPoly:
+        ch = self.peek()
+        sign = -1 if ch == "-" else 1
+        if ch == "+" or ch == "-":
+            self.pos += 1
+        # the first term is multiplied by its sign, which groups its terms
+        # by grade
+        acc = sign * self.term()
         while True:
-            value = self.term()
-            if type(value) is tuple:
-                c, e = value
-                items = () if not c or (dies and dies(e)) else ((e, -c if negate else c),)
-            else:
-                if first:
-                    # the first term is multiplied by its sign, which
-                    # groups its terms by grade
-                    value = (-1 if negate else 1) * value
-                    negate = False
-                items = value.terms.items()
-                if negate:
-                    items = [(e, -c) for e, c in items]
-            for e, c in items:
-                if e in out:
-                    s = out[e] + c
-                    if s == 0:
-                        del out[e]
-                    else:
-                        out[e] = s
-                else:
-                    out[e] = c
-            op = tokens[self.i][3]
-            if op != "+" and op != "-":
-                return out
-            self.i += 1
-            negate = op == "-"
-            first = False
+            ch = self.peek()
+            if ch != "+" and ch != "-":
+                return acc
+            self.pos += 1
+            rhs = self.term()
+            acc = acc + rhs if ch == "+" else acc - rhs
 
-    def term(self) -> tuple[Coefficient, Exponents] | ClassPoly:
-        """A product: (coefficient, exponents) while it is a monomial, a
-        ClassPoly once it has met a group."""
-        tokens = self.tokens
-        value = self.power()
-        if type(value) is tuple:
-            coeff, expts = value
-            poly = None
-        else:
-            poly = value
+    def term(self) -> ClassPoly:
+        acc = self.power()
         while True:
-            op = tokens[self.i][3]
-            if op == "*":
-                self.i += 1
-                value = self.power()
-                if type(value) is tuple:
-                    if poly is None:
-                        coeff = coeff * value[0]
-                        expts = _times(expts, value[1])
-                    else:
-                        poly = poly * self.lift(*value)
-                elif poly is None:
-                    poly = self.lift(coeff, expts) * value
-                else:
-                    poly = poly * value
-            elif op == "/":
-                self.i += 1
-                inverse = Fraction(1) / self.divisor()
-                if poly is None:
-                    coeff = coeff * _exact(inverse)
-                else:
-                    poly = poly * self.ctx.constant(inverse)
+            ch = self.peek()
+            if ch == "*":
+                self.pos += 1
+                acc = acc * self.power()
+            elif ch == "/":
+                self.pos += 1
+                divisor = self.power()
+                # an error points past the divisor and the space behind
+                # it, or right after its exponent
+                if divisor.total_degree() > 0:
+                    self.error("can only divide by a constant")
+                value = divisor.constant_term()
+                if value == 0:
+                    self.error("division by zero")
+                acc = acc * self.ctx.constant(Fraction(1) / value)
             else:
-                return (coeff, expts or self.zero) if poly is None else poly
+                return acc
 
-    def lift(self, coeff: Coefficient, expts: Exponents) -> ClassPoly:
-        """The monomial as a ClassPoly; zero when it dies in the ring."""
-        e = expts or self.zero
-        alive = coeff != 0 and not (self.dies and self.dies(e))
-        return ClassPoly._of(self.ctx, {e: coeff} if alive else {})
-
-    def divisor(self) -> Coefficient:
-        """The nonzero constant after a '/'."""
-        value = self.power()
-        if type(value) is tuple:
-            value = self.lift(*value)
-        # an error points past the divisor and the space behind it, or
-        # right after its exponent
-        at = self.exponent or (self.i, 0)
-        if value.total_degree() > 0:
-            self.error("can only divide by a constant", *at)
-        c = value.constant_term()
-        if c == 0:
-            self.error("division by zero", *at)
-        return c
-
-    def power(self) -> tuple[Coefficient, Exponents] | ClassPoly:
+    def power(self) -> ClassPoly:
         """An atom, raised to an integer exponent if one follows, or '-'
         and a power, so a sign inside a term negates the whole power as a
-        leading sign does: -x1^2 is -(x1^2).  A monomial as (coefficient,
-        exponents), with () for no symbols."""
-        tokens = self.tokens
-        if tokens[self.i][3] == "-":
-            self.i += 1
-            value = self.power()
-            return (-value[0], value[1]) if type(value) is tuple else -value
+        leading sign does: -x1^2 is -(x1^2)."""
+        if self.peek() == "-":
+            self.pos += 1
+            return -self.power()
         base = self.atom()
-        if tokens[self.i][3] != "^":
-            self.exponent = None
+        if self.peek() != "^":
             return base
-        j = self.i + 1
-        digits = tokens[j][0] or tokens[j][1]
-        if not digits or "." in digits:
-            self.error("expected integer exponent", j)
-        k = _exponent(digits)
+        self.pos += 1
+        self.peek()  # skips the space before the exponent
+        m = _NUMBER.match(self.text, self.pos)
+        if not m or "." in m[0]:
+            self.error("expected integer exponent")
+        k = _exponent(m[0])
         if k is None:
-            self.error(f"exponent above the bound {MAX_EXPONENT}", j)
-        self.i = j + 1
-        self.exponent = (j, len(digits))
-        if type(base) is not tuple:
-            return base ** k
-        if not k:
-            return (1, ())
-        return (base[0] ** k, tuple(e * k for e in base[1]))
+            self.error(f"exponent above the bound {MAX_EXPONENT}")
+        self.pos = m.end()
+        return base**k
 
-    def atom(self) -> tuple[Coefficient, Exponents] | ClassPoly:
-        scientific, number, name, char = self.tokens[self.i]
-        if number:
-            if number[0] == ".":
-                number = "0" + number
+    def atom(self) -> ClassPoly:
+        if self.peek() == "(":
+            self.pos += 1
+            p = self.expr()
+            if self.peek() != ")":
+                self.error("expected ')'")
+            self.pos += 1
+            return p
+        m = _NUMBER.match(self.text, self.pos)
+        if m:
+            if _SCIENTIFIC.match(self.text, m.end()):
+                self.error("scientific notation is not supported; write the number as a decimal")
+            number = "0" + m[0] if m[0][0] == "." else m[0]
             try:
-                value = _exact(Fraction(number)) if "." in number else int(number)
+                value = Fraction(number)
             except ValueError:  # int() refuses strings of over 4300 digits
-                self.error(f"numeric literal of {len(number)} characters is too long", self.i)
-            self.i += 1
-            return (value, ())
-        if name:
-            index = self.names.get(name)
+                self.error(f"numeric literal of {len(number)} characters is too long")
+            self.pos = m.end()
+            return self.ctx.constant(value)
+        m = IDENTIFIER.match(self.text, self.pos)
+        if m:
+            index = self.names.get(m[0])
             if index is None:
-                self.error(f"undeclared variable {name!r}", self.i)
-            self.i += 1
-            return (1, self.zero[:index] + (1,) + self.zero[index + 1 :])
-        if scientific:
-            self.error("scientific notation is not supported; write the number as a decimal", self.i)
-        if char == "(":
-            self.i += 1
-            terms = self.expr()
-            if self.tokens[self.i][3] != ")":
-                self.error("expected ')'", self.i)
-            self.i += 1
-            return ClassPoly._of(self.ctx, terms)
-        self.error("expected a number, variable, or '('", self.i)
-
-
-def _times(a: Exponents, b: Exponents) -> Exponents:
-    """Product of two monomials' exponent vectors, () meaning no symbols."""
-    if not a:
-        return b
-    if not b:
-        return a
-    return tuple(map(add, a, b))
+                self.error(f"undeclared variable {m[0]!r}")
+            self.pos = m.end()
+            return self.ctx.var(index)
+        self.error("expected a number, variable, or '('")
 
 
 def _read_canonical(
     ctx: RingContext, text: str, names: Sequence[str], monomials: dict[str, Exponents]
 ) -> dict[Exponents, Coefficient] | None:
-    """The terms of a line in the form render_poly writes (see _CANONICAL),
-    summed as _Parser.expr sums them: in the same order, with the same int
-    coefficients, a key whose sum is 0 deleted and a zero or dead term
-    dropped.  None when the line is in another form, names an undeclared
-    symbol, has an exponent above MAX_EXPONENT or a literal too long for
-    int(); _Parser then reads it and reports any error.
+    """The terms of a line in the form render and render_poly write (see
+    _CANONICAL), summed as the ring sums them: in the same order, with the
+    same coefficients and int/Fraction types (p/q is p * (1/q), as _Parser
+    divides), a key whose sum is 0 deleted and a zero or dead term dropped.
+    None when the line is in another form, has a coefficient other than an
+    integer or p/q, names an undeclared symbol, has an exponent above
+    MAX_EXPONENT, a zero denominator or a literal too long for int();
+    _Parser then reads it and reports any error.
 
     The exponent vector of each monomial text is kept in monomials under
     that text.
@@ -888,11 +781,15 @@ def _read_canonical(
             if negate:
                 body = body[1:]
         if body[0] <= "9":
-            digits, _, mono = body.partition("*")
+            literal, _, mono = body.partition("*")
             try:
-                c = int(digits)
-            except ValueError:  # int() refuses strings of over 4300 digits
-                return None
+                c = int(literal)
+            except ValueError:  # p/q, or a literal of over 4300 digits
+                p, _, q = literal.partition("/")
+                try:
+                    c = int(p) * _exact(Fraction(1, int(q)))
+                except (ValueError, ZeroDivisionError):
+                    return None
         else:
             c, mono = 1, body
         e = monomials.get(mono)
@@ -933,13 +830,14 @@ def parse(
     """Parse polynomial text into ctx; names[i] spells symbol i (default:
     the symbol names).  Raises SystemParseError, located by line and column.
 
-    A line in the canonical form that render_poly writes (integer
-    coefficients times monomials) is read by _read_canonical, with string
-    splits and no tokens; any other text, and any canonical line with an
-    error in it, goes through the recursive descent of _Parser.  Both give
-    the same terms in the same order with the same coefficient types, and
-    both refuse an exponent above MAX_EXPONENT, so errors, their messages
-    and their columns are the descent's on every input.
+    A line in the canonical form that render and render_poly write
+    (integer or p/q coefficients times monomials), which is every line the
+    program writes, is read by _read_canonical with one regex match and
+    string splits; any other text, and any canonical line with an error in
+    it, goes through the recursive descent of _Parser.  Both give the same
+    terms in the same order with the same coefficient types, and both
+    refuse an exponent above MAX_EXPONENT, so errors, their messages and
+    their columns are the descent's on every input.
 
     monomials caches the exponent vectors of monomial texts; pass one dict
     to every line parsed with the same ctx and names, such as the lines of

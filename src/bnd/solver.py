@@ -80,6 +80,10 @@ NO_PROGRESS_WINDOW = 20
 # 1,300 minor page faults at 256 points, 5,700 at 512, and more at 1,024
 # than unchunked (17,000).
 EVAL_CHUNK = 256
+# The sampling grid has density**n points; a larger one is refused before
+# it is built.  The largest in use are 30**2 and 15**3 (the acceptance
+# tests' denser retry) and 6**7 (the default in 7 coordinates).
+MAX_GRID_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -87,7 +91,8 @@ class SolverConfig:
     """Search parameters.  box is one (lo, hi) interval per coordinate;
     leave box/density as None for defaults chosen from the dimension
     (box (-3.5, 3.5) everywhere; density 20 for curves in the plane,
-    10 in 3-space, 6 beyond).
+    10 in 3-space, 6 beyond).  A grid of density**n points above
+    MAX_GRID_POINTS is refused, as is the default in 8 or more coordinates.
 
     A Newton row stops when its residual is below residual_tol / 100
     (frozen), when it is non-finite or no step length lowers it
@@ -136,9 +141,13 @@ class SolverConfig:
         return tuple((-3.5, 3.5) for _ in range(n))
 
     def density_for(self, n: int) -> int:
-        if self.density is not None:
-            return self.density
-        return {2: 20, 3: 10}.get(n, 6)
+        density = self.density if self.density is not None else {2: 20, 3: 10}.get(n, 6)
+        if density**n > MAX_GRID_POINTS:
+            raise ValueError(
+                f"a grid of density {density} in {n} coordinates has {density}^{n} points, "
+                f"above MAX_GRID_POINTS = {MAX_GRID_POINTS}"
+            )
+        return density
 
 
 @dataclass(frozen=True)

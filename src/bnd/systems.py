@@ -11,7 +11,7 @@ an off-diagonal solution of either of two systems:
     x - y = sum_i lam_i grad f_i(x),  x - y = sum_i mu_i grad f_i(y).
 
 Everything is exact: coefficients are ints or Fractions, decimal literals in input
-files convert by digit shift, and minors are expanded determinants.
+files are read exactly by Fraction, and minors are expanded determinants.
 """
 
 from __future__ import annotations

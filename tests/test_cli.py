@@ -367,6 +367,12 @@ def test_solve_non_finite_tolerance_or_box_is_usage_error(capsys, ellipse_path, 
     assert err.startswith("error: ") and field in err
 
 
+def test_solve_grid_above_the_bound_fails(capsys, ellipse_path):
+    code, out, err = run(capsys, "solve", "--input", ellipse_path, "--density", "1000000")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "MAX_GRID_POINTS = 1000000" in err
+
+
 def _fake_result(isolated):
     """A solve result with the ellipse's short axis pair repeated."""
     pair = BottleneckPair((-1.0, 0.0), (1.0, 0.0), 2.0, 0.0, (0.5,), (0.5,), True)

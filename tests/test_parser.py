@@ -1,18 +1,18 @@
-"""The token parser of bnd.ring against the character-level parser it
-replaced.
+"""The parser of bnd.ring against a character-level reference parser.
 
-`_CharParser` below is that parser, kept as the reference: it builds every
-number and symbol as a ClassPoly and combines them with the ring's own
-arithmetic.  It differs from the replaced parser in one grammar rule, made
-in both parsers: a unary minus inside a term negates the whole power after
-it, so x1*-x2^2 is -x1*x2^2.  The parser in bnd.ring must give the same
-terms in the same key order with the same int/Fraction coefficient types,
-and the same error, line and column, on every input.
+`_CharParser` below is the reference: it builds every number and symbol
+as a ClassPoly and combines them with the ring's own arithmetic.  A unary
+minus inside a term negates the whole power after it, so x1*-x2^2 is
+-x1*x2^2.  The parser in bnd.ring must give the same terms in the same
+key order with the same int/Fraction coefficient types, and the same
+error, line and column, on every input.
 
-bnd.ring.parse reads a line in the canonical form of render_poly with its
-line reader and any other text with its recursive descent, _Parser; the
-tests at the end hold the reader to the descent and to _CharParser, and
-check that emitted systems never reach the descent.
+bnd.ring.parse reads a line in the canonical form of render and
+render_poly (integer or p/q coefficients) with its line reader and any
+other text with its recursive descent, _Parser; the tests at the end hold
+the reader to the descent and to _CharParser, and check that the text the
+program writes (emitted systems, class formulas) never reaches the
+descent.
 """
 
 import random
@@ -23,7 +23,7 @@ from typing import Sequence
 
 import pytest
 
-from bnd.engine import conormal_context, formula_context
+from bnd.engine import compute_B, conormal_context, formula_context
 import bnd.ring
 from bnd.ring import (
     IDENTIFIER,
@@ -498,15 +498,18 @@ def canonical(ctx, text, names=None):
 
 def random_canonical(rng, names):
     """A line in the form render_poly writes, from a small pool of terms so
-    that monomials repeat and cancel; with zero coefficients, zero and
-    repeated exponents, constants and indentation."""
+    that monomials repeat and cancel; with zero, integral and p/q
+    coefficients, zero and repeated exponents, constants and indentation."""
     pool = []
     for _ in range(rng.randint(1, 5)):
         factors = [
             rng.choice(names) + rng.choice(["", "", "^0", "^1", "^2", "^3", "^03"])
             for _ in range(rng.randint(0, 3))
         ]
-        coeff = rng.choice(["", "", "1", "2", "0", "7", "12", "007"])
+        coeff = rng.choice(
+            ["", "", "1", "2", "0", "7", "12", "007",
+             "1/2", "3/4", "2/3", "4/2", "3/1", "0/5", "06/04", "10/3"]
+        )
         if not factors:
             pool.append(coeff or "5")
         elif coeff:
@@ -547,13 +550,19 @@ def test_random_canonical_lines_read_as_the_descent_does(ring):
         # a monomial that dies in the ring is dropped
         ("formula", "h^3 + p1 - h*p2 + 2*h^2", [((0, 1, 0), 1), ((2, 0, 0), 2)]),
         ("conormal", "h^3 + xi*c2 + xi^4 + h*c1", [((1, 0, 0, 1), 1), ((0, 1, 1, 0), 1)]),
+        # p/q is p * (1/q): an int when q is 1, a Fraction otherwise, even
+        # when the value is integral
+        ("coordinate", "2/3*x1", [((1, 0, 0), Fraction(2, 3))]),
+        ("coordinate", "3/1*x1", [((1, 0, 0), 3)]),
+        ("coordinate", "4/2*x1", [((1, 0, 0), Fraction(2))]),
+        ("coordinate", "1/2*x1^2 - 1/2*x1*x1 + 3/2", [((0, 0, 0), Fraction(3, 2))]),
     ],
 )
 def test_canonical_lines(ring, text, want):
     ctx, names = RINGS[ring]
     assert canonical(ctx, text, names)
     got = assert_same_three_ways(ctx, text, names)
-    assert got[1] == want and set(got[2]) <= {int}
+    assert got[1] == want and got[2] == [type(c) for _, c in want]
 
 
 @pytest.mark.parametrize(
@@ -564,7 +573,12 @@ def test_canonical_lines(ring, text, want):
         "x1 + y9",
         f"{DIGITS}*x1",
         f"x1 - {DIGITS}",
-        "2/3*x1",
+        f"1/{DIGITS}*x1",
+        "2/0*x1",
+        "x1/0",
+        "1/2/3*x1",
+        "1//2*x1",
+        "12/*x1",
         "0.5*x1",
         "x1^2^3",
         "x1  + x2",
@@ -585,18 +599,24 @@ def test_other_lines_fall_back_to_the_descent(text):
     assert_same_three_ways(ctx, text, names, line=7)
 
 
-def _dense_int_poly(rng, nvars, degree):
-    """Every monomial of degree at most degree, with nonzero integer
-    coefficients, so that the emitted systems are canonical."""
+def _dense_poly(rng, nvars, degree, coefficients):
+    """Every monomial of degree at most degree, with nonzero coefficients
+    drawn from coefficients."""
     terms = {
-        e: rng.choice([c for c in range(-9, 10) if c])
+        e: rng.choice(coefficients)
         for e in product(range(degree + 1), repeat=nvars)
         if sum(e) <= degree
     }
     return ClassPoly(coordinate_ring(nvars), terms)
 
 
-def test_emitted_systems_never_reach_the_descent(monkeypatch):
+INTEGERS = [c for c in range(-9, 10) if c]
+FRACTIONS = INTEGERS + [Fraction(p, q) for p in (-7, -1, 1, 3, 5) for q in (2, 3, 10)]
+
+
+@pytest.fixture
+def descent_lines(monkeypatch):
+    """The lines parse hands to the descent, in order."""
     built = []
 
     class Counting(_Parser):
@@ -605,16 +625,31 @@ def test_emitted_systems_never_reach_the_descent(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(bnd.ring, "_Parser", Counting)
+    return built
+
+
+def test_emitted_systems_never_reach_the_descent(descent_lines):
     rng = random.Random(16)
-    for nvars in range(2, 6):
-        for codim in (1, 2):
-            if codim >= nvars:
-                continue
-            fs = [_dense_int_poly(rng, nvars, 2) for _ in range(codim)]
-            for system in (build_minor_system(fs, nvars - codim), build_lagrange_system(fs)):
-                parsed = parse_system_text(format_system(system))
-                assert parsed.polynomials == system.polynomials
-    assert built == []
-    # the ellipse has a '/': the descent reads it
+    for coefficients, nvars, codim in product((INTEGERS, FRACTIONS), range(2, 6), (1, 2)):
+        if codim >= nvars:
+            continue
+        fs = [_dense_poly(rng, nvars, 2, coefficients) for _ in range(codim)]
+        for system in (build_minor_system(fs, nvars - codim), build_lagrange_system(fs)):
+            text = format_system(system)
+            assert ("/" in text) == (coefficients is FRACTIONS)
+            parsed = parse_system_text(text)
+            assert parsed.polynomials == system.polynomials
+    assert descent_lines == []
+    # the ellipse's hand-written '/': the descent reads it
     parse_system_text("vars: x1 x2\nx1^2 + x2^2/2 - 1\n")
-    assert built == ["x1^2 + x2^2/2 - 1"]
+    assert descent_lines == ["x1^2 + x2^2/2 - 1"]
+
+
+def test_class_formulas_never_reach_the_descent(descent_lines):
+    # the text bnd formula prints and bnd check parses back
+    for m in range(1, 4):
+        ctx = formula_context(m)
+        for n in range(m + 1, 2 * m + 4):
+            formula = compute_B(m, n)
+            assert parse(ctx, formula.text) == formula.poly
+    assert descent_lines == []

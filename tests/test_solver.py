@@ -17,6 +17,7 @@ from bnd.engine import bnd_variety
 from bnd.profiles import VarietySpec
 from bnd.solver import (
     EVAL_CHUNK,
+    MAX_GRID_POINTS,
     RANK_CUTOFF,
     BottleneckPair,
     SolverConfig,
@@ -129,6 +130,32 @@ def test_config_rejects_non_finite_values_by_name(kwargs):
     (name,) = kwargs
     with pytest.raises(ValueError, match=name):
         SolverConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "density, n",
+    [(None, 2), (None, 3), (None, 7), (30, 2), (15, 3), (14, 2), (8, 2), (7, 3), (1000, 2)],
+)
+def test_grids_in_use_are_within_the_bound(density, n):
+    # the defaults, the acceptance tests' denser retry and the perfbench
+    # densities; 1000**2 is the bound itself
+    SolverConfig(density=density).density_for(n)
+
+
+@pytest.mark.parametrize("density, n", [(None, 8), (1001, 2), (101, 3), (10**6, 3)])
+def test_grids_above_the_bound_are_refused(density, n):
+    with pytest.raises(ValueError, match=f"MAX_GRID_POINTS = {MAX_GRID_POINTS}"):
+        SolverConfig(density=density).density_for(n)
+
+
+def test_grid_above_the_bound_is_refused_before_it_is_built(monkeypatch):
+    def build(*args, **kwargs):
+        raise AssertionError("a grid axis was built")
+
+    monkeypatch.setattr(np, "linspace", build)
+    for search in (find_bottlenecks, sample_variety):
+        with pytest.raises(ValueError, match=r"1000000\^3 points, above MAX_GRID_POINTS"):
+            search(SPHEROID, SolverConfig(density=10**6))
 
 
 def test_config_box_length_checked():
