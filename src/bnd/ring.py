@@ -12,9 +12,13 @@ Two normalization rules make the ring model a Chow ring:
 A coordinate ring (`coordinate_ring`) has neither rule: its elements are
 the polynomials that the bottleneck systems are written in.
 
-Coefficients are exact: an `int` where a value is built from integral
-input, a `fractions.Fraction` otherwise.  The two mix, compare and hash
-alike, and nothing here ever touches floating point.
+Coefficients are exact, `int` or `fractions.Fraction`, and nothing here
+ever touches floating point.  A polynomial built from given terms holds
+every integral value as an `int`, and arithmetic on ints stays int; but a
+sum or product that involves a Fraction may keep an integral value as
+`Fraction(n, 1)` (`4/2*x` holds `Fraction(2, 1)`).  Such a value compares
+and hashes equal to the int n, so the polynomials are equal, hash alike
+and render alike.
 
 Both rules bound a quantity that is additive over a product: total
 codimension, and the codimension of the pullback factor.  Multiplication

@@ -28,8 +28,10 @@ lying on positive-dimensional families (where the Jacobian is exactly
 singular along the family) then still converge in the normal directions
 instead of blowing up; those families are reported through finitely many
 non-isolated representatives.  The step length is the first of
-1, 1/2, .., 2^-30 that lowers the residual, searched in three batched
-blocks.
+1, 1/2, .., 2^-15 that lowers the residual, searched in three batched
+blocks after the full step.  A row that no length down to 2^-15 improves
+is stalled: a shorter step changes F by too little to help the row
+within NO_PROGRESS_WINDOW iterations.
 
 A Newton row stops when it converges (residual below residual_tol / 100),
 when it diverges (non-finite, or no step length lowers the residual), when
@@ -67,9 +69,11 @@ RANK_CUTOFF = 1e-8
 # row, which takes the pseudoinverse step instead
 STEP_LIMIT = 1e7
 # damped Newton tries t = 1 first, then t = 2^-1..2^-3, 2^-4..2^-11 and
-# 2^-12..2^-30, each block in one evaluation
-STEP_LENGTHS = np.ldexp(1.0, -np.arange(31))
-STEP_BLOCKS = (slice(1, 4), slice(4, 12), slice(12, 31))
+# 2^-12..2^-15, each block in one evaluation.  A step of t shrinks F by
+# about (1 - t), so rows living on shorter steps would not halve their
+# residual within NO_PROGRESS_WINDOW iterations: they stall here instead.
+STEP_LENGTHS = np.ldexp(1.0, -np.arange(16))
+STEP_BLOCKS = (slice(1, 4), slice(4, 12), slice(12, 16))
 # a damped Newton row whose residual did not halve over this many
 # iterations stops (no progress)
 NO_PROGRESS_WINDOW = 20
@@ -95,12 +99,12 @@ class SolverConfig:
     MAX_GRID_POINTS is refused, as is the default in 8 or more coordinates.
 
     A Newton row stops when its residual is below residual_tol / 100
-    (frozen), when it is non-finite or no step length lowers it
-    (diverged), when it did not halve over the last NO_PROGRESS_WINDOW
-    iterations (no progress), or after newton_max_iter iterations.  A row
-    stopped for no progress or at the cap keeps its point, and counts as
-    converged if its residual is below residual_tol, as unconverged if
-    not."""
+    (frozen), when it is non-finite or no step length of 1, 1/2, ..,
+    2^-15 lowers it (diverged), when it did not halve over the last
+    NO_PROGRESS_WINDOW iterations (no progress), or after newton_max_iter
+    iterations.  A row stopped for no progress or at the cap keeps its
+    point, and counts as converged if its residual is below residual_tol,
+    as unconverged if not."""
 
     box: tuple[tuple[float, float], ...] | None = None
     density: int | None = None
@@ -422,10 +426,10 @@ def _step_length(
     sysc: _CompiledSystem, z: np.ndarray, step: np.ndarray, cur_res: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Damped update of each row of z: z - t*step for the first t of
-    STEP_LENGTHS whose residual is below cur_res, with F there, that
-    residual, and the number of points at which F was evaluated.  A row
-    that no t improves, or whose full step has a nan residual, is stalled
-    and carries nan."""
+    STEP_LENGTHS (1, 1/2, .., 2^-15) whose residual is below cur_res, with
+    F there, that residual, and the number of points at which F was
+    evaluated.  A row that no t down to 2^-15 improves, or whose full step
+    has a nan residual, is stalled and carries nan."""
     best = z - step
     best_vals = sysc.eval(best)
     best_res = _residual(best_vals)

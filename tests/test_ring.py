@@ -6,6 +6,7 @@ import pytest
 from bnd.engine import formula_context
 from bnd.ring import (
     MAX_EXPONENT,
+    ClassPoly,
     RingContext,
     SymbolSpec,
     SystemParseError,
@@ -16,8 +17,10 @@ from bnd.ring import (
     invert_unit,
     parse,
     render,
+    render_poly,
     substitute,
 )
+from bnd.systems import build_lagrange_system, parse_system_text
 
 
 def conormal_ctx(m=1, n=3):
@@ -245,6 +248,34 @@ def test_integral_inputs_give_int_coefficients():
     for p in built:
         assert p.terms and all(type(c) is int for c in p.terms.values()), render(p)
     assert type(parse(ctx, "xi/2").terms[(1, 0, 0, 0)]) is Fraction
+
+
+def test_integral_values_from_fraction_arithmetic_equal_the_int():
+    """Ring arithmetic that involves a Fraction may keep an integral value
+    as Fraction(n, 1); it compares and hashes equal to the int n, and so
+    does the polynomial, which also renders and reads back the same."""
+    ellipse = parse_system_text("vars: x1 x2\nx1^2 + x2^2/2 - 1\n")
+    lagrange = build_lagrange_system(list(ellipse.polynomials))
+    examples = [
+        (ClassPoly(2, {(1, 0): Fraction(1, 2)}) * 4, ["x1", "x2"]),
+        (parse(coordinate_ring(1), "4/2*x", ["x"]), ["x"]),
+        *((p, lagrange.variables) for p in lagrange.polynomials),
+    ]
+    integral = 0
+    for p, names in examples:
+        # built from given terms, the same polynomial holds ints
+        q = ClassPoly(p.ctx, p.terms)
+        for e, c in p.terms.items():
+            assert type(c) in (int, Fraction)
+            if c.denominator == 1:
+                integral += 1
+                assert type(q.terms[e]) is int
+                assert c == q.terms[e] and hash(c) == hash(q.terms[e])
+        assert p == q and hash(p) == hash(q)
+        text = render_poly(p, names)
+        assert text == render_poly(q, names)
+        assert parse(p.ctx, text, names) == p
+    assert integral > len(examples)
 
 
 @pytest.mark.parametrize(
