@@ -232,7 +232,6 @@ def cmd_solve(args) -> int:
         plot_data,
         result_json,
         result_table,
-        write_json,
     )
 
     source = _load_system(args.input)
@@ -262,22 +261,25 @@ def cmd_solve(args) -> int:
     except ValueError:
         bound = None
 
-    if args.output:
-        write_json(result, args.output)
+    try:
+        _, sep = narrowest_bottleneck(result.pairs)
+    except ValueError:
+        sep = None
+    if args.output or args.json:
+        payload = result_json(result)
+        payload["complex_pair_bound"] = bound
+        payload["narrowest_separation"] = sep
+        if sep is not None:
+            payload["reach_upper_bound"] = sep / 2
+        text = json.dumps(payload, indent=2)
+        if args.output and not (args.json and args.output == "-"):
+            _emit(text, args.output)
     if args.plot:
         with open(args.plot, "w", encoding="utf-8") as handle:
             handle.write(plot_data(result))
 
     if args.json:
-        payload = result_json(result)
-        payload["complex_pair_bound"] = bound
-        try:
-            _, sep = narrowest_bottleneck(result.pairs)
-            payload["narrowest_separation"] = sep
-            payload["reach_upper_bound"] = sep / 2
-        except ValueError:
-            payload["narrowest_separation"] = None
-        print(json.dumps(payload, indent=2))
+        print(text)
         return 0
 
     print(result_table(result))
@@ -292,11 +294,10 @@ def cmd_solve(args) -> int:
                 f"warning: the count exceeds the complex bound by {isolated - bound}, "
                 "so some pairs are duplicates or spurious"
             )
-    try:
-        _, sep = narrowest_bottleneck(result.pairs)
-        print(f"narrowest isolated separation {sep:.12g} (reach <= {sep / 2:.12g})")
-    except ValueError:
+    if sep is None:
         print("no isolated pairs found")
+    else:
+        print(f"narrowest isolated separation {sep:.12g} (reach <= {sep / 2:.12g})")
     return 0
 
 
@@ -578,7 +579,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="sampling seed")
     p.add_argument("--tol", type=float, help="residual tolerance")
     p.add_argument("--max-iter", type=int, help="Newton iteration cap")
-    p.add_argument("--output", help="write the JSON result to this file")
+    p.add_argument("--output", help="write the --json result to this file ('-' for stdout)")
     p.add_argument("--plot", help="write a plain segment list for external plotting")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_solve)

@@ -65,9 +65,9 @@ from .schubert import (
 # m-dimensional variety in P^n runs in n_eff = max(2m+1, n) (compute_B(m, n)
 # in n itself), and the cost grows about 2x per dimension and with n through
 # the Chern class of Gr(2, n+1).  Cold, in a fresh process on a shared
-# 2-vCPU host (Python 3.11, three runs each): compute_B(10, 21) takes
-# 1.6-1.7 s, of which chern_tangent_grassmannian(21) is 0.06-0.07 s, and
-# compute_B(11, 23), with the bound lifted, 3.0-3.1 s.
+# 2-vCPU host (Python 3.11): compute_B(10, 21) takes 1.1-1.7 s, of which
+# chern_tangent_grassmannian(21) is 0.014-0.021 s (five runs), and
+# compute_B(11, 23), with the bound lifted, 1.9-2.3 s (three runs).
 MAX_AMBIENT = 21
 
 

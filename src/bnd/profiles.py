@@ -167,28 +167,6 @@ def polar_degrees(profile: PolarProfile) -> tuple[int, ...]:
     return tuple(q * profile.fundamental_degree for q in profile.polar_coeffs)
 
 
-def hyperplane_section(profile: PolarProfile) -> PolarProfile:
-    """Profile of the generic hyperplane section of X.
-
-    Adjunction divides the total Chern class by 1 + h, so the new scalars
-    are the alternating partial sums of the old ones.  The degree is
-    unchanged; the ambient dimension drops by one.
-    """
-    if profile.m < 1:
-        raise ValueError("cannot section a 0-dimensional variety")
-    g = profile.chern_coeffs
-    new = tuple(
-        sum((-1) ** (i - j) * g[j] for j in range(i + 1)) for i in range(profile.m)
-    )
-    return PolarProfile.from_chern(
-        profile.m - 1,
-        profile.fundamental_degree,
-        new,
-        ambient=None if profile.ambient is None else profile.ambient - 1,
-        degrees=profile.degrees,
-    )
-
-
 def evaluate_class(a: ClassPoly, profile: PolarProfile) -> int:
     """Degree of a codimension-m class given as a polynomial in h, p_1..p_m.
 

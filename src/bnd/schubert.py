@@ -12,6 +12,20 @@ conormal model to the line it spans, and on these generators
     f* e1 = xi,     f* e2 = h*xi - h^2,
 
 which is all we need to pull back arbitrary classes.
+
+The tangent class comes from T_G = S^ (x) Q and the sequence
+0 -> S -> V -> Q -> 0, which gives S^ (x) Q = S^ (x) V - S^ (x) S, so
+
+    c(T_G) = c(S^)^(n+1) / c(End S) = (1 + e1 + e2)^(n+1) / (1 - e1^2 + 4*e2).
+
+Any representative of c(Q) serves: the class is only ever read through
+the conormal model C_X, whose ring is truncated at n-1 = dim C_X.  Take
+the truncated c(Q) = h_0 + ... + h_(n-1), with h_l the degree-l piece of
+1/c(S), against the whole series 1/c(S) used here.  The two
+representatives of c(T_G) differ by a sum of terms each of which contains
+an h_l with l >= n.  So they agree exactly in degrees 0..n-1, which is all
+that the pullback to C_X keeps, and they are equal in A*(G), because h_n
+and h_(n+1) generate the relations of the Grassmannian.
 """
 
 from __future__ import annotations
@@ -20,15 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .ring import (
-    ClassPoly,
-    Coefficient,
-    Exponents,
-    RingContext,
-    SymbolSpec,
-    declare_ring,
-    substitute,
-)
+from .ring import ClassPoly, RingContext, SymbolSpec, declare_ring, substitute
 
 
 @dataclass(frozen=True)
@@ -78,40 +84,6 @@ def _segre(ctx: RingContext, l: int) -> ClassPoly:
     return cur
 
 
-def _symmetrize(terms: dict[Exponents, Coefficient], ctx_e: RingContext) -> ClassPoly:
-    """The e1, e2 form of a symmetric polynomial in x1, x2, given as its
-    terms: a dict from (a, b) to the coefficient of x1^a*x2^b.
-
-    Leading-term elimination on the dict: visit each x1^a*x2^b with a >= b
-    in descending lex order; its residual coefficient c is the coefficient
-    of e1^(a-b)*e2^b, whose expansion
-
-        sum_j  C(a-b, j) * x1^(b+j) * x2^(a-j)
-
-    touches only (a, b) and monomials after it, and is subtracted in exact
-    arithmetic.  The e-terms come out in that order.  A residual left at
-    the end means the input was not symmetric, which is a bug, not an
-    input condition.
-    """
-    rem = dict(terms)
-    top = max((a + b for a, b in rem), default=0)
-    out: dict[Exponents, Coefficient] = {}
-    for a in range(top, -1, -1):
-        for b in range(min(a, top - a), -1, -1):
-            c = rem.pop((a, b), 0)
-            if not c:
-                continue
-            out[(a - b, b)] = c
-            for j in range(a - b):
-                key = (b + j, a - j)
-                rem[key] = rem.get(key, 0) - comb(a - b, j) * c
-    left = [(a, b) for (a, b), c in rem.items() if c]
-    if left:
-        a, b = max(left)
-        raise RuntimeError(f"not symmetric: residual x1^{a}*x2^{b}")
-    return ctx_e.poly(out)
-
-
 # ---------------------------------------------------------------------------
 # public surface
 # ---------------------------------------------------------------------------
@@ -121,35 +93,34 @@ def _symmetrize(terms: dict[Exponents, Coefficient], ctx_e: RingContext) -> Clas
 def chern_tangent_grassmannian(n: int) -> ClassPoly:
     """Total Chern class of T(Gr(2, n+1)) as a polynomial in e1, e2.
 
-    T_G = Hom(S, Q) = S^ (x) Q, so with x1, x2 the Chern roots of S^ the
-    total class is a product of two rank-(n-1) twists, F(x1, x2)*F(x2, x1)
-    with
+    T_G = S^ (x) Q = S^ (x) V - S^ (x) S in K-theory, with V the trivial
+    rank-(n+1) bundle, and S^ (x) S = End(S) has Chern roots 0, 0 and
+    +-(x1 - x2), so
 
-        F(x1, x2) = sum_{l=0}^{n-1}  h_l(x1, x2) * (1 + x1)^(n-1-l),
+        c(T_G) = (1 + e1 + e2)^(n+1) * sum_k (e1^2 - 4*e2)^k.
 
-    where h_l = sum_i x1^i * x2^(l-i), the degree-l piece of 1/c(S), is
-    c_l(Q).  F is written down term by term with the binomials
-    C(n-1-l, j) of its second factor; the product is one multiplication in
-    the (x1, x2) ring truncated at dim G, and it is returned rewritten in
-    e1, e2 by _symmetrize.  The e1, e2 form of a symmetric polynomial is
-    unique and truncation commutes with the graded map e -> x, so the
-    representative does not depend on how the product is formed.
+    The first factor has the coefficient C(n+1, a+b)*C(a+b, b) at
+    e1^a*e2^b, the second C(k, j)*(-4)^j at e1^(2k-2j)*e2^j (a distinct
+    monomial for each k, j); both are written down term by term and the
+    class is their one product in the ring truncated at dim G.  This
+    representative takes c(Q) to be the whole series 1/c(S); the one built
+    on the truncated c(Q) = h_0 + ... + h_(n-1) differs from it by terms
+    that each contain an h_l with l >= n, so the two agree in degrees
+    0..n-1 and are equal in A*(G) (see the module docstring).
     """
-    ctx_e = grassmannian_context(n)
-    ctx_x = declare_ring(
-        [SymbolSpec("x1", 1), SymbolSpec("x2", 1)], truncation=2 * (n - 1)
+    ctx = grassmannian_context(n)
+    top = 2 * (n - 1)
+    bundle = ctx.poly(
+        {
+            (a, b): comb(n + 1, a + b) * comb(a + b, b)
+            for b in range(top // 2 + 1)
+            for a in range(top - 2 * b + 1)
+        }
     )
-    # every term of F has degree l + j <= n-1, inside the truncation
-    twist: dict[Exponents, int] = {}
-    for l in range(n):
-        for j in range(n - l):
-            binom = comb(n - 1 - l, j)
-            for i in range(l + 1):
-                key = (i + j, l - i)
-                twist[key] = twist.get(key, 0) + binom
-    swapped = {(b, a): c for (a, b), c in twist.items()}
-    total = ClassPoly._of(ctx_x, twist) * ClassPoly._of(ctx_x, swapped)
-    return _symmetrize(total.terms, ctx_e)
+    inverse = ctx.poly(
+        {(2 * (k - j), j): comb(k, j) * (-4) ** j for k in range(n) for j in range(k + 1)}
+    )
+    return bundle * inverse
 
 
 def schubert_representative(index: SchubertIndex, n: int) -> ClassPoly:

@@ -49,7 +49,6 @@ never changes the output.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import os
@@ -750,9 +749,3 @@ def plot_data(result: SolveResult) -> str:
     for p in result.pairs:
         lines.append(" ".join(f"{v:.17g}" for v in (*p.x, *p.y)))
     return "\n".join(lines) + "\n"
-
-
-def write_json(result: SolveResult, path) -> None:
-    from pathlib import Path
-
-    Path(path).write_text(json.dumps(result_json(result), indent=2) + "\n", encoding="utf-8")

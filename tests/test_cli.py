@@ -289,11 +289,36 @@ def test_solve_json_and_files(capsys, ellipse_path, tmp_path):
     assert payload["possibly_incomplete"] is True
 
     stored = json.loads(json_path.read_text())
-    assert stored["pairs"] == payload["pairs"]
+    assert stored == payload
     segments = [
         line for line in plot_path.read_text().splitlines() if not line.startswith("#")
     ]
     assert len(segments) == 2 and all(len(s.split()) == 4 for s in segments)
+
+
+def test_solve_output_file_equals_json_stdout(capsys, ellipse_path, tmp_path, monkeypatch):
+    # --output alone writes the payload that --json prints, bound and
+    # separation included, and "-" means stdout, not a file of that name
+    json_path = tmp_path / "result.json"
+    argv = ("solve", "--input", ellipse_path, "--density", "8")
+    code, table, _ = run(capsys, *argv, "--output", str(json_path))
+    assert code == 0
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert json_path.read_text() == out
+    assert {"complex_pair_bound", "narrowest_separation", "reach_upper_bound"} <= set(
+        json.loads(out)
+    )
+    assert table.startswith(f"{'separation':>12}")
+
+    monkeypatch.chdir(tmp_path)
+    code, stdout, _ = run(capsys, *argv, "--output", "-")
+    assert code == 0
+    assert not (tmp_path / "-").exists()
+    assert stdout.startswith(out)
+    code, stdout, _ = run(capsys, *argv, "--output", "-", "--json")
+    assert code == 0
+    assert stdout == out
 
 
 def test_solve_json_reports_step_telemetry(capsys, ellipse_path):

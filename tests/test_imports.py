@@ -1,8 +1,12 @@
-"""Every name a module under src/bnd imports is used there.
+"""Every name a module under src/bnd imports is used there, and every
+module-level private helper is read outside its own body.
 
-No linter runs on this package, so this stdlib check stands in for the
-unused-import rule: a name counts as used when the module reads it anywhere
-(annotations included) or lists it in __all__.
+No linter runs on this package, so these stdlib checks stand in for two
+lint rules.  Unused imports: a name counts as used when the module reads it
+anywhere (annotations included) or lists it in __all__.  Dead private
+helpers: a module-level `_name` function or class counts as used when some
+other top-level statement of the package reads it, by name, as an
+attribute or in an import.
 """
 
 import ast
@@ -65,3 +69,75 @@ def test_unused_import_check_sees_names():
         "    return read('dumps')\n"
     )
     assert unused_imports(source) == ["dumps (line 3)", "os (line 2)"]
+
+
+# -- dead private helpers ----------------------------------------------------
+
+
+def _reads(node: ast.AST) -> set[str]:
+    """Names node reads: loaded names, attribute names and names imported
+    from another module."""
+    names = set()
+    for part in ast.walk(node):
+        if isinstance(part, ast.Name) and isinstance(part.ctx, ast.Load):
+            names.add(part.id)
+        elif isinstance(part, ast.Attribute):
+            names.add(part.attr)
+        elif isinstance(part, ast.ImportFrom):
+            names.update(alias.name for alias in part.names)
+    return names
+
+
+def dead_private_helpers(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions and classes (a leading underscore, not
+    a dunder) that no top-level statement of any of the modules reads, other
+    than the definition itself; sources maps a module name to its text."""
+    defined = []
+    reads = []
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            reads.append((stmt, _reads(stmt)))
+            if (
+                isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and stmt.name.startswith("_")
+                and not stmt.name.startswith("__")
+            ):
+                defined.append((module, stmt))
+    return sorted(
+        f"{module}:{stmt.name} (line {stmt.lineno})"
+        for module, stmt in defined
+        if not any(stmt.name in names for other, names in reads if other is not stmt)
+    )
+
+
+def test_no_dead_private_helpers():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert dead_private_helpers(sources) == []
+
+
+def test_dead_helper_check_sees_names():
+    sources = {
+        "a.py": (
+            "def _used(): pass\n"
+            "def _recursive(k): return _recursive(k - 1)\n"
+            "class _Orphan:\n"
+            "    def _method(self): return _Orphan\n"
+            "def __getattr__(name): pass\n"
+            "def public(): return _used()\n"
+        ),
+        "b.py": (
+            "from .a import _imported\n"
+            "import a\n"
+            "x = a._by_attribute\n"
+        ),
+        "c.py": (
+            "def _imported(): pass\n"
+            "def _by_attribute(): pass\n"
+            "def _nowhere(): pass\n"
+        ),
+    }
+    assert dead_private_helpers(sources) == [
+        "a.py:_Orphan (line 3)",
+        "a.py:_recursive (line 2)",
+        "c.py:_nowhere (line 3)",
+    ]

@@ -1,5 +1,4 @@
 import random
-from itertools import combinations_with_replacement
 
 import pytest
 
@@ -9,7 +8,6 @@ from bnd.profiles import (
     chern_to_polar,
     ci_profile,
     evaluate_class,
-    hyperplane_section,
     hyperplane_section_spec,
     polar_degrees,
     polar_to_chern,
@@ -97,30 +95,6 @@ def test_profile_constructors_agree():
         PolarProfile(1, 2, (1, 1), (1, 5))  # inconsistent pair
     with pytest.raises(ValueError):
         PolarProfile.from_chern(1, 2, (2, 1))  # leading scalar must be 1
-
-
-# -- hyperplane sections -----------------------------------------------------
-
-
-def test_section_profile_matches_section_spec():
-    for n in range(2, 8):
-        for k in range(1, n):
-            for degs in combinations_with_replacement(range(1, 5), k):
-                spec = VarietySpec(n, degs)
-                if spec.dim < 1:
-                    continue
-                via_profile = hyperplane_section(ci_profile(spec))
-                via_spec = ci_profile(hyperplane_section_spec(spec))
-                assert via_profile.chern_coeffs == via_spec.chern_coeffs
-                assert via_profile.fundamental_degree == via_spec.fundamental_degree
-                assert via_profile.ambient == via_spec.ambient
-
-
-def test_section_of_quadric_is_conic():
-    conic = hyperplane_section(ci_profile(VarietySpec(3, (2,))))
-    assert conic.m == 1
-    assert conic.chern_coeffs == (1, 1)
-    assert polar_degrees(conic) == (2, 2)
 
 
 # -- evaluation --------------------------------------------------------------

@@ -39,7 +39,6 @@ from bnd.solver import (
     result_json,
     result_table,
     sample_variety,
-    write_json,
 )
 from bnd.systems import (
     Poly,
@@ -1155,12 +1154,3 @@ def test_plot_data_roundtrip(ellipse_result):
     parsed = np.array([[float(v) for v in r.split()] for r in rows])
     expect = np.array([(*p.x, *p.y) for p in ellipse_result])
     assert np.array_equal(parsed, expect)
-
-
-def test_write_json(tmp_path, ellipse_result):
-    out = tmp_path / "pairs.json"
-    write_json(ellipse_result, out)
-    import json
-
-    loaded = json.loads(out.read_text())
-    assert loaded == result_json(ellipse_result)
