@@ -100,11 +100,15 @@ def _load_system(path: str):
 
 
 def _emit(text: str, output: str | None) -> None:
+    """Write text, ending in one newline, to the file output, or to stdout
+    when output is None or '-'."""
+    if not text.endswith("\n"):
+        text += "\n"
     if output and output != "-":
         with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
+            handle.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 def _spec_for(args) -> VarietySpec:
@@ -275,8 +279,7 @@ def cmd_solve(args) -> int:
         if args.output and not (args.json and args.output == "-"):
             _emit(text, args.output)
     if args.plot:
-        with open(args.plot, "w", encoding="utf-8") as handle:
-            handle.write(plot_data(result))
+        _emit(plot_data(result), args.plot)
 
     if args.json:
         print(text)
@@ -580,7 +583,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, help="residual tolerance")
     p.add_argument("--max-iter", type=int, help="Newton iteration cap")
     p.add_argument("--output", help="write the --json result to this file ('-' for stdout)")
-    p.add_argument("--plot", help="write a plain segment list for external plotting")
+    p.add_argument("--plot", help="write a plain segment list to this file ('-' for stdout)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_solve)
 

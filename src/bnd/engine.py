@@ -50,6 +50,7 @@ from .ring import (
     divide_monic,
     graded_piece,
     invert_unit,
+    product_piece,
     render,
     substitute,
 )
@@ -65,9 +66,9 @@ from .schubert import (
 # m-dimensional variety in P^n runs in n_eff = max(2m+1, n) (compute_B(m, n)
 # in n itself), and the cost grows about 2x per dimension and with n through
 # the Chern class of Gr(2, n+1).  Cold, in a fresh process on a shared
-# 2-vCPU host (Python 3.11): compute_B(10, 21) takes 1.1-1.7 s, of which
-# chern_tangent_grassmannian(21) is 0.014-0.021 s (five runs), and
-# compute_B(11, 23), with the bound lifted, 1.9-2.3 s (three runs).
+# 2-vCPU host (Python 3.11): compute_B(10, 21) takes 0.29-0.44 s, of which
+# chern_tangent_grassmannian(21) is 0.006-0.009 s (five runs), and
+# compute_B(11, 23), with the bound lifted, 0.61-0.77 s (three runs).
 MAX_AMBIENT = 21
 
 
@@ -185,8 +186,8 @@ def _double_point_class(c_tx: ClassPoly, m: int, n: int) -> ClassPoly:
     pieces, relation = _xi_relation(c_tx, m, n)
     # relative tangent twist of rank n-m: c(pi*N^ (x) O(1))
     twist = sum((-1) ** j * pieces[j] * (1 + xi) ** (n - m - j) for j in range(n - m + 1))
-    correction = graded_piece(
-        pullback_f(chern_tangent_grassmannian(n), ctx) * invert_unit(c_tx * twist), n - 1
+    correction = product_piece(
+        pullback_f(chern_tangent_grassmannian(n), ctx), invert_unit(c_tx * twist), n - 1
     )
     return _point_class(correction, relation, m, n)
 

@@ -24,6 +24,20 @@ Both rules bound a quantity that is additive over a product: total
 codimension, and the codimension of the pullback factor.  Multiplication
 therefore groups each factor's terms by that pair of grades and forms only
 the term pairs of group pairs that survive.
+
+In a truncated ring the groups hold packed keys: the exponent vector e
+as the integer sum of e_i * (T+1)^i, T the truncation, so that a product
+adds two ints where it would add two tuples.  The packing is exact.  Every
+symbol has codim >= 1, so each exponent of a surviving term is at most T,
+and only group pairs whose sum survives are formed, so the sum of two keys
+never carries from one slot into the next.  The context maps keys back to
+exponent tuples, and `terms` stays keyed by the tuples.  A polynomial
+groups its terms once, on its first product, and keeps the groups; a
+product records its own groups as it forms them, since the pair of groups
+(d1, p1), (d2, p2) lands in the group (d1 + d2, p1 + p2).  So chains of
+products (powers, invert_unit, substitute, divide_monic) never regroup an
+operand.  A coordinate ring (no truncation) keeps the tuple sums, since
+its polynomials are too small for packing to pay.
 """
 
 from __future__ import annotations
@@ -69,7 +83,7 @@ class RingContext:
 
     __slots__ = (
         "symbols", "truncation", "pullback_bound", "bounded", "_index", "_codims",
-        "_pullback_codims", "_top", "_pullback_top",
+        "_pullback_codims", "_top", "_pullback_top", "_base", "_weights", "_unpacked",
     )
 
     def __init__(
@@ -87,6 +101,14 @@ class RingContext:
         # every term 0 against a top of 0
         self._top = 0 if truncation is None else truncation
         self._pullback_top = 0 if pullback_bound is None else pullback_bound
+        # packed keys of a truncated ring (module docstring): the weight of
+        # slot i is (T+1)^i, and _unpacked maps each key met back to its
+        # exponent tuple
+        self._base = self._top + 1
+        self._weights = (
+            None if truncation is None else tuple(self._base ** i for i in range(len(symbols)))
+        )
+        self._unpacked: dict[int, Exponents] = {}
 
     def __eq__(self, other: object) -> bool:
         # Structural equality: rings declared the same way are the same ring,
@@ -136,27 +158,43 @@ class RingContext:
             return {e: _exact(c) for e, c in raw.items() if c != 0 and not self._dies(e)}
         return {e: _exact(c) for e, c in raw.items() if c != 0}
 
-    def _grades(
-        self, terms: dict[Exponents, Coefficient]
-    ) -> list[tuple[int, int, list[tuple[Exponents, Coefficient]]]]:
+    def _grades(self, terms: dict[Exponents, Coefficient]) -> list[tuple[int, int, list]]:
         """terms grouped by (codim, pullback codim), each group in the
-        terms' order; a grade the ring does not bound is 0 for every term,
-        so a coordinate ring has a single group."""
+        terms' order.  A term is (packed key, coeff) in a truncated ring
+        and (exponents, coeff) elsewhere; a grade the ring does not bound
+        is 0 for every term, so a coordinate ring has a single group."""
         if not self.bounded:
             return [(0, 0, list(terms.items()))] if terms else []
         codims = self._codims if self.truncation is not None else None
         pullback = self._pullback_codims if self.pullback_bound is not None else None
+        weights, unpacked = self._weights, self._unpacked
         groups: dict[tuple[int, int], list] = {}
         for e, c in terms.items():
-            key = (
+            grade = (
                 sum(map(mul, e, codims)) if codims else 0,
                 sum(map(mul, e, pullback)) if pullback else 0,
             )
-            if key in groups:
-                groups[key].append((e, c))
+            if weights:
+                key = sum(map(mul, e, weights))
+                unpacked[key] = e
+                item = (key, c)
             else:
-                groups[key] = [(e, c)]
+                item = (e, c)
+            if grade in groups:
+                groups[grade].append(item)
+            else:
+                groups[grade] = [item]
         return [(d, p, items) for (d, p), items in groups.items()]
+
+    def _unpack(self, key: int) -> Exponents:
+        """The exponent tuple of a packed key, recorded for the next lookup."""
+        digits = []
+        rest = key
+        for _ in self.symbols:
+            rest, digit = divmod(rest, self._base)
+            digits.append(digit)
+        e = self._unpacked[key] = tuple(digits)
+        return e
 
     # -- constructors -------------------------------------------------------
 
@@ -241,11 +279,12 @@ class ClassPoly:
         f = ClassPoly(2, {(2, 0): 1, (0, 0): -1})   # v0^2 - 1 in coordinate_ring(2)
     """
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "terms", "_groups")
 
     def __init__(self, ctx: RingContext | int, terms: Mapping[Exponents, Coefficient]):
         self.ctx = _context(ctx)
         self.terms = self.ctx.normalize(terms)
+        self._groups = None
 
     @classmethod
     def _of(cls, ctx: RingContext, terms: dict[Exponents, Coefficient]) -> "ClassPoly":
@@ -253,6 +292,7 @@ class ClassPoly:
         p = object.__new__(cls)
         p.ctx = ctx
         p.terms = terms
+        p._groups = None
         return p
 
     @classmethod
@@ -343,11 +383,57 @@ class ClassPoly:
             return NotImplemented
         return (-self) + other
 
+    def _grouped(self) -> list[tuple[int, int, list]]:
+        """ctx._grades(self.terms), computed on first use and kept."""
+        if self._groups is None:
+            self._groups = self.ctx._grades(self.terms)
+        return self._groups
+
+    def _product(self, other: "ClassPoly", piece: int | None = None) -> "ClassPoly":
+        """self * other in a truncated ring, on packed keys; only its terms
+        of codim piece when piece is given.  The result keeps its groups."""
+        ctx = self.ctx
+        # a piece above the truncation is 0, and its keys could carry
+        low, high = (0, ctx._top) if piece is None else (piece, min(piece, ctx._top))
+        pullback_top = ctx._pullback_top
+        right = other._grouped()
+        # one accumulator per output grade; each is a group of the result
+        out: dict[tuple[int, int], dict[int, Coefficient]] = {}
+        for d1, p1, items1 in self._grouped():
+            for d2, p2, items2 in right:
+                if not low <= d1 + d2 <= high or p1 + p2 > pullback_top:
+                    continue
+                grade = (d1 + d2, p1 + p2)
+                acc = out.get(grade)
+                if acc is None:
+                    acc = out[grade] = {}
+                for k1, c1 in items1:
+                    for k2, c2 in items2:
+                        k = k1 + k2
+                        if k in acc:
+                            acc[k] += c1 * c2
+                        else:
+                            acc[k] = c1 * c2
+        groups = []
+        terms: dict[Exponents, Coefficient] = {}
+        exponents = ctx._unpacked.get
+        for (d, p), acc in out.items():
+            items = [(k, c) for k, c in acc.items() if c != 0]
+            if items:
+                groups.append((d, p, items))
+                for k, c in items:
+                    terms[exponents(k) or ctx._unpack(k)] = c
+        result = ClassPoly._of(ctx, terms)
+        result._groups = groups
+        return result
+
     def __mul__(self, other) -> "ClassPoly":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         ctx = self.ctx
+        if ctx._weights is not None:
+            return self._product(other)
         top, pullback_top = ctx._top, ctx._pullback_top
         right = ctx._grades(other.terms)
         out: dict[Exponents, Coefficient] = {}
@@ -465,6 +551,15 @@ def graded_piece(a: ClassPoly, k: int) -> ClassPoly:
     return ClassPoly._of(ctx, {e: c for e, c in a.terms.items() if ctx.codim_of(e) == k})
 
 
+def product_piece(a: ClassPoly, b: ClassPoly, k: int) -> ClassPoly:
+    """graded_piece(a * b, k); in a truncated ring it forms only the term
+    pairs of the group pairs whose codims sum to k."""
+    b = a._coerce(b)
+    if a.ctx._weights is None:
+        return graded_piece(a * b, k)
+    return a._product(b, k)
+
+
 def substitute(
     a: ClassPoly, images: Mapping[str, ClassPoly], target: RingContext
 ) -> ClassPoly:
@@ -495,8 +590,12 @@ def substitute(
             power_cache[key] = images[src.symbols[i].name] ** k
         return power_cache[key]
 
+    # a graded map sends a term above the target's truncation to 0
+    top = target.truncation
     acc = target.zero()
     for e, c in a.terms.items():
+        if top is not None and src.codim_of(e) > top:
+            continue
         term = target.constant(c)
         for i, k in enumerate(e):
             if k:

@@ -31,22 +31,6 @@ from .ring import parse as parse_text
 Poly = ClassPoly
 
 
-def det(rows: Sequence[Sequence[Poly]]) -> Poly:
-    """Determinant by Laplace expansion along the first row; the matrices
-    here are small (at most a handful of rows).  build_minor_system gives
-    the same polynomials, term order included, with shared sub-minors."""
-    size = len(rows)
-    if any(len(r) != size for r in rows):
-        raise ValueError("matrix is not square")
-    if size == 1:
-        return rows[0][0]
-    acc = rows[0][0].ctx.zero()
-    for j in range(size):
-        minor = [[r[jj] for jj in range(size) if jj != j] for r in rows[1:]]
-        acc = acc + (-1) ** j * rows[0][j] * det(minor)
-    return acc
-
-
 # ===========================================================================
 # systems
 # ===========================================================================
@@ -115,7 +99,7 @@ def build_minor_system(fs: Sequence[Poly], m: int) -> PolySystem:
     grad_y = [[p.diff(n + j) for j in range(n)] for p in fy]
 
     def minors(rows: list[list[Poly]]) -> list[Poly]:
-        # each minor expands along its first row, as det does; the minors of
+        # each minor is a Laplace expansion along its first row; the minors of
         # the rows below it are computed once and shared across column sets
         done: dict[tuple[tuple[int, ...], tuple[int, ...]], Poly] = {}
 

@@ -321,6 +321,25 @@ def test_solve_output_file_equals_json_stdout(capsys, ellipse_path, tmp_path, mo
     assert stdout == out
 
 
+def test_solve_plot_dash_prints_the_segment_list(capsys, ellipse_path, tmp_path, monkeypatch):
+    # --plot FILE writes plot_data's text as it is; "-" prints that text
+    # to stdout, ahead of the table, and creates no file named "-"
+    argv = ("solve", "--input", ellipse_path, "--density", "8")
+    with open(ellipse_path, encoding="utf-8") as handle:
+        fs = list(parse_system_text(handle.read()).polynomials)
+    segments = solver.plot_data(solver.find_bottlenecks(fs, solver.SolverConfig(density=8)))
+    plot_path = tmp_path / "segments.txt"
+    code, table, _ = run(capsys, *argv, "--plot", str(plot_path))
+    assert code == 0
+    assert plot_path.read_text() == segments
+
+    monkeypatch.chdir(tmp_path)
+    code, stdout, _ = run(capsys, *argv, "--plot", "-")
+    assert code == 0
+    assert not (tmp_path / "-").exists()
+    assert stdout == segments + table
+
+
 def test_solve_json_reports_step_telemetry(capsys, ellipse_path):
     code, out, _ = run(capsys, "solve", "--input", ellipse_path, "--density", "8", "--json")
     assert code == 0

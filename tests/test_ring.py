@@ -16,6 +16,7 @@ from bnd.ring import (
     graded_piece,
     invert_unit,
     parse,
+    product_piece,
     render,
     render_poly,
     substitute,
@@ -209,6 +210,123 @@ def test_multiply_never_forms_a_dying_term(monkeypatch):
     monkeypatch.setattr(RingContext, "_dies", refuse)
     assert (a * a).terms
     assert (b * b).is_zero()
+
+
+TRUNCATED_RINGS = [
+    declare_ring([SymbolSpec("a", 1), SymbolSpec("b", 2), SymbolSpec("c", 3)], truncation=5),
+    conormal_ctx(m=2, n=7),
+]
+
+
+def grade_groups(groups):
+    """Grade groups as a dict, each group's items sorted: equal up to order."""
+    return {(d, p): sorted(items) for d, p, items in groups}
+
+
+def assert_groups_cached(p):
+    # a product records its grade groups; they are those of its terms
+    assert p._groups is not None
+    assert grade_groups(p._groups) == grade_groups(p.ctx._grades(p.terms))
+
+
+@pytest.mark.parametrize("ctx", TRUNCATED_RINGS, ids=["truncated", "pullback"])
+def test_product_of_products_is_the_normalized_convolution(ctx):
+    rng = random.Random(609)
+    for _ in range(10):
+        a, b, c, d = (mixed_poly(ctx, rng, nterms=5, max_exp=2) for _ in range(4))
+        ab, cd = a * b, c * d
+        assert_groups_cached(ab)
+        # both operands now carry cached groups, and are used twice
+        assert ab * cd == naive_product(naive_product(a, b), naive_product(c, d))
+        assert cd * ab == ab * cd
+        assert_groups_cached(ab * cd)
+        assert ab * ab == naive_product(ab, ab)
+
+
+@pytest.mark.parametrize("ctx", TRUNCATED_RINGS, ids=["truncated", "pullback"])
+def test_powers_reach_the_truncation_and_the_pullback_bound(ctx):
+    rng = random.Random(610)
+    a = 1 + sum(ctx.var(i) for i in range(len(ctx.symbols))) + mixed_poly(ctx, rng, nterms=4)
+    want = ctx.one()
+    for k in range(ctx.truncation + 2):
+        assert a ** k == want, k
+        if k:
+            assert_groups_cached(a ** k)
+        want = naive_product(want, a)
+    # the top power of a codim-1 symbol that survives, and the first that dies
+    if ctx.pullback_bound is None:
+        t, top = ctx.var(0), ctx.truncation
+    else:
+        t, top = ctx.sym("h"), ctx.pullback_bound
+    assert (t ** top).terms and (t ** (top + 1)).is_zero()
+
+
+def test_invert_unit_chains_are_exact():
+    rng = random.Random(611)
+    ctx = conormal_ctx(m=3, n=8)
+    for _ in range(6):
+        a = mixed_poly(ctx, rng, nterms=8)
+        a = a - graded_piece(a, 0) + 1
+        b = mixed_poly(ctx, rng, nterms=8)
+        b = b - graded_piece(b, 0) + 1
+        inv_a = invert_unit(a)
+        assert naive_product(a, inv_a) == 1
+        assert invert_unit(inv_a) == a
+        assert invert_unit(a * b) == naive_product(inv_a, invert_unit(b))
+        assert invert_unit(invert_unit(a * b) * a) == b
+
+
+def test_fraction_products_cancel_and_keep_their_types():
+    ctx = conormal_ctx(m=2, n=5)
+    xi, h = ctx.sym("xi"), ctx.sym("h")
+    a = Fraction(1, 2) * xi + Fraction(1, 3) * h
+    b = Fraction(1, 2) * xi - Fraction(1, 3) * h
+    got = a * b
+    assert got == naive_product(a, b)
+    # the xi*h terms cancel, and 1/4 + 3/4 is an integral Fraction
+    assert got == Fraction(1, 4) * xi ** 2 - Fraction(1, 9) * h ** 2
+    whole = got + Fraction(3, 4) * xi ** 2
+    assert whole == xi ** 2 - Fraction(1, 9) * h ** 2
+    assert hash(whole) == hash(xi ** 2 - Fraction(1, 9) * h ** 2)
+    assert_groups_cached(got)
+
+
+def test_truncation_zero_ring_keeps_the_constant_term():
+    ctx = declare_ring([SymbolSpec("h", 1), SymbolSpec("p", 2)], truncation=0)
+    a = ctx.constant(Fraction(3, 2)) + ctx.sym("h")
+    assert a == Fraction(3, 2)
+    assert a * a == naive_product(a, a) == Fraction(9, 4)
+    assert (a * ctx.sym("p")).is_zero()
+    assert a ** 5 == Fraction(243, 32)
+    assert invert_unit(ctx.one()) == 1
+
+
+def test_products_across_structurally_equal_contexts():
+    rng = random.Random(612)
+    ctx1, ctx2 = conormal_ctx(m=2, n=6), conormal_ctx(m=2, n=6)
+    assert ctx1 == ctx2 and ctx1 is not ctx2
+    for _ in range(10):
+        a, b = mixed_poly(ctx1, rng), mixed_poly(ctx2, rng)
+        want = naive_product(a, b)
+        # the operands' groups are cached through different contexts
+        assert a * b == want and b * a == want
+        assert (a * b).ctx is ctx1 and (b * a).ctx is ctx2
+        assert (a * a) * (b * b) == naive_product(naive_product(a, a), naive_product(b, b))
+
+
+@pytest.mark.parametrize(
+    "ctx",
+    [coordinate_ring(3), *TRUNCATED_RINGS],
+    ids=["coordinate", "truncated", "pullback"],
+)
+def test_product_piece_is_the_graded_piece_of_the_product(ctx):
+    rng = random.Random(613)
+    for _ in range(10):
+        a, b = mixed_poly(ctx, rng), mixed_poly(ctx, rng)
+        ab = a * b
+        for k in range(-1, 12):
+            assert product_piece(a, b, k) == graded_piece(ab, k), k
+    assert product_piece(a, 2, 1) == graded_piece(2 * a, 1)
 
 
 def geometric_inverse(a):

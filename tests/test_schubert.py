@@ -5,7 +5,7 @@ import pytest
 
 import bnd.ring
 import bnd.schubert
-from bnd.engine import MAX_AMBIENT
+from bnd.engine import MAX_AMBIENT, conormal_context
 from bnd.ring import ClassPoly, SymbolSpec, declare_ring, graded_piece, substitute
 from bnd.schubert import (
     SchubertIndex,
@@ -273,3 +273,15 @@ def test_pullback_routes_agree_in_bounded_ring():
             via_rep = pullback_f(schubert_representative(SchubertIndex(a, b), n), tgt)
             direct = schubert_pullback_direct(SchubertIndex(a, b), tgt)
             assert via_rep == direct
+
+
+@pytest.mark.parametrize("n", range(3, MAX_AMBIENT + 1))
+def test_tangent_class_pullback_equals_the_untruncated_expansion(n):
+    # substitute skips each source term above the target's truncation; in
+    # the conormal ring with its truncation lifted to dim G = 2n-2 none is
+    # skipped, and that expansion, normalized back, must be the same class
+    c_tg = chern_tangent_grassmannian(n)
+    for m in sorted({1, n // 2, n - 1}):
+        ctx = conormal_context(m, n)
+        wide = declare_ring(ctx.symbols, truncation=2 * n - 2, pullback_bound=m)
+        assert pullback_f(c_tg, ctx) == ctx.poly(pullback_f(c_tg, wide).terms), (m, n)

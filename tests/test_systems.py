@@ -13,7 +13,6 @@ from bnd.systems import (
     SystemParseError,
     build_lagrange_system,
     build_minor_system,
-    det,
     emit,
     format_system,
     parse,
@@ -21,6 +20,22 @@ from bnd.systems import (
     parse_system_text,
     render_poly,
 )
+
+def det(rows):
+    """Determinant by Laplace expansion along the first row: the reference
+    that build_minor_system's shared sub-minors must reproduce, term order
+    included."""
+    size = len(rows)
+    if any(len(r) != size for r in rows):
+        raise ValueError("matrix is not square")
+    if size == 1:
+        return rows[0][0]
+    acc = rows[0][0].ctx.zero()
+    for j in range(size):
+        minor = [[r[jj] for jj in range(size) if jj != j] for r in rows[1:]]
+        acc = acc + (-1) ** j * rows[0][j] * det(minor)
+    return acc
+
 
 XY2 = ("x1", "x2", "y1", "y2")
 
