@@ -22,22 +22,24 @@ and render alike.
 
 Both rules bound a quantity that is additive over a product: total
 codimension, and the codimension of the pullback factor.  Multiplication
-therefore groups each factor's terms by that pair of grades and forms only
-the term pairs of group pairs that survive.
+in a truncated ring therefore groups each factor's terms by that pair of
+grades and forms only the term pairs of group pairs that survive.
 
-In a truncated ring the groups hold packed keys: the exponent vector e
-as the integer sum of e_i * (T+1)^i, T the truncation, so that a product
-adds two ints where it would add two tuples.  The packing is exact.  Every
-symbol has codim >= 1, so each exponent of a surviving term is at most T,
-and only group pairs whose sum survives are formed, so the sum of two keys
-never carries from one slot into the next.  The context maps keys back to
-exponent tuples, and `terms` stays keyed by the tuples.  A polynomial
-groups its terms once, on its first product, and keeps the groups; a
-product records its own groups as it forms them, since the pair of groups
-(d1, p1), (d2, p2) lands in the group (d1 + d2, p1 + p2).  So chains of
-products (powers, invert_unit, substitute, divide_monic) never regroup an
-operand.  A coordinate ring (no truncation) keeps the tuple sums, since
-its polynomials are too small for packing to pay.
+The groups hold packed keys: the exponent vector e as the integer sum of
+e_i * (T+1)^i, T the truncation, so that a product adds two ints where it
+would add two tuples.  The packing is exact.  Every symbol has codim >= 1,
+so each exponent of a surviving term is at most T, and only group pairs
+whose sum survives are formed, so the sum of two keys never carries from
+one slot into the next.  The context maps keys back to exponent tuples,
+and `terms` stays keyed by the tuples.  A polynomial groups its terms
+once, on its first product, and keeps the groups; a product records its
+own groups as it forms them, since the pair of groups (d1, p1), (d2, p2)
+lands in the group (d1 + d2, p1 + p2).  So chains of products (powers,
+invert_unit, substitute, divide_monic) never regroup an operand.
+
+A coordinate ring has no grading: a product there is the plain double
+loop over both operands' terms, adding exponent tuples, and keeps its
+terms in first-insertion order.
 """
 
 from __future__ import annotations
@@ -82,8 +84,8 @@ class RingContext:
     """
 
     __slots__ = (
-        "symbols", "truncation", "pullback_bound", "bounded", "_index", "_codims",
-        "_pullback_codims", "_top", "_pullback_top", "_base", "_weights", "_unpacked",
+        "symbols", "truncation", "pullback_bound", "_index", "_codims",
+        "_pullback_codims", "_pullback_top", "_base", "_weights", "_unpacked",
     )
 
     def __init__(
@@ -92,23 +94,19 @@ class RingContext:
         self.symbols = symbols
         self.truncation = truncation
         self.pullback_bound = pullback_bound
-        # whether normalization can drop a nonzero term at all
-        self.bounded = truncation is not None or pullback_bound is not None
         self._index = {s.name: i for i, s in enumerate(symbols)}
         self._codims = tuple(s.codim for s in symbols)
         self._pullback_codims = tuple(s.codim if s.pullback else 0 for s in symbols)
-        # the largest grades that survive; a rule the ring lacks grades
-        # every term 0 against a top of 0
-        self._top = 0 if truncation is None else truncation
+        # the largest pullback grade that survives; without a pullback
+        # bound every term has pullback grade 0 against a top of 0
         self._pullback_top = 0 if pullback_bound is None else pullback_bound
         # packed keys of a truncated ring (module docstring): the weight of
         # slot i is (T+1)^i, and _unpacked maps each key met back to its
         # exponent tuple
-        self._base = self._top + 1
-        self._weights = (
-            None if truncation is None else tuple(self._base ** i for i in range(len(symbols)))
-        )
-        self._unpacked: dict[int, Exponents] = {}
+        if truncation is not None:
+            self._base = truncation + 1
+            self._weights = tuple(self._base ** i for i in range(len(symbols)))
+            self._unpacked: dict[int, Exponents] = {}
 
     def __eq__(self, other: object) -> bool:
         # Structural equality: rings declared the same way are the same ring,
@@ -146,7 +144,8 @@ class RingContext:
         return sum(map(mul, expts, self._pullback_codims))
 
     def _dies(self, expts: Exponents) -> bool:
-        if self.truncation is not None and self.codim_of(expts) > self.truncation:
+        """Whether a term of a truncated ring is zero there."""
+        if self.codim_of(expts) > self.truncation:
             return True
         if self.pullback_bound is not None and self.pullback_codim_of(expts) > self.pullback_bound:
             return True
@@ -154,36 +153,26 @@ class RingContext:
 
     def normalize(self, raw: Mapping[Exponents, Coefficient]) -> dict[Exponents, Coefficient]:
         """The terms of raw that are nonzero in this ring."""
-        if self.bounded:
+        if self.truncation is not None:
             return {e: _exact(c) for e, c in raw.items() if c != 0 and not self._dies(e)}
         return {e: _exact(c) for e, c in raw.items() if c != 0}
 
     def _grades(self, terms: dict[Exponents, Coefficient]) -> list[tuple[int, int, list]]:
-        """terms grouped by (codim, pullback codim), each group in the
-        terms' order.  A term is (packed key, coeff) in a truncated ring
-        and (exponents, coeff) elsewhere; a grade the ring does not bound
-        is 0 for every term, so a coordinate ring has a single group."""
-        if not self.bounded:
-            return [(0, 0, list(terms.items()))] if terms else []
-        codims = self._codims if self.truncation is not None else None
+        """The terms of a truncated ring as (packed key, coeff), grouped by
+        (codim, pullback codim), each group in the terms' order.  Without a
+        pullback bound every term has pullback codim 0."""
+        codims = self._codims
         pullback = self._pullback_codims if self.pullback_bound is not None else None
         weights, unpacked = self._weights, self._unpacked
         groups: dict[tuple[int, int], list] = {}
         for e, c in terms.items():
-            grade = (
-                sum(map(mul, e, codims)) if codims else 0,
-                sum(map(mul, e, pullback)) if pullback else 0,
-            )
-            if weights:
-                key = sum(map(mul, e, weights))
-                unpacked[key] = e
-                item = (key, c)
-            else:
-                item = (e, c)
+            grade = (sum(map(mul, e, codims)), sum(map(mul, e, pullback)) if pullback else 0)
+            key = sum(map(mul, e, weights))
+            unpacked[key] = e
             if grade in groups:
-                groups[grade].append(item)
+                groups[grade].append((key, c))
             else:
-                groups[grade] = [item]
+                groups[grade] = [(key, c)]
         return [(d, p, items) for (d, p), items in groups.items()]
 
     def _unpack(self, key: int) -> Exponents:
@@ -394,7 +383,8 @@ class ClassPoly:
         of codim piece when piece is given.  The result keeps its groups."""
         ctx = self.ctx
         # a piece above the truncation is 0, and its keys could carry
-        low, high = (0, ctx._top) if piece is None else (piece, min(piece, ctx._top))
+        top = ctx.truncation
+        low, high = (0, top) if piece is None else (piece, min(piece, top))
         pullback_top = ctx._pullback_top
         right = other._grouped()
         # one accumulator per output grade; each is a group of the result
@@ -431,24 +421,19 @@ class ClassPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        ctx = self.ctx
-        if ctx._weights is not None:
+        if self.ctx.truncation is not None:
             return self._product(other)
-        top, pullback_top = ctx._top, ctx._pullback_top
-        right = ctx._grades(other.terms)
+        # a coordinate ring: every term pair, in first-insertion order
+        right = other.terms.items()
         out: dict[Exponents, Coefficient] = {}
-        for d1, p1, items1 in ctx._grades(self.terms):
-            for d2, p2, items2 in right:
-                if d1 + d2 > top or p1 + p2 > pullback_top:
-                    continue
-                for e1, c1 in items1:
-                    for e2, c2 in items2:
-                        e = tuple(map(add, e1, e2))
-                        if e in out:
-                            out[e] += c1 * c2
-                        else:
-                            out[e] = c1 * c2
-        return ClassPoly._of(ctx, {e: c for e, c in out.items() if c != 0})
+        for e1, c1 in self.terms.items():
+            for e2, c2 in right:
+                e = tuple(map(add, e1, e2))
+                if e in out:
+                    out[e] += c1 * c2
+                else:
+                    out[e] = c1 * c2
+        return ClassPoly._of(self.ctx, {e: c for e, c in out.items() if c != 0})
 
     __rmul__ = __mul__
 
@@ -555,7 +540,7 @@ def product_piece(a: ClassPoly, b: ClassPoly, k: int) -> ClassPoly:
     """graded_piece(a * b, k); in a truncated ring it forms only the term
     pairs of the group pairs whose codims sum to k."""
     b = a._coerce(b)
-    if a.ctx._weights is None:
+    if a.ctx.truncation is None:
         return graded_piece(a * b, k)
     return a._product(b, k)
 
@@ -870,7 +855,7 @@ def _read_canonical(
     m = _CANONICAL.fullmatch(text)
     if m is None:
         return None
-    dies = ctx._dies if ctx.bounded else None
+    dies = ctx._dies if ctx.truncation is not None else None
     index = None
     out: dict[Exponents, Coefficient] = {}
     parts = m[1].split(" ")

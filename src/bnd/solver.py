@@ -87,6 +87,10 @@ EVAL_CHUNK = 256
 # it is built.  The largest in use are 30**2 and 15**3 (the acceptance
 # tests' denser retry) and 6**7 (the default in 7 coordinates).
 MAX_GRID_POINTS = 10**6
+# pairs within CLUSTER_RADIUS of each other are one pair; a pair (x, y) with
+# |x - y| <= SEP_THRESHOLD (a start pair: twice that) is on the diagonal
+CLUSTER_RADIUS = 1e-6
+SEP_THRESHOLD = 1e-4
 
 
 @dataclass(frozen=True)
@@ -109,8 +113,6 @@ class SolverConfig:
     density: int | None = None
     newton_max_iter: int = 100
     residual_tol: float = 1e-10
-    cluster_radius: float = 1e-6
-    sep_threshold: float = 1e-4
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -118,11 +120,6 @@ class SolverConfig:
             raise ValueError(f"density must be an integer, got {self.density!r}")
         if not isinstance(self.newton_max_iter, numbers.Integral):
             raise ValueError(f"newton_max_iter must be an integer, got {self.newton_max_iter!r}")
-        if not math.isfinite(self.sep_threshold):
-            # every start pair would fall below twice the threshold
-            raise ValueError(f"sep_threshold must be finite, got {self.sep_threshold}")
-        if not self.sep_threshold > self.cluster_radius > 0:
-            raise ValueError("need sep_threshold > cluster_radius > 0")
         if self.density is not None and self.density < 2:
             raise ValueError("density must be >= 2")
         if not 0 < self.residual_tol < math.inf:
@@ -342,7 +339,7 @@ def _sample(sysc: _CompiledSystem, config: SolverConfig) -> np.ndarray:
     # surfaces carry quadratically many sample points, and the search later
     # pairs samples quadratically again; thin them harder than curves
     spread = 1.5 if n - sysc.neqs >= 2 else 3.0
-    radius = max(config.cluster_radius, span / (spread * density))
+    radius = max(CLUSTER_RADIUS, span / (spread * density))
     pts = pts[np.lexsort(pts.T[::-1])]
     return pts[_greedy_keep(pts, radius)]
 
@@ -576,7 +573,7 @@ def find_bottlenecks(
     idx_i, idx_j = np.triu_indices(len(samples), k=1)
     if len(idx_i):
         seps = np.linalg.norm(samples[idx_i] - samples[idx_j], axis=1)
-        wide = seps > 2 * config.sep_threshold
+        wide = seps > 2 * SEP_THRESHOLD
         idx_i, idx_j = idx_i[wide], idx_j[wide]
     starts = len(idx_i)
     diagnostics["start_pairs"] = int(starts)
@@ -624,7 +621,7 @@ def find_bottlenecks(
 
     x, y = z[:, :n], z[:, n : 2 * n]
     sep = np.linalg.norm(x - y, axis=1)
-    off_diag = sep > config.sep_threshold
+    off_diag = sep > SEP_THRESHOLD
     z, res, sep = z[off_diag], res[off_diag], sep[off_diag]
 
     # independent cross-check against the minor formulation
@@ -635,7 +632,7 @@ def find_bottlenecks(
         res = np.maximum(res, minor_res[verified])
     diagnostics["verified"] = int(len(z))
 
-    z, res, sep = _distinct_pairs(z, res, sep, n, config.cluster_radius)
+    z, res, sep = _distinct_pairs(z, res, sep, n, CLUSTER_RADIUS)
     pairs = [
         BottleneckPair(
             x=tuple(row[:n]),

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 from typing import Sequence
@@ -129,73 +128,38 @@ def build_minor_system(fs: Sequence[Poly], m: int) -> PolySystem:
     return PolySystem(_xy_names(n), tuple(polys), SystemMeta(n, k, m, "minors"))
 
 
-def build_lagrange_system(
-    fs: Sequence[Poly],
-    start_system: Sequence[Poly] | None = None,
-    gamma: Fraction | int | None = None,
-) -> PolySystem:
+def build_lagrange_system(fs: Sequence[Poly]) -> PolySystem:
     """Square multiplier formulation: 2(n+k) equations in
     x1..xn, y1..yn, lam1..lamk, mu1..muk.
 
     Equation order: f_i(x), f_i(y), then componentwise
     x - y - sum_i lam_i grad f_i(x), then the same with mu at y.
-
-    With a start system g (same length, matching degrees) and a blend
-    constant gamma, the equations use h_i = (1-t) f_i + gamma t g_i with a
-    trailing parameter variable t: t=1 is the start system, t=0 the target.
-    The blend is for export to external path trackers; nothing here tracks
-    paths.
     """
     if not fs:
         raise ValueError("need at least one defining polynomial")
     n, k = _check_input(fs, fs[0].nvars - len(fs))
-    blend = start_system is not None
-    if blend:
-        gs = list(start_system)
-        if len(gs) != k:
-            raise ValueError(f"start system has {len(gs)} equations, expected {k}")
-        for i, (f, g) in enumerate(zip(fs, gs)):
-            if f.total_degree() != g.total_degree():
-                raise ValueError(
-                    f"start-system degree mismatch at equation {i + 1}: "
-                    f"{g.total_degree()} vs {f.total_degree()}"
-                )
-        if gamma is None:
-            gamma = Fraction(1)
-
-    total = 2 * n + 2 * k + (1 if blend else 0)
+    total = 2 * n + 2 * k
     names = _xy_names(n)
     names += tuple(f"lam{i}" for i in range(1, k + 1))
     names += tuple(f"mu{i}" for i in range(1, k + 1))
-    if blend:
-        names += ("t",)
 
-    def lift(f: Poly, g: Poly | None, offset: int) -> Poly:
-        fe = f.embed(total, offset)
-        if not blend:
-            return fe
-        t = Poly.var(total, total - 1)
-        return (1 - t) * fe + Fraction(gamma) * t * g.embed(total, offset)
-
-    hx = [lift(f, gs[i] if blend else None, 0) for i, f in enumerate(fs)]
-    hy = [lift(f, gs[i] if blend else None, n) for i, f in enumerate(fs)]
+    fx = [f.embed(total, 0) for f in fs]
+    fy = [f.embed(total, n) for f in fs]
     x = [Poly.var(total, i) for i in range(n)]
     y = [Poly.var(total, n + i) for i in range(n)]
     lam = [Poly.var(total, 2 * n + i) for i in range(k)]
     mu = [Poly.var(total, 2 * n + k + i) for i in range(k)]
 
     lam_block = [
-        x[j] - y[j] - sum((lam[i] * hx[i].diff(j) for i in range(k)), Poly(total, {}))
+        x[j] - y[j] - sum((lam[i] * fx[i].diff(j) for i in range(k)), Poly(total, {}))
         for j in range(n)
     ]
     mu_block = [
-        x[j] - y[j] - sum((mu[i] * hy[i].diff(n + j) for i in range(k)), Poly(total, {}))
+        x[j] - y[j] - sum((mu[i] * fy[i].diff(n + j) for i in range(k)), Poly(total, {}))
         for j in range(n)
     ]
-    polys = hx + hy + lam_block + mu_block
-    return PolySystem(
-        names, tuple(polys), SystemMeta(n, k, n - k, "homotopy" if blend else "lagrange")
-    )
+    polys = fx + fy + lam_block + mu_block
+    return PolySystem(names, tuple(polys), SystemMeta(n, k, n - k, "lagrange"))
 
 
 # ===========================================================================

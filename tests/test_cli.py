@@ -9,14 +9,8 @@ from pathlib import Path
 import pytest
 
 from bnd import cli, solver
-from bnd.cli import (
-    CHECKS,
-    _build_parser,
-    _check_formula,
-    _check_minor_system,
-    _check_solver,
-    main,
-)
+from bnd.check import CHECKS, _check_formula, _check_minor_system, _check_solver
+from bnd.cli import _build_parser, main
 from bnd.solver import BottleneckPair, SolveResult
 from bnd.systems import parse_system_text
 
@@ -542,6 +536,19 @@ def test_module_invocation():
     assert proc.stdout.strip() == "2*h + 5*p1"
 
 
+def _loaded_after(commands):
+    """The exit codes of commands run by bnd.cli.main in one fresh process,
+    and whether numpy, bnd.solver and bnd.check were loaded after them."""
+    script = (
+        "import sys, bnd.cli\n"
+        f"codes = [bnd.cli.main(argv) for argv in {commands!r}]\n"
+        "print(codes, [m in sys.modules for m in ('numpy', 'bnd.solver', 'bnd.check')])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
 def test_exact_commands_do_not_import_numpy(tmp_path, ellipse_path):
     # one process, so that no command can lean on another's imports
     commands = [
@@ -551,11 +558,7 @@ def test_exact_commands_do_not_import_numpy(tmp_path, ellipse_path):
         ["system", "--input", ellipse_path, "--form", "minor", "--output", str(tmp_path / "m")],
         ["system", "--input", ellipse_path, "--form", "lagrange", "--json"],
     ]
-    script = (
-        "import sys, bnd.cli\n"
-        f"codes = [bnd.cli.main(argv) for argv in {commands!r}]\n"
-        "print(codes, 'numpy' in sys.modules, 'bnd.solver' in sys.modules)\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] False False"
+    assert _loaded_after(commands) == "[0, 0, 0, 0, 0] [False, False, False]"
+    # the exact rows of the table load the table alone (exit 1: the two
+    # standing ambient-stability rows)
+    assert _loaded_after([["check", "--fast"]]) == "[1] [False, False, True]"

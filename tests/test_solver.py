@@ -16,9 +16,11 @@ from bnd import solver
 from bnd.engine import bnd_variety
 from bnd.profiles import VarietySpec
 from bnd.solver import (
+    CLUSTER_RADIUS,
     EVAL_CHUNK,
     MAX_GRID_POINTS,
     RANK_CUTOFF,
+    SEP_THRESHOLD,
     BottleneckPair,
     SolverConfig,
     _CompiledSystem,
@@ -95,8 +97,6 @@ def test_config_defaults():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"sep_threshold": 1e-7, "cluster_radius": 1e-6},  # order flipped
-        {"cluster_radius": 0.0},
         {"density": 1},
         {"residual_tol": 0.0},
         {"newton_max_iter": 0},
@@ -121,8 +121,6 @@ def test_config_rejects_bad_values(kwargs):
         {"box": ((-math.inf, math.inf), (0.0, 1.0))},
         {"box": ((0.0, 1.0), (0.0, math.inf))},
         {"box": ((math.nan, 1.0),)},
-        {"sep_threshold": math.inf},  # would drop every start pair
-        {"sep_threshold": math.nan},
     ],
 )
 def test_config_rejects_non_finite_values_by_name(kwargs):
@@ -402,7 +400,7 @@ def test_sample_ellipse_covers_curve():
     # deduplicated: no two samples closer than the cluster radius
     d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
     np.fill_diagonal(d, np.inf)
-    assert d.min() > cfg.cluster_radius
+    assert d.min() > CLUSTER_RADIUS
 
 
 def test_sample_empty_real_locus():
@@ -794,19 +792,18 @@ def test_pairs_satisfy_both_formulations(ellipse_result):
 
 
 def test_output_is_canonical(ellipse_result):
-    cfg = SolverConfig()
     seps = [p.separation for p in ellipse_result]
     assert seps == sorted(seps)
     keys = np.array([(*p.x, *p.y) for p in ellipse_result])
     for i, p in enumerate(ellipse_result):
-        assert p.separation > cfg.sep_threshold
+        assert p.separation > SEP_THRESHOLD
         # x lexicographically before y at the cluster tolerance
         for a, b in zip(p.x, p.y):
-            if abs(a - b) > cfg.cluster_radius:
+            if abs(a - b) > CLUSTER_RADIUS:
                 assert a < b
                 break
         for j in range(i + 1, len(keys)):
-            assert np.linalg.norm(keys[i] - keys[j]) > cfg.cluster_radius
+            assert np.linalg.norm(keys[i] - keys[j]) > CLUSTER_RADIUS
 
 
 # The per-row canonicalization, tuple sort and greedy dedup loop that

@@ -276,25 +276,6 @@ def test_lagrange_degenerate_gradient_still_builds():
     assert sys.polynomials[2] == parse_poly("x1 - y1", sys.variables)
 
 
-def test_homotopy_blend():
-    f = p2(TROTT)
-    g = p2("x1^4 + x2^4 - 1")
-    sys = build_lagrange_system([f], start_system=[g], gamma=Fraction(7, 3))
-    assert sys.variables[-1] == "t"
-    assert sys.metadata.formulation == "homotopy"
-    # at t=0 the first equation is the target curve
-    pt = [Fraction(1), Fraction(2), 0, 0, 0, 0, Fraction(0)]
-    assert sys.polynomials[0].eval_exact(pt) == f.eval_exact([1, 2])
-    # at t=1 it is gamma times the start system
-    pt[-1] = Fraction(1)
-    assert sys.polynomials[0].eval_exact(pt) == Fraction(7, 3) * g.eval_exact([1, 2])
-
-
-def test_homotopy_rejects_degree_mismatch():
-    with pytest.raises(ValueError, match="degree mismatch"):
-        build_lagrange_system([p2(TROTT)], start_system=[p2("x1^2 + x2^2 - 1")])
-
-
 # -- serialization -----------------------------------------------------------
 
 
