@@ -1,9 +1,8 @@
 """The regression table of `bnd check`: known values that the engine, the
 Schubert calculus, the system builder and the solver must reproduce.
 
-CHECKS lists the rows; each row's check returns (ok, detail).  The solver
-rows load numpy and bnd.solver when they run, so a table of exact rows
-(`bnd check --fast`) never loads either.
+CHECKS lists the rows; each row's check returns (ok, detail).  The checks
+in NUMPY_CHECKS load numpy and bnd.solver; `bnd check --fast` skips them.
 """
 
 from __future__ import annotations
@@ -219,3 +218,4 @@ CHECKS = [
         "vars: x1 x2 y1 y2\n" + "\n".join(TROTT_SYSTEM),
     )),
 ]
+NUMPY_CHECKS = (_check_solver,)

@@ -41,17 +41,12 @@ iteration cap near a fixed residual.  A stopped row is final: it converged
 if its residual is below residual_tol.  The rows stopped by the step-length
 search, for no progress and still active at the cap are counted in the
 diagnostics.
-
-Set BND_THREADS to split the Newton batches across worker threads (at most
-os.cpu_count() of them); the merge is order-preserving, so the thread count
-never changes the output.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import os
 from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -192,8 +187,7 @@ class _CompiledSystem:
     powers in variable order, formed as a running product one factor level
     at a time over the monomials ranked by factor count (see _power_plan),
     and F and J are one matrix product each over the monomials in table
-    order, per chunk of EVAL_CHUNK points.  Nothing is written to the
-    instance after construction, so threads may share one.
+    order, per chunk of EVAL_CHUNK points.
     """
 
     def __init__(self, polys: Sequence[ClassPoly], nvars: int):
@@ -301,11 +295,8 @@ def sample_variety(fs: Sequence[ClassPoly], config: SolverConfig | None = None) 
     outcome, not an error).  Points are deduplicated at a radius tied to the
     grid spacing so the sample is spread rather than clustered.
     """
-    return _sample(_CompiledSystem(list(fs), fs[0].nvars), config or SolverConfig())
-
-
-def _sample(sysc: _CompiledSystem, config: SolverConfig) -> np.ndarray:
-    """sample_variety for the compiled defining system."""
+    config = config or SolverConfig()
+    sysc = _CompiledSystem(list(fs), fs[0].nvars)
     n = sysc.nvars
     box = config.box_for(n)
     density = config.density_for(n)
@@ -559,7 +550,6 @@ def find_bottlenecks(
     for i, f in enumerate(fs, start=1):
         if f.total_degree() < 1:
             raise ValueError(f"defining polynomial {i} is zero or constant")
-    threads, workers = _thread_count()
 
     lag = build_lagrange_system(fs)
     minor = build_minor_system(fs, n - k)
@@ -567,7 +557,7 @@ def find_bottlenecks(
     minor_c = _CompiledSystem(list(minor.polynomials), 2 * n)
     fs_c = _CompiledSystem(fs, n)
 
-    samples = _sample(fs_c, config)
+    samples = sample_variety(fs, config)
     diagnostics = {"samples": int(len(samples))}
 
     idx_i, idx_j = np.triu_indices(len(samples), k=1)
@@ -575,14 +565,10 @@ def find_bottlenecks(
         seps = np.linalg.norm(samples[idx_i] - samples[idx_j], axis=1)
         wide = seps > 2 * SEP_THRESHOLD
         idx_i, idx_j = idx_i[wide], idx_j[wide]
-    starts = len(idx_i)
-    diagnostics["start_pairs"] = int(starts)
+    diagnostics["start_pairs"] = int(len(idx_i))
 
-    # threads echoes BND_THREADS; threads_used counts the workers that ran.
-    # With no start pairs every stage below runs on empty arrays, so the
+    # with no start pairs every stage below runs on empty arrays, so the
     # diagnostics carry the same keys, all zero.
-    diagnostics["threads"] = threads
-
     a, b = samples[idx_i], samples[idx_j]
     # multiplier init: least-squares fit of x - y against the gradients
     grads_a = fs_c.jacobian(a).transpose(0, 2, 1)
@@ -591,24 +577,8 @@ def find_bottlenecks(
     mu0 = _pinv_step(grads_b, a - b)
     z0 = np.concatenate([a, b, lam0, mu0], axis=1)
 
-    if workers == 1 or starts < 2 * workers:
-        diagnostics["threads_used"] = 1
-        parts = [_newton_batch(lag_c, z0, config)]
-    else:
-        # imported here: concurrent.futures loads logging, about 8 ms that
-        # a single-threaded solve would pay on its first call
-        from concurrent.futures import ThreadPoolExecutor
-
-        diagnostics["threads_used"] = workers
-        chunks = np.array_split(z0, workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda c: _newton_batch(lag_c, c, config), chunks))
-    z = np.concatenate([p[0] for p in parts])
-    res = np.concatenate([p[1] for p in parts])
-    diagnostics["newton_iterations"] = max(p[2]["newton_iterations"] for p in parts)
-    for key in parts[0][2]:
-        if key != "newton_iterations":
-            diagnostics[key] = sum(p[2][key] for p in parts)
+    z, res, counts = _newton_batch(lag_c, z0, config)
+    diagnostics.update(counts)
 
     # every start ends one of three ways: converged, non-finite (diverged
     # or stalled in the step search), or finite but above residual_tol
@@ -649,19 +619,6 @@ def find_bottlenecks(
     ]
     diagnostics["pairs"] = len(pairs)
     return SolveResult(tuple(pairs), True, diagnostics)
-
-
-def _thread_count() -> tuple[int, int]:
-    """(BND_THREADS as a positive integer, worker threads to start): unset or
-    empty means 1, and the workers are capped at os.cpu_count()."""
-    text = os.environ.get("BND_THREADS") or "1"
-    try:
-        threads = int(text)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ValueError(f"BND_THREADS must be a positive integer, got {text!r}")
-    return threads, min(threads, os.cpu_count() or 1)
 
 
 def _isolated_rows(sysc: _CompiledSystem, zs: np.ndarray) -> np.ndarray:

@@ -1,12 +1,15 @@
-"""Every name a module under src/bnd imports is used there, and every
-module-level private helper is read outside its own body.
+"""Every name a module under src/bnd imports is used there, every
+module-level private helper is read outside its own body, and no module
+reads the process environment.
 
-No linter runs on this package, so these stdlib checks stand in for two
+No linter runs on this package, so these stdlib checks stand in for three
 lint rules.  Unused imports: a name counts as used when the module reads it
 anywhere (annotations included) or lists it in __all__.  Dead private
 helpers: a module-level `_name` function or class counts as used when some
 other top-level statement of the package reads it, by name, as an
-attribute or in an import.
+attribute or in an import.  Environment reads: an `environ` or `getenv`
+attribute, or either name imported from os, counts as one; a setting read
+from the environment is an option that no command-line argument shows.
 """
 
 import ast
@@ -140,4 +143,48 @@ def test_dead_helper_check_sees_names():
         "a.py:_Orphan (line 3)",
         "a.py:_recursive (line 2)",
         "c.py:_nowhere (line 3)",
+    ]
+
+
+# -- environment reads -------------------------------------------------------
+
+ENVIRONMENT_NAMES = ("environ", "getenv")
+
+
+def environment_reads(source: str) -> list[str]:
+    """Where source reads the environment: an environ or getenv attribute
+    (os.environ, os.getenv, whatever os is bound to) or an import of either
+    from os."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_NAMES:
+            found.append(f"{node.attr} (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found.extend(
+                f"{alias.name} (line {node.lineno})"
+                for alias in node.names
+                if alias.name in ENVIRONMENT_NAMES
+            )
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_environment_reads(path):
+    assert environment_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_environment_read_check_sees_names():
+    source = (
+        "import os\n"
+        "import os as system\n"
+        "from os import getenv, path\n"
+        "a = os.environ.get('A') or '1'\n"
+        "b = system.getenv('B')\n"
+        "c = os.path.join('x', 'y')\n"
+        "d = {'environ': 1}['environ']\n"
+    )
+    assert environment_reads(source) == [
+        "environ (line 4)",
+        "getenv (line 3)",
+        "getenv (line 5)",
     ]

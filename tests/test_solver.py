@@ -4,8 +4,6 @@ import importlib.util
 import itertools
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,7 +31,6 @@ from bnd.solver import (
     _power_plan,
     _residual,
     _step_length,
-    _thread_count,
     classify_isolation,
     find_bottlenecks,
     narrowest_bottleneck,
@@ -214,22 +211,6 @@ def test_evaluator_on_lagrange_system():
     _assert_matches_exact(list(lag.polynomials), len(lag.variables))
 
 
-def test_evaluator_shared_between_threads():
-    lag = build_lagrange_system(ELLIPSE)
-    sysc = _CompiledSystem(list(lag.polynomials), len(lag.variables))
-    rng = np.random.default_rng(3)
-    batches = [rng.normal(size=(int(rng.integers(1, 60)), 6)) for _ in range(40)]
-
-    def run(pts):
-        return sysc.eval(pts), sysc.jacobian(pts)
-
-    serial = [run(pts) for pts in batches]
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        threaded = list(pool.map(run, batches))
-    for (v0, j0), (v1, j1) in zip(serial, threaded):
-        assert np.array_equal(v0, v1) and np.array_equal(j0, j1)
-
-
 # The reduceat kernel that the level-wise products replaced, kept as the
 # reference: row r of the result is the product of the power-table rows
 # factors[starts[r]:starts[r + 1]], multiplied left to right in variable order.
@@ -408,7 +389,7 @@ def test_sample_empty_real_locus():
     assert pts.shape == (0, 2)
 
 
-def test_defining_system_is_compiled_once(monkeypatch):
+def test_solve_samples_through_sample_variety_once(monkeypatch):
     built = []
     init = _CompiledSystem.__init__
 
@@ -416,11 +397,20 @@ def test_defining_system_is_compiled_once(monkeypatch):
         built.append(nvars)
         init(self, polys, nvars)
 
+    sampled = []
+    sample = solver.sample_variety
+
+    def counted(*args):
+        sampled.append(args)
+        return sample(*args)
+
     monkeypatch.setattr(_CompiledSystem, "__init__", counting)
+    monkeypatch.setattr(solver, "sample_variety", counted)
     find_bottlenecks(ELLIPSE, FAST)
-    # the Lagrange, minor and defining systems, once each: the sampling
-    # shares the defining system with the multiplier initialization
-    assert built == [6, 4, 2]
+    assert len(sampled) == 1
+    # the Lagrange, minor and defining systems, then the defining system
+    # again inside sample_variety
+    assert built == [6, 4, 2, 2]
 
 
 def test_sample_ellipsoid_residual():
@@ -619,7 +609,6 @@ def test_newton_iteration_call_counts(monkeypatch):
     # at most 1 + 3 evals: the full step and three step blocks; F at the point
     # is the value the previous step-length search kept.  The diagnostics
     # count the points of these calls.
-    monkeypatch.delenv("BND_THREADS", raising=False)
     calls = []
     points = {"eval": 0, "jacobian": 0}
     counting = [False]
@@ -657,13 +646,10 @@ def test_newton_iteration_call_counts(monkeypatch):
     assert points["eval"] > points["jacobian"] >= result.diagnostics["start_pairs"]
 
 
-def test_step_telemetry_independent_of_threads(monkeypatch):
+def test_spheroid_step_telemetry():
     # on the spheroid the damped loop takes pinv steps and stops rows for
     # no progress (the ellipse takes no pinv step at FAST)
-    base = find_bottlenecks(SPHEROID, FAST)
-    monkeypatch.setenv("BND_THREADS", "3")
-    threaded = find_bottlenecks(SPHEROID, FAST)
-    assert threaded.diagnostics["threads_used"] == min(3, os.cpu_count() or 1)
+    result = find_bottlenecks(SPHEROID, FAST)
     keys = (
         "newton_iterations",
         "step_fallbacks",
@@ -673,11 +659,9 @@ def test_step_telemetry_independent_of_threads(monkeypatch):
         "eval_points",
         "jacobian_points",
     )
-    for key in keys:
-        assert threaded.diagnostics[key] == base.diagnostics[key]
-    assert 1 <= base.diagnostics["newton_iterations"] <= FAST.newton_max_iter
-    assert base.diagnostics["step_fallbacks"] > 0
-    assert base.diagnostics["no_progress"] > 0
+    assert 1 <= result.diagnostics["newton_iterations"] <= FAST.newton_max_iter
+    assert result.diagnostics["step_fallbacks"] > 0
+    assert result.diagnostics["no_progress"] > 0
     empty = find_bottlenecks([parse_poly("x1^2 + x2^2 + 1", V2)], FAST)
     assert all(empty.diagnostics[key] == 0 for key in keys)
 
@@ -998,51 +982,13 @@ def test_fixed_seed_is_deterministic():
     assert first.diagnostics == second.diagnostics
 
 
-def test_thread_count_does_not_change_output(monkeypatch):
-    base = find_bottlenecks(ELLIPSE, FAST)
-    monkeypatch.setenv("BND_THREADS", "3")
-    threaded = find_bottlenecks(ELLIPSE, FAST)
-    assert threaded.diagnostics["threads"] == 3
-    assert threaded.pairs == base.pairs
-
-
-def test_threads_used_counts_the_workers_that_ran(monkeypatch):
-    base = find_bottlenecks(ELLIPSE, FAST)
-    assert base.diagnostics["threads"] == 1 and base.diagnostics["threads_used"] == 1
-    monkeypatch.setenv("BND_THREADS", "3")
-    workers = min(3, os.cpu_count() or 1)
-    threaded = find_bottlenecks(ELLIPSE, FAST)
-    assert threaded.diagnostics["start_pairs"] >= 2 * workers
-    assert threaded.diagnostics["threads"] == 3
-    assert threaded.diagnostics["threads_used"] == workers
-
-
-def test_zero_start_path_reports_threads(monkeypatch):
-    monkeypatch.setenv("BND_THREADS", "2")
+def test_zero_start_path_reports_zero_counts():
     empty = find_bottlenecks([parse_poly("x1^2 + x2^2 + 1", V2)], FAST)  # no real points
     assert empty.pairs == ()
     assert empty.diagnostics["start_pairs"] == 0
-    assert empty.diagnostics["threads"] == 2
-    assert empty.diagnostics["threads_used"] == 1
     # the same keys as a run with start pairs, every count zero
     assert list(empty.diagnostics) == list(find_bottlenecks(ELLIPSE, FAST).diagnostics)
-    counts = {k: v for k, v in empty.diagnostics.items() if not k.startswith("threads")}
-    assert set(counts.values()) == {0}
-
-
-def test_thread_count_capped_at_cpu_count(monkeypatch):
-    # the setting is kept for the diagnostics; only the worker count is capped
-    monkeypatch.setenv("BND_THREADS", "100000")
-    assert _thread_count() == (100000, os.cpu_count() or 1)
-    monkeypatch.setenv("BND_THREADS", "")
-    assert _thread_count() == (1, 1)
-
-
-@pytest.mark.parametrize("value", ["abc", "0"])
-def test_bad_thread_count_is_rejected_by_name(monkeypatch, value):
-    monkeypatch.setenv("BND_THREADS", value)
-    with pytest.raises(ValueError, match="BND_THREADS"):
-        find_bottlenecks(ELLIPSE, FAST)
+    assert set(empty.diagnostics.values()) == {0}
 
 
 def test_central_symmetry_preserved(ellipse_result):
