@@ -27,7 +27,7 @@ import functools
 import json
 import sys
 
-from .engine import ambient_stability, bnd_variety, check_work_bound, compute_B, ed_degree
+from .engine import MAX_EDD_AMBIENT, ambient_stability, bnd_variety, compute_B, ed_degree
 from .profiles import VarietySpec, ci_profile, profile_json
 from .systems import (
     build_lagrange_system,
@@ -166,7 +166,11 @@ def cmd_edd(args) -> int:
     spec = _spec_for(args)
     if spec.dim == 0:
         raise UsageError("Euclidean distance degree needs a positive-dimensional variety")
-    check_work_bound(spec.dim, spec.ambient_dim)
+    if spec.ambient_dim > MAX_EDD_AMBIENT:
+        raise ValueError(
+            f"edd in ambient {spec.ambient_dim} is above the bound "
+            f"MAX_EDD_AMBIENT = {MAX_EDD_AMBIENT}"
+        )
     profile = ci_profile(spec)
     value = ed_degree(profile)
     if args.json:

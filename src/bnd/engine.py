@@ -49,10 +49,9 @@ from .ring import (
     declare_ring,
     divide_monic,
     graded_piece,
-    invert_unit,
-    product_piece,
     render,
     substitute,
+    unit_quotient,
 )
 from .schubert import (
     SchubertIndex,
@@ -66,10 +65,17 @@ from .schubert import (
 # m-dimensional variety in P^n runs in n_eff = max(2m+1, n) (compute_B(m, n)
 # in n itself), and the cost grows about 2x per dimension and with n through
 # the Chern class of Gr(2, n+1).  Cold, in a fresh process on a shared
-# 2-vCPU host (Python 3.11): compute_B(10, 21) takes 0.29-0.44 s, of which
-# chern_tangent_grassmannian(21) is 0.006-0.009 s (five runs), and
-# compute_B(11, 23), with the bound lifted, 0.61-0.77 s (three runs).
+# 2-vCPU host (Python 3.11): compute_B(10, 21) takes 0.16-0.25 s, of which
+# chern_tangent_grassmannian(21) is 0.005-0.008 s (seven runs), and
+# compute_B(11, 23), with the bound lifted, 0.29-0.41 s (five runs).
 MAX_AMBIENT = 21
+
+# Largest ambient dimension `edd` answers in.  It runs no ring, only the
+# integer profile recurrence, whose cost grows about as the cube of the
+# ambient.  ed_degree(ci_profile(...)) of a quadric, on the same host, three
+# runs each: 0.5 ms / 7 ms / 58-60 ms / 0.22-0.24 s / 0.63 s at ambient
+# 30 / 100 / 200 / 300 / 400, and 14.7 s at 1000 (one run).
+MAX_EDD_AMBIENT = 300
 
 
 def check_work_bound(m: int, n: int) -> None:
@@ -149,10 +155,10 @@ def _xi_relation(c_tx: ClassPoly, m: int, n: int) -> tuple[list[ClassPoly], Clas
     """
     ctx = c_tx.ctx
     xi, h = ctx.sym("xi"), ctx.sym("h")
-    c_n = (1 + h) ** (n + 1) * invert_unit(c_tx)
+    c_n = unit_quotient((1 + h) ** (n + 1), c_tx)
     pieces = [graded_piece(c_n, j) for j in range(n - m + 1)]
     c_omega_x = ctx.poly({e: (-1) ** ctx.codim_of(e) * c for e, c in c_tx.terms.items()})
-    c_n_dual = (1 - h) ** (n + 1) * invert_unit(c_omega_x)
+    c_n_dual = unit_quotient((1 - h) ** (n + 1), c_omega_x)
     relation = sum((-1) ** j * pieces[j] * xi ** (n - m - j) for j in range(n - m + 1))
     relation_dual = sum(graded_piece(c_n_dual, j) * xi ** (n - m - j) for j in range(n - m + 1))
     if relation != relation_dual:
@@ -186,8 +192,8 @@ def _double_point_class(c_tx: ClassPoly, m: int, n: int) -> ClassPoly:
     pieces, relation = _xi_relation(c_tx, m, n)
     # relative tangent twist of rank n-m: c(pi*N^ (x) O(1))
     twist = sum((-1) ** j * pieces[j] * (1 + xi) ** (n - m - j) for j in range(n - m + 1))
-    correction = product_piece(
-        pullback_f(chern_tangent_grassmannian(n), ctx), invert_unit(c_tx * twist), n - 1
+    correction = graded_piece(
+        unit_quotient(pullback_f(chern_tangent_grassmannian(n), ctx), c_tx * twist), n - 1
     )
     return _point_class(correction, relation, m, n)
 

@@ -35,7 +35,7 @@ and `terms` stays keyed by the tuples.  A polynomial groups its terms
 once, on its first product, and keeps the groups; a product records its
 own groups as it forms them, since the pair of groups (d1, p1), (d2, p2)
 lands in the group (d1 + d2, p1 + p2).  So chains of products (powers,
-invert_unit, substitute, divide_monic) never regroup an operand.
+unit_quotient, substitute, divide_monic) never regroup an operand.
 
 A coordinate ring has no grading: a product there is the plain double
 loop over both operands' terms, adding exponent tuples, and keeps its
@@ -378,20 +378,17 @@ class ClassPoly:
             self._groups = self.ctx._grades(self.terms)
         return self._groups
 
-    def _product(self, other: "ClassPoly", piece: int | None = None) -> "ClassPoly":
-        """self * other in a truncated ring, on packed keys; only its terms
-        of codim piece when piece is given.  The result keeps its groups."""
+    def _product(self, other: "ClassPoly") -> "ClassPoly":
+        """self * other in a truncated ring, on packed keys.  The result
+        keeps its groups."""
         ctx = self.ctx
-        # a piece above the truncation is 0, and its keys could carry
-        top = ctx.truncation
-        low, high = (0, top) if piece is None else (piece, min(piece, top))
-        pullback_top = ctx._pullback_top
+        top, pullback_top = ctx.truncation, ctx._pullback_top
         right = other._grouped()
         # one accumulator per output grade; each is a group of the result
         out: dict[tuple[int, int], dict[int, Coefficient]] = {}
         for d1, p1, items1 in self._grouped():
             for d2, p2, items2 in right:
-                if not low <= d1 + d2 <= high or p1 + p2 > pullback_top:
+                if d1 + d2 > top or p1 + p2 > pullback_top:
                     continue
                 grade = (d1 + d2, p1 + p2)
                 acc = out.get(grade)
@@ -509,40 +506,74 @@ class ClassPoly:
 # ---------------------------------------------------------------------------
 
 
-def invert_unit(a: ClassPoly) -> ClassPoly:
-    """Inverse of a unit 1 + a_1 + a_2 + ... (a_j of codim j), built piece
-    by piece: u_0 = 1 and u_k = -(a_1 u_(k-1) + ... + a_k u_0)."""
+def unit_quotient(a: ClassPoly, u: ClassPoly) -> ClassPoly:
+    """a / u for a unit u = 1 + u_1 + u_2 + ... (u_j of codim j) in a
+    truncated ring, built piece by piece: w_k = a_k - (u_1 w_(k-1) + ... +
+    u_k w_0).
+
+    The recurrence runs on packed keys, one accumulator per grade
+    (codim, pullback codim) of the result, and forms only the group pairs
+    that survive; the result keeps its groups.  Raises ValueError when u
+    is not such a unit or lives in another ring.
+    """
+    u = a._coerce(u)
     ctx = a.ctx
-    if a.constant_term() != 1 or ctx.truncation is None:
-        raise ValueError(f"not a unit with constant term 1 in a truncated ring: {render(a)}")
-    by_codim: dict[int, dict[Exponents, Coefficient]] = {}
-    for e, c in a.terms.items():
-        by_codim.setdefault(ctx.codim_of(e), {})[e] = c
-    pieces = {j: ClassPoly._of(ctx, terms) for j, terms in by_codim.items() if j}
-    inverse = [ctx.one()]
-    for k in range(1, ctx.truncation + 1):
-        u_k = ctx.zero()
-        for j, a_j in pieces.items():
-            if j <= k and inverse[k - j].terms:
-                u_k = u_k - a_j * inverse[k - j]
-        inverse.append(u_k)
-    # the pieces have distinct codims, so their terms never collide
-    return ClassPoly._of(ctx, {e: c for u_k in inverse for e, c in u_k.terms.items()})
+    if u.constant_term() != 1 or ctx.truncation is None:
+        raise ValueError(f"not a unit with constant term 1 in a truncated ring: {render(u)}")
+    pullback_top = ctx._pullback_top
+    # -u_j for j >= 1; the group of codim 0 is the constant 1 alone
+    minus_u = [(d, p, [(k, -c) for k, c in items]) for d, p, items in u._grouped() if d]
+    a_by_codim: dict[int, list] = {}
+    for d, p, items in a._grouped():
+        a_by_codim.setdefault(d, []).append((p, items))
+    # w[d]: the groups (p, items) of the result in codim d
+    w: list[list[tuple[int, list]]] = []
+    groups = []
+    for d in range(ctx.truncation + 1):
+        out = {p: dict(items) for p, items in a_by_codim.get(d, ())}
+        for d1, p1, items1 in minus_u:
+            if d1 > d:
+                continue
+            for p2, items2 in w[d - d1]:
+                if p1 + p2 > pullback_top:
+                    continue
+                acc = out.get(p1 + p2)
+                if acc is None:
+                    acc = out[p1 + p2] = {}
+                for k1, c1 in items1:
+                    for k2, c2 in items2:
+                        k = k1 + k2
+                        if k in acc:
+                            acc[k] += c1 * c2
+                        else:
+                            acc[k] = c1 * c2
+        piece = []
+        for p, acc in out.items():
+            items = [(k, c) for k, c in acc.items() if c != 0]
+            if items:
+                piece.append((p, items))
+                groups.append((d, p, items))
+        w.append(piece)
+    terms: dict[Exponents, Coefficient] = {}
+    exponents = ctx._unpacked.get
+    for _, _, items in groups:
+        for k, c in items:
+            terms[exponents(k) or ctx._unpack(k)] = c
+    result = ClassPoly._of(ctx, terms)
+    result._groups = groups
+    return result
+
+
+def invert_unit(a: ClassPoly) -> ClassPoly:
+    """Inverse of a unit 1 + a_1 + a_2 + ... (a_j of codim j) in a
+    truncated ring: unit_quotient(1, a)."""
+    return unit_quotient(a.ctx.one(), a)
 
 
 def graded_piece(a: ClassPoly, k: int) -> ClassPoly:
     """Sum of the terms of total codimension exactly k (0 outside the range)."""
     ctx = a.ctx
     return ClassPoly._of(ctx, {e: c for e, c in a.terms.items() if ctx.codim_of(e) == k})
-
-
-def product_piece(a: ClassPoly, b: ClassPoly, k: int) -> ClassPoly:
-    """graded_piece(a * b, k); in a truncated ring it forms only the term
-    pairs of the group pairs whose codims sum to k."""
-    b = a._coerce(b)
-    if a.ctx.truncation is None:
-        return graded_piece(a * b, k)
-    return a._product(b, k)
 
 
 def substitute(

@@ -102,6 +102,10 @@ def test_missing_subcommand_is_usage_error(capsys):
         (("bnd", "--ambient", "2", "--degrees", "2,2", "--affine"), "12"),
         # two points in P^22: no ring work, so MAX_AMBIENT does not refuse it
         (("bnd", "--ambient", "22", "--degrees", ",".join(["2"] + ["1"] * 21)), "2"),
+        # edd runs no ring, so MAX_AMBIENT does not bound it: a quadric in
+        # P^n has d * sum (d-1)^i = 2n, up to MAX_EDD_AMBIENT
+        (("edd", "--ambient", "30", "--degrees", "2"), "60"),
+        (("edd", "--ambient", "300", "--degrees", "2"), "600"),
     ],
 )
 def test_bnd_and_edd_values(capsys, argv, expected):
@@ -162,7 +166,7 @@ def test_degrees_validation(capsys):
     [
         ("bnd", "--ambient", "30", "--degrees", "2"),
         ("bnd", "--ambient", "30", "--degrees", "2", "--affine"),
-        ("edd", "--ambient", "30", "--degrees", "2"),
+        ("edd", "--ambient", "301", "--degrees", "2"),
         ("formula", "--dim", "11", "--ambient", "23"),
         ("formula", "--dim", "1", "--ambient", "3", "--stability", "30"),
     ],
@@ -172,7 +176,7 @@ def test_work_past_the_bound_is_refused(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1.0
     assert code == 1 and not out
-    assert "MAX_AMBIENT = 21" in err
+    assert ("MAX_EDD_AMBIENT = 300" if argv[0] == "edd" else "MAX_AMBIENT = 21") in err
 
 
 # ---------------------------------------------------------------------------

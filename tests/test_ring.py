@@ -16,10 +16,10 @@ from bnd.ring import (
     graded_piece,
     invert_unit,
     parse,
-    product_piece,
     render,
     render_poly,
     substitute,
+    unit_quotient,
 )
 from bnd.systems import build_lagrange_system, parse_system_text
 
@@ -314,21 +314,6 @@ def test_products_across_structurally_equal_contexts():
         assert (a * a) * (b * b) == naive_product(naive_product(a, a), naive_product(b, b))
 
 
-@pytest.mark.parametrize(
-    "ctx",
-    [coordinate_ring(3), *TRUNCATED_RINGS],
-    ids=["coordinate", "truncated", "pullback"],
-)
-def test_product_piece_is_the_graded_piece_of_the_product(ctx):
-    rng = random.Random(613)
-    for _ in range(10):
-        a, b = mixed_poly(ctx, rng), mixed_poly(ctx, rng)
-        ab = a * b
-        for k in range(-1, 12):
-            assert product_piece(a, b, k) == graded_piece(ab, k), k
-    assert product_piece(a, 2, 1) == graded_piece(2 * a, 1)
-
-
 def geometric_inverse(a):
     """1 / (1 + d) as the finite series 1 - d + d^2 - ..."""
     delta = a - 1
@@ -351,6 +336,42 @@ def test_invert_unit_matches_the_geometric_series():
     # a unit with a gap: u_1 = 0 while u_2 and u_4 are not
     h = declare_ring([SymbolSpec("h", 1)], truncation=5).sym("h")
     assert invert_unit(1 + h ** 2) == 1 - h ** 2 + h ** 4
+
+
+@pytest.mark.parametrize("ctx", TRUNCATED_RINGS, ids=["truncated", "pullback"])
+def test_unit_quotient_times_the_unit_is_the_dividend(ctx):
+    rng = random.Random(614)
+    for _ in range(10):
+        u = mixed_poly(ctx, rng, nterms=8)
+        u = u - graded_piece(u, 0) + 1
+        # a constant, every symbol and random terms: several grades
+        a = mixed_poly(ctx, rng, nterms=10, max_exp=2) + Fraction(rng.randrange(1, 9), 7)
+        for i in range(len(ctx.symbols)):
+            a = a + Fraction(rng.randrange(1, 9), rng.randrange(1, 5)) * ctx.var(i)
+        assert len(a.codims()) >= 3
+        q = unit_quotient(a, u)
+        assert naive_product(q, u) == a
+        assert q == naive_product(a, geometric_inverse(u))
+        assert_groups_cached(q)
+        assert unit_quotient(ctx.one(), u) == invert_unit(u)
+        assert unit_quotient(ctx.zero(), u).is_zero()
+        assert unit_quotient(a, ctx.one()) == a
+        assert_groups_cached(unit_quotient(a, 1))
+
+
+def test_unit_quotient_refuses_what_is_not_a_unit():
+    ctx = conormal_ctx(m=2, n=5)
+    a = 1 + ctx.sym("xi")
+    for u in (ctx.zero(), ctx.sym("h"), 2 + ctx.sym("xi")):
+        with pytest.raises(ValueError, match="not a unit"):
+            unit_quotient(a, u)
+    coords = coordinate_ring(2)
+    with pytest.raises(ValueError, match="not a unit"):
+        unit_quotient(coords.one(), 1 + coords.var(0))
+    with pytest.raises(ValueError, match="not a unit"):
+        invert_unit(coords.one())
+    with pytest.raises(ValueError, match="context mismatch"):
+        unit_quotient(a, conormal_ctx(m=2, n=6).one())
 
 
 def test_integral_inputs_give_int_coefficients():
