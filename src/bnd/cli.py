@@ -27,7 +27,14 @@ import functools
 import json
 import sys
 
-from .engine import MAX_EDD_AMBIENT, ambient_stability, bnd_variety, compute_B, ed_degree
+from .engine import (
+    MAX_EDD_AMBIENT,
+    ambient_stability,
+    bnd_variety,
+    compute_B,
+    ed_degree,
+    ed_degree_floor_log10,
+)
 from .profiles import VarietySpec, ci_profile, profile_json
 from .systems import (
     build_lagrange_system,
@@ -90,6 +97,23 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _too_long(limit: int) -> ValueError:
+    return ValueError(
+        f"the answer has more than {limit} digits, Python's limit for writing an "
+        f"integer as text (sys.get_int_max_str_digits() = {limit}); "
+        "set PYTHONINTMAXSTRDIGITS=0 to lift it"
+    )
+
+
+def _answer_text(value: int) -> str:
+    """str(value), or a ValueError naming the digit limit when the integer
+    is too long for Python to write."""
+    try:
+        return str(value)
+    except ValueError:
+        raise _too_long(sys.get_int_max_str_digits()) from None
+
+
 def _spec_for(args) -> VarietySpec:
     degrees = _parse_degrees(args.degrees)
     try:
@@ -146,6 +170,7 @@ def cmd_formula(args) -> int:
 def cmd_bnd(args) -> int:
     spec = _spec_for(args)
     value = bnd_variety(spec)
+    text = _answer_text(value)
     if args.json:
         payload = {
             "ambient": spec.ambient_dim,
@@ -158,7 +183,7 @@ def cmd_bnd(args) -> int:
             payload["zero_dimensional"] = True
         print(json.dumps(payload))
     else:
-        print(value)
+        print(text)
     return 0
 
 
@@ -171,12 +196,19 @@ def cmd_edd(args) -> int:
             f"edd in ambient {spec.ambient_dim} is above the bound "
             f"MAX_EDD_AMBIENT = {MAX_EDD_AMBIENT}"
         )
+    # refuse before the recurrence when the answer's lower bound is already
+    # too long to print; the margin covers float rounding, and a bound
+    # within it is caught by _answer_text after the recurrence
+    limit = sys.get_int_max_str_digits()
+    if limit and ed_degree_floor_log10(spec) >= limit + 1e-6:
+        raise _too_long(limit)
     profile = ci_profile(spec)
     value = ed_degree(profile)
+    text = _answer_text(value)
     if args.json:
         print(json.dumps({**profile_json(profile), "edd": value}))
     else:
-        print(value)
+        print(text)
     return 0
 
 

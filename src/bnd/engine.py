@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, inf, log10
 
 from .profiles import (
     PolarProfile,
@@ -281,6 +281,18 @@ def epsilon_oracle(m: int, n: int, profile: PolarProfile) -> EpsilonVector:
 def ed_degree(profile: PolarProfile) -> int:
     """Euclidean distance degree: the sum of all polar degrees (= eps_0)."""
     return sum(polar_degrees(profile))
+
+
+def ed_degree_floor_log10(spec: VarietySpec) -> float:
+    """log10 of d_1...d_k * (d_max - 1)^m, a lower bound on the ED degree of
+    a general complete intersection of dimension m in P^n (one term of
+    d_1...d_k * sum over i_1 + ... + i_k <= m of prod (d_j - 1)^(i_j));
+    -inf when every degree is 1.  It costs no recurrence, so a caller can
+    tell from it that an answer will be too long to print."""
+    top = max(spec.degrees)
+    if top == 1:
+        return -inf
+    return sum(map(log10, spec.degrees)) + spec.dim * log10(top - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Iterable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
@@ -488,6 +488,26 @@ class ClassPoly:
         return ClassPoly._of(
             coordinate_ring(total), {head + e + tail: c for e, c in self.terms.items()}
         )
+
+    def relabel(self, perm: Sequence[int]) -> "ClassPoly":
+        """Same ring, with symbol perm[i] renamed to symbol i.
+
+        The terms keep their order and their coefficient objects, so a
+        relabelling of a product equals the product of the relabelled
+        factors term for term.  perm must be a permutation of the symbols
+        that maps each to one of the same codim and pullback flag.
+        """
+        ctx = self.ctx
+        perm = tuple(perm)
+        if sorted(perm) != list(range(len(ctx.symbols))):
+            raise ValueError(f"{perm} is not a permutation of {len(ctx.symbols)} symbols")
+        for grades in (ctx._codims, ctx._pullback_codims):
+            if any(grades[p] != g for p, g in zip(perm, grades)):
+                raise ValueError(f"{perm} does not keep the grading of {ctx!r}")
+        if len(perm) < 2:
+            return self
+        slots = itemgetter(*perm)
+        return ClassPoly._of(ctx, {slots(e): c for e, c in self.terms.items()})
 
     def eval_exact(self, point: Sequence) -> Fraction:
         vals = [Fraction(v) for v in point]

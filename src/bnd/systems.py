@@ -10,6 +10,11 @@ an off-diagonal solution of either of two systems:
   * Lagrange formulation: a square system with multipliers,
     x - y = sum_i lam_i grad f_i(x),  x - y = sum_i mu_i grad f_i(y).
 
+Both conditions are symmetric: (x, y) is a bottleneck pair exactly when
+(y, x) is.  So only the x-half of each system is expanded, and the y-half
+is its relabelling under x <-> y (and lam <-> mu), `ClassPoly.relabel`:
+the same terms, in the same order, that a direct expansion would give.
+
 Everything is exact: coefficients are ints or Fractions, decimal literals in input
 files are read exactly by Fraction, and minors are expanded determinants.
 """
@@ -79,23 +84,35 @@ def _check_input(fs: Sequence[Poly], m: int) -> tuple[int, int]:
     return n, k
 
 
+def _swap(n: int, k: int = 0) -> tuple[int, ...]:
+    """The relabelling (see ClassPoly.relabel) of x1..xn, y1..yn followed by
+    k multipliers of each point that exchanges the two points: x with y
+    and, when k > 0, lam with mu."""
+    xs, ys = range(n), range(n, 2 * n)
+    lams, mus = range(2 * n, 2 * n + k), range(2 * n + k, 2 * n + 2 * k)
+    return (*ys, *xs, *mus, *lams)
+
+
 def build_minor_system(fs: Sequence[Poly], m: int) -> PolySystem:
     """Minor formulation in the 2n variables x1..xn, y1..yn.
 
     Equation order: f_i(x), f_i(y), then the minors of J(x,y), then the
     minors of J(y,x); minors are enumerated with row and column index sets
     in lexicographic order and fully expanded.
+
+    Only f_i(x) and the minors of J(x,y) are expanded.  Exchanging x and y
+    is a ring automorphism that maps J(x,y) entry by entry onto J(y,x), so
+    f_i(y) and the minors of J(y,x) are their relabellings: the terms a
+    direct expansion would give, in the same order.
     """
     n, k = _check_input(fs, m)
     total = 2 * n
     fx = [f.embed(total, 0) for f in fs]
-    fy = [f.embed(total, n) for f in fs]
     x = [Poly.var(total, i) for i in range(n)]
     y = [Poly.var(total, n + i) for i in range(n)]
 
-    # gradient rows: partials of each embedded f in the point's own coordinates
+    # gradient rows: partials of each embedded f in x
     grad_x = [[p.diff(j) for j in range(n)] for p in fx]
-    grad_y = [[p.diff(n + j) for j in range(n)] for p in fy]
 
     def minors(rows: list[list[Poly]]) -> list[Poly]:
         # each minor is a Laplace expansion along its first row; the minors of
@@ -121,10 +138,9 @@ def build_minor_system(fs: Sequence[Poly], m: int) -> PolySystem:
             for ci in combinations(range(n), size)
         ]
 
-    j_xy = [[y[j] - x[j] for j in range(n)]] + grad_x
-    j_yx = [[x[j] - y[j] for j in range(n)]] + grad_y
-
-    polys = fx + fy + minors(j_xy) + minors(j_yx)
+    minors_xy = minors([[y[j] - x[j] for j in range(n)]] + grad_x)
+    swap = _swap(n)
+    polys = fx + [f.relabel(swap) for f in fx] + minors_xy + [p.relabel(swap) for p in minors_xy]
     return PolySystem(_xy_names(n), tuple(polys), SystemMeta(n, k, m, "minors"))
 
 
@@ -134,6 +150,10 @@ def build_lagrange_system(fs: Sequence[Poly]) -> PolySystem:
 
     Equation order: f_i(x), f_i(y), then componentwise
     x - y - sum_i lam_i grad f_i(x), then the same with mu at y.
+
+    Each sum_i lam_i d_j f_i(x) is expanded once; f_i(y) and
+    sum_i mu_i d_j f_i(y) are its relabellings under x <-> y, lam <-> mu,
+    with the terms of a direct expansion in the same order.
     """
     if not fs:
         raise ValueError("need at least one defining polynomial")
@@ -144,21 +164,17 @@ def build_lagrange_system(fs: Sequence[Poly]) -> PolySystem:
     names += tuple(f"mu{i}" for i in range(1, k + 1))
 
     fx = [f.embed(total, 0) for f in fs]
-    fy = [f.embed(total, n) for f in fs]
     x = [Poly.var(total, i) for i in range(n)]
     y = [Poly.var(total, n + i) for i in range(n)]
     lam = [Poly.var(total, 2 * n + i) for i in range(k)]
-    mu = [Poly.var(total, 2 * n + k + i) for i in range(k)]
 
-    lam_block = [
-        x[j] - y[j] - sum((lam[i] * fx[i].diff(j) for i in range(k)), Poly(total, {}))
-        for j in range(n)
+    swap = _swap(n, k)
+    lam_sums = [
+        sum((lam[i] * fx[i].diff(j) for i in range(k)), Poly(total, {})) for j in range(n)
     ]
-    mu_block = [
-        x[j] - y[j] - sum((mu[i] * fy[i].diff(n + j) for i in range(k)), Poly(total, {}))
-        for j in range(n)
-    ]
-    polys = fx + fy + lam_block + mu_block
+    lam_block = [x[j] - y[j] - s for j, s in enumerate(lam_sums)]
+    mu_block = [x[j] - y[j] - s.relabel(swap) for j, s in enumerate(lam_sums)]
+    polys = fx + [f.relabel(swap) for f in fx] + lam_block + mu_block
     return PolySystem(names, tuple(polys), SystemMeta(n, k, n - k, "lagrange"))
 
 

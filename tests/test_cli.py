@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import math
 import subprocess
 import sys
 import time
@@ -11,6 +12,8 @@ import pytest
 from bnd import cli, solver
 from bnd.check import CHECKS, _check_formula, _check_minor_system, _check_solver
 from bnd.cli import _build_parser, main
+from bnd.engine import ed_degree, ed_degree_floor_log10
+from bnd.profiles import VarietySpec, ci_profile
 from bnd.solver import BottleneckPair, SolveResult
 from bnd.systems import parse_system_text
 
@@ -87,27 +90,27 @@ def test_missing_subcommand_is_usage_error(capsys):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "argv, expected",
-    [
-        (("bnd", "--ambient", "2", "--degrees", "4", "--affine"), "192"),
-        (("bnd", "--ambient", "3", "--degrees", "2,3", "--affine"), "480"),
-        (("bnd", "--ambient", "3", "--degrees", "2", "--affine"), "6"),
-        (("bnd", "--ambient", "3", "--degrees", "2"), "12"),
-        (("edd", "--ambient", "2", "--degrees", "3"), "9"),
-        (("edd", "--ambient", "3", "--degrees", "2,3"), "24"),
-        (("edd", "--ambient", "2", "--degrees", "1"), "1"),
-        # deg X generic affine points, none at infinity: D(D-1) ordered pairs
-        (("bnd", "--ambient", "1", "--degrees", "2", "--affine"), "2"),
-        (("bnd", "--ambient", "2", "--degrees", "2,2", "--affine"), "12"),
-        # two points in P^22: no ring work, so MAX_AMBIENT does not refuse it
-        (("bnd", "--ambient", "22", "--degrees", ",".join(["2"] + ["1"] * 21)), "2"),
-        # edd runs no ring, so MAX_AMBIENT does not bound it: a quadric in
-        # P^n has d * sum (d-1)^i = 2n, up to MAX_EDD_AMBIENT
-        (("edd", "--ambient", "30", "--degrees", "2"), "60"),
-        (("edd", "--ambient", "300", "--degrees", "2"), "600"),
-    ],
-)
+VALUES = [
+    (("bnd", "--ambient", "2", "--degrees", "4", "--affine"), "192"),
+    (("bnd", "--ambient", "3", "--degrees", "2,3", "--affine"), "480"),
+    (("bnd", "--ambient", "3", "--degrees", "2", "--affine"), "6"),
+    (("bnd", "--ambient", "3", "--degrees", "2"), "12"),
+    (("edd", "--ambient", "2", "--degrees", "3"), "9"),
+    (("edd", "--ambient", "3", "--degrees", "2,3"), "24"),
+    (("edd", "--ambient", "2", "--degrees", "1"), "1"),
+    # deg X generic affine points, none at infinity: D(D-1) ordered pairs
+    (("bnd", "--ambient", "1", "--degrees", "2", "--affine"), "2"),
+    (("bnd", "--ambient", "2", "--degrees", "2,2", "--affine"), "12"),
+    # two points in P^22: no ring work, so MAX_AMBIENT does not refuse it
+    (("bnd", "--ambient", "22", "--degrees", ",".join(["2"] + ["1"] * 21)), "2"),
+    # edd runs no ring, so MAX_AMBIENT does not bound it: a quadric in
+    # P^n has d * sum (d-1)^i = 2n, up to MAX_EDD_AMBIENT
+    (("edd", "--ambient", "30", "--degrees", "2"), "60"),
+    (("edd", "--ambient", "300", "--degrees", "2"), "600"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", VALUES)
 def test_bnd_and_edd_values(capsys, argv, expected):
     code, out, _ = run(capsys, *argv)
     assert code == 0
@@ -177,6 +180,54 @@ def test_work_past_the_bound_is_refused(capsys, argv):
     assert time.perf_counter() - start < 1.0
     assert code == 1 and not out
     assert ("MAX_EDD_AMBIENT = 300" if argv[0] == "edd" else "MAX_AMBIENT = 21") in err
+
+
+@pytest.mark.parametrize("argv, expected", VALUES)
+def test_ed_degree_floor_is_below_the_ed_degree(argv, expected):
+    """ed_degree_floor_log10 is log10 of d_1...d_k * (d_max - 1)^m, and that
+    integer is at most the projective ED degree of every shape above."""
+    ambient, degrees = int(argv[2]), tuple(int(d) for d in argv[4].split(","))
+    spec = VarietySpec(ambient, degrees)
+    floor = math.prod(degrees) * (max(degrees) - 1) ** spec.dim
+    assert floor <= ed_degree(ci_profile(spec))
+    if floor:
+        assert ed_degree_floor_log10(spec) == pytest.approx(math.log10(floor), abs=1e-12)
+    else:
+        assert ed_degree_floor_log10(spec) == -math.inf
+
+
+HUGE = str(10**1000)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # refused from the floor, before a recurrence that takes seconds
+        ("edd", "--ambient", "300", "--degrees", HUGE),
+        ("edd", "--ambient", "300", "--degrees", HUGE, "--json"),
+        # a floor of 4,300 digits under an answer of more: refused after it
+        ("edd", "--ambient", "20", "--degrees", ",".join([str(10**215)] * 10)),
+        ("bnd", "--ambient", "3", "--degrees", HUGE),
+        ("bnd", "--ambient", "3", "--degrees", HUGE, "--json"),
+    ],
+)
+def test_answers_too_long_to_print_are_refused(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and not out
+    limit = sys.get_int_max_str_digits()
+    assert f"more than {limit} digits" in err
+    assert f"sys.get_int_max_str_digits() = {limit}" in err
+
+
+def test_long_answers_within_the_limit_are_printed(capsys):
+    # d * (1 + (d-1) + (d-1)^2) for a surface of degree d = 10^1000: 3,000 digits
+    code, out, _ = run(capsys, "edd", "--ambient", "3", "--degrees", HUGE)
+    d = 10**1000
+    assert code == 0
+    assert out.strip() == str(d * (1 + (d - 1) + (d - 1) ** 2))
+    assert len(out.strip()) == 3000
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,41 @@ def test_coordinate_ring_product_keeps_first_insertion_order():
     assert list((a * b).terms) == list(naive_product(a, b).terms)
 
 
+def test_relabel_keeps_term_order_and_coefficient_objects():
+    rng = random.Random(608)
+    ctx = coordinate_ring(4)
+    a = mixed_poly(ctx, rng) * mixed_poly(ctx, rng)
+    # a product keeps some integral values as Fraction(n, 1); so must relabel
+    assert any(type(c) is Fraction and c.denominator == 1 for c in a.terms.values())
+    perm = (2, 0, 3, 1)
+    b = a.relabel(perm)
+    assert list(b.terms) == [tuple(e[i] for i in perm) for e in a.terms]
+    assert all(c is d for c, d in zip(a.terms.values(), b.terms.values()))
+    # a ring map: it commutes with products, term order included
+    c = mixed_poly(ctx, rng)
+    assert list((a * c).relabel(perm).terms.items()) == list(
+        (b * c.relabel(perm)).terms.items()
+    )
+    inverse = tuple(perm.index(i) for i in range(4))
+    assert list(b.relabel(inverse).terms.items()) == list(a.terms.items())
+    one = coordinate_ring(1).var(0)
+    assert one.relabel([0]) == one
+
+
+def test_relabel_refuses_what_is_not_a_graded_permutation():
+    p = coordinate_ring(3).var(0)
+    for perm in [(0, 1), (0, 1, 1), (0, 1, 3), (1, 2, 3, 0)]:
+        with pytest.raises(ValueError, match="not a permutation"):
+            p.relabel(perm)
+    ctx = conormal_ctx(m=2, n=5)  # xi, h, c1 of codim 1, c2 of codim 2
+    xi, h, c1 = ctx.sym("xi"), ctx.sym("h"), ctx.sym("c1")
+    assert (xi * h * h).relabel((0, 2, 1, 3)) == xi * c1 * c1
+    # xi is not pulled back, h is; c2 has codim 2
+    for perm in [(1, 0, 2, 3), (0, 3, 2, 1)]:
+        with pytest.raises(ValueError, match="grading"):
+            h.relabel(perm)
+
+
 def test_multiply_never_forms_a_dying_term(monkeypatch):
     ctx = conormal_ctx(m=2, n=5)
     xi, h, c1 = ctx.sym("xi"), ctx.sym("h"), ctx.sym("c1")

@@ -1,11 +1,8 @@
 """Tests for the numeric bottleneck search."""
 
-import importlib.util
 import itertools
-import json
 import math
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,19 +57,6 @@ FAST = SolverConfig(density=8)
 @pytest.fixture(scope="module")
 def ellipse_result():
     return find_bottlenecks(ELLIPSE)
-
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-@pytest.fixture(scope="module")
-def perfbench_workloads():
-    """perfbench/workloads.py, which holds the solve anchors (name, variety
-    text, grid density, degrees); it imports nothing from the package."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 # ---------------------------------------------------------------------------
@@ -930,13 +914,13 @@ def test_greedy_keep():
     assert _greedy_keep(np.zeros((0, 3)), 1.0).tolist() == []
 
 
-def _missed_pinned_pairs(anchor, seed):
+def _missed_pinned_pairs(workloads, anchor, seed):
     """The isolated pairs pinned for a perfbench solve anchor (name, text,
     density, degrees) in perfbench/reference/solve.json that a solve at the
     anchor's density and this sampling seed does not find within 1e-6, in
     either orientation, and the number pinned."""
     name, text, density, _ = anchor
-    reference = json.loads((PERFBENCH / "reference" / "solve.json").read_text(encoding="utf-8"))
+    reference = workloads.load_reference("solve")
     fs = list(parse_system_text(text).polynomials)
     result = find_bottlenecks(fs, SolverConfig(density=density, seed=seed))
     n = fs[0].nvars
@@ -960,7 +944,7 @@ def test_perfbench_anchor_pairs_are_found(perfbench_workloads):
     perfbench/reference/solve.json is found within 1e-6, in either
     orientation."""
     for anchor in perfbench_workloads.SOLVE_ANCHORS:
-        missed, _ = _missed_pinned_pairs(anchor, 0)
+        missed, _ = _missed_pinned_pairs(perfbench_workloads, anchor, 0)
         assert not missed, f"{anchor[0]}: pinned pairs {missed} not found"
 
 
@@ -971,7 +955,7 @@ def test_step_floor_keeps_trott_pairs(perfbench_workloads, seed, found):
     search down to 2^-30.  A floor of 2^-13 loses one of them at seed 18,
     and one of 2^-11 (no third block) one at each seed."""
     (trott,) = (a for a in perfbench_workloads.SOLVE_ANCHORS if a[0] == "trott")
-    missed, pinned = _missed_pinned_pairs(trott, seed)
+    missed, pinned = _missed_pinned_pairs(perfbench_workloads, trott, seed)
     assert pinned - len(missed) == found
 
 

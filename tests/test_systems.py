@@ -1,10 +1,13 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, sqrt
+from pathlib import Path
 
 import pytest
 
+from bnd.cli import main
 from bnd.ring import declare_ring, SymbolSpec
 from bnd.systems import (
     Poly,
@@ -185,14 +188,27 @@ def _dense(rng, n, degree):
     return Poly(n, terms)
 
 
-@pytest.mark.parametrize("n, degrees, seed", [(4, (2, 2), 0), (4, (2, 3), 1), (5, (2, 2), 2)])
+def _same_terms(got, want):
+    """The polynomials have the same terms in the same order, with the same
+    coefficient types."""
+    assert len(got) == len(want)
+    for p, q in zip(got, want):
+        assert list(p.terms.items()) == list(q.terms.items())
+        assert [type(c) for c in p.terms.values()] == [type(c) for c in q.terms.values()]
+
+
+@pytest.mark.parametrize(
+    "n, degrees, seed",
+    [(4, (2, 2), 0), (4, (2, 3), 1), (5, (2, 2), 2), (3, (4,), 3), (3, (2, 3), 4)],
+)
 def test_shared_minors_equal_det(n, degrees, seed):
-    """The minors with shared sub-minors are det of each minor matrix, with
-    the same terms in the same order."""
+    """The minors with shared sub-minors are det of each minor matrix, and
+    the relabelled x-half is f_i(y) and the minors of J(y,x) built
+    directly: the same terms in the same order.  Codim-2 inputs also run
+    with m = n - 1, whose 2x2 minors include a row set of two gradients
+    and no chord row."""
     rng = random.Random(seed)
     fs = [_dense(rng, n, d) for d in degrees]
-    m = n - len(fs)
-    system = build_minor_system(fs, m)
     total = 2 * n
     x = [Poly.var(total, i) for i in range(n)]
     y = [Poly.var(total, n + i) for i in range(n)]
@@ -200,18 +216,16 @@ def test_shared_minors_equal_det(n, degrees, seed):
     fy = [f.embed(total, n) for f in fs]
     j_xy = [[y[j] - x[j] for j in range(n)]] + [[p.diff(j) for j in range(n)] for p in fx]
     j_yx = [[x[j] - y[j] for j in range(n)]] + [[p.diff(n + j) for j in range(n)] for p in fy]
-    size = n - m + 1
-    want = [
-        det([[rows[r][c] for c in ci] for r in ri])
-        for rows in (j_xy, j_yx)
-        for ri in combinations(range(len(rows)), size)
-        for ci in combinations(range(n), size)
-    ]
-    got = system.polynomials[2 * len(fs) :]
-    assert len(got) == len(want) == 2 * comb(len(fs) + 1, size) * comb(n, size)
-    for p, q in zip(got, want):
-        assert list(p.terms.items()) == list(q.terms.items())
-        assert [type(c) for c in p.terms.values()] == [type(c) for c in q.terms.values()]
+    for m in sorted({n - len(fs), n - 1}):
+        size = n - m + 1
+        want = [
+            det([[rows[r][c] for c in ci] for r in ri])
+            for rows in (j_xy, j_yx)
+            for ri in combinations(range(len(rows)), size)
+            for ci in combinations(range(n), size)
+        ]
+        assert len(want) == 2 * comb(len(fs) + 1, size) * comb(n, size)
+        _same_terms(build_minor_system(fs, m).polynomials, fx + fy + want)
 
 
 def test_minor_system_swap_symmetry():
@@ -264,6 +278,38 @@ def test_ellipse_lagrange_system_is_the_multiplier_system():
     assert sys.polynomials == expected
 
 
+def lagrange_reference(fs):
+    """The Lagrange system with both multiplier blocks expanded directly:
+    the reference that build_lagrange_system's relabelled mu block must
+    reproduce, term order included."""
+    n, k = fs[0].nvars, len(fs)
+    total = 2 * n + 2 * k
+    fx = [f.embed(total, 0) for f in fs]
+    fy = [f.embed(total, n) for f in fs]
+    x = [Poly.var(total, i) for i in range(n)]
+    y = [Poly.var(total, n + i) for i in range(n)]
+    lam = [Poly.var(total, 2 * n + i) for i in range(k)]
+    mu = [Poly.var(total, 2 * n + k + i) for i in range(k)]
+    lam_block = [
+        x[j] - y[j] - sum((lam[i] * fx[i].diff(j) for i in range(k)), Poly(total, {}))
+        for j in range(n)
+    ]
+    mu_block = [
+        x[j] - y[j] - sum((mu[i] * fy[i].diff(n + j) for i in range(k)), Poly(total, {}))
+        for j in range(n)
+    ]
+    return fx + fy + lam_block + mu_block
+
+
+@pytest.mark.parametrize(
+    "n, degrees, seed", [(2, (4,), 10), (3, (3,), 11), (3, (2, 3), 12), (4, (3, 2), 13)]
+)
+def test_lagrange_system_equals_the_direct_construction(n, degrees, seed):
+    rng = random.Random(seed)
+    fs = [_dense(rng, n, d) for d in degrees]
+    _same_terms(build_lagrange_system(fs).polynomials, lagrange_reference(fs))
+
+
 def test_lagrange_square_count():
     sys = build_lagrange_system([p3("x1^4 + x2^4 + x3^4 - 1")])
     assert len(sys.polynomials) == 8
@@ -277,6 +323,21 @@ def test_lagrange_degenerate_gradient_still_builds():
 
 
 # -- serialization -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("draw", range(16))
+def test_emitted_systems_match_the_perfbench_reference(perfbench_workloads, tmp_path, draw):
+    """`bnd system` writes, for every shape and form of each of the 16
+    perfbench systems draws, a file whose SHA-256 is the one pinned in
+    perfbench/reference/systems.json."""
+    assert perfbench_workloads.SYSTEM_POOL == 16
+    reference = perfbench_workloads.load_reference("systems")
+    ops = perfbench_workloads.system_ops(draw, str(tmp_path))
+    assert len(ops) == 40
+    for op in ops:
+        assert main(op["argv"]) == 0
+        digest = hashlib.sha256(Path(op["output"]).read_bytes()).hexdigest()
+        assert digest == reference[op["key"]], op["key"]
 
 
 def test_emit_parse_roundtrip_is_bit_identical(tmp_path):
