@@ -12,10 +12,13 @@ F and J are evaluated EVAL_CHUNK points at a time, so that the temporaries
 of large batches stay in the heap instead of being faulted in again on
 every call; the values are those of one product over all the points.
 Least-squares steps against a single row or column (the sampling steps and
-the multiplier fit of a hypersurface) are g^T / |g|^2 without an SVD.
-Canonical orientation and the sort of the found pairs are array
-operations, and deduplication, like the thinning of the samples, is one
-greedy pass (_greedy_keep) that loops once per kept row.
+the multiplier fit of a hypersurface) are g^T / |g|^2 without an SVD; those
+against two rows or columns (the same for a codimension-2 curve) are a
+closed-form LQ solve, with the SVD kept for the rows it does not trust.
+The sampling jitter is numpy's PCG64 stream, computed without loading
+numpy.random.  Canonical orientation and the sort of the found pairs are
+array operations, and deduplication, like the thinning of the samples, is
+one greedy pass (_greedy_keep) that loops once per kept row.
 
 The search is heuristic: results always carry possibly_incomplete=True and
 the found count should be compared against the BND-derived complex bound,
@@ -47,6 +50,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -62,6 +66,9 @@ RANK_CUTOFF = 1e-8
 # an LU step with |step| * max|J| > STEP_LIMIT * |F| marks a near-singular
 # row, which takes the pseudoinverse step instead
 STEP_LIMIT = 1e7
+# a two-row or two-column least-squares step whose second Gram-Schmidt
+# pivot is below TWO_RANK_TRUST times the first takes the SVD instead
+TWO_RANK_TRUST = 1e-4
 # damped Newton tries t = 1 first, then t = 2^-1..2^-3, 2^-4..2^-11 and
 # 2^-12..2^-15, each block in one evaluation.  A step of t shrinks F by
 # about (1 - t), so rows living on shorter steps would not halve their
@@ -86,6 +93,9 @@ MAX_GRID_POINTS = 10**6
 # |x - y| <= SEP_THRESHOLD (a start pair: twice that) is on the diagonal
 CLUSTER_RADIUS = 1e-6
 SEP_THRESHOLD = 1e-4
+# word masks and the 128-bit LCG multiplier of numpy's PCG64 (see _uniform)
+_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @dataclass(frozen=True)
@@ -216,15 +226,16 @@ class _CompiledSystem:
         self.j_coeffs = coeffs[:, self.neqs :]
 
     def eval(self, pts: np.ndarray) -> np.ndarray:
-        """(N, nvars) points -> (N, neqs) values."""
-        out = np.empty((len(pts), self.neqs))
+        """(N, nvars) points -> (N, neqs) values, complex at complex points."""
+        out = np.empty((len(pts), self.neqs), np.promote_types(pts.dtype, np.float64))
         for lo, hi in _chunks(len(pts)):
             np.matmul(_monomials(self.f_plan, pts[lo:hi]).T, self.f_coeffs, out=out[lo:hi])
         return out
 
     def jacobian(self, pts: np.ndarray) -> np.ndarray:
-        """(N, nvars) points -> (N, neqs, nvars) partial derivatives."""
-        out = np.empty((len(pts), self.j_coeffs.shape[1]))
+        """(N, nvars) points -> (N, neqs, nvars) partial derivatives, complex
+        at complex points."""
+        out = np.empty((len(pts), self.j_coeffs.shape[1]), np.promote_types(pts.dtype, np.float64))
         for lo, hi in _chunks(len(pts)):
             np.matmul(_monomials(self.plan, pts[lo:hi]).T, self.j_coeffs, out=out[lo:hi])
         return out.reshape(len(pts), self.neqs, self.nvars)
@@ -269,7 +280,7 @@ def _monomials(plan: tuple, pts: np.ndarray) -> np.ndarray:
     which fixes the summation order of the matrix products after it."""
     top, levels, rank = plan
     x = pts.T
-    table = np.empty((1 + top * x.shape[0], len(pts)))
+    table = np.empty((1 + top * x.shape[0], len(pts)), np.promote_types(pts.dtype, np.float64))
     table[0] = 1.0
     pw = table[1:].reshape(top, *x.shape)  # a view: pw[d-1, v] = x_v^d
     pw[:1] = x
@@ -287,25 +298,32 @@ def _monomials(plan: tuple, pts: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def sample_variety(fs: Sequence[ClassPoly], config: SolverConfig | None = None) -> np.ndarray:
+def sample_variety(
+    fs: Sequence[ClassPoly],
+    config: SolverConfig | None = None,
+    compiled: _CompiledSystem | None = None,
+) -> np.ndarray:
     """Points on the real locus of f_1 = .. = f_k = 0, found by Gauss-Newton
     projection of a jittered grid over the search box.
 
     Returns an (N, n) array (possibly empty: an empty real locus is a valid
     outcome, not an error).  Points are deduplicated at a radius tied to the
-    grid spacing so the sample is spread rather than clustered.
+    grid spacing so the sample is spread rather than clustered.  compiled,
+    when given, is the _CompiledSystem of fs, which is then not built again.
+    The jitter of grid point coordinate i is the i-th double of
+    np.random.default_rng(config.seed).uniform(-1, 1), drawn by _uniform
+    without loading numpy.random; a negative seed raises ValueError.
     """
     config = config or SolverConfig()
-    sysc = _CompiledSystem(list(fs), fs[0].nvars)
+    sysc = compiled or _CompiledSystem(list(fs), fs[0].nvars)
     n = sysc.nvars
     box = config.box_for(n)
     density = config.density_for(n)
-    rng = np.random.default_rng(config.seed)
 
     axes = [np.linspace(lo, hi, density) for lo, hi in box]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
     jitter = np.array([(hi - lo) / density for lo, hi in box]) * 0.25
-    pts = grid + rng.uniform(-1, 1, grid.shape) * jitter
+    pts = grid + np.array(_uniform(config.seed, grid.size)).reshape(grid.shape) * jitter
 
     for _ in range(40):
         vals = sysc.eval(pts)
@@ -333,6 +351,56 @@ def sample_variety(fs: Sequence[ClassPoly], config: SolverConfig | None = None) 
     radius = max(CLUSTER_RADIUS, span / (spread * density))
     pts = pts[np.lexsort(pts.T[::-1])]
     return pts[_greedy_keep(pts, radius)]
+
+
+def _uniform(seed: int, count: int) -> list[float]:
+    """The first count doubles of np.random.default_rng(seed).uniform(-1, 1),
+    bit for bit, in pure Python: numpy's SeedSequence seeds its PCG64, whose
+    XSL-RR outputs give 53-bit doubles u in [0, 1), returned as -1 + 2u."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    # SeedSequence: the seed's 32-bit words mixed into a pool of four
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    hash_a = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_a
+        value ^= hash_a
+        hash_a = hash_a * 0x931E8875 & _MASK32
+        value = value * hash_a & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return r ^ r >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(4, uint64): eight 32-bit words, little-endian pairs
+    hash_b, half = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_b
+        hash_b = hash_b * 0x58F38DED & _MASK32
+        value = value * hash_b & _MASK32
+        half.append(value ^ value >> 16)
+    w = [half[i] | half[i + 1] << 32 for i in range(0, 8, 2)]
+    # PCG64 seeding: from state 0, step, add the initial state, step
+    inc = ((w[2] << 64 | w[3]) << 1 | 1) & _MASK128
+    state = ((inc + (w[0] << 64 | w[1])) * _PCG_MULT + inc) & _MASK128
+    out = [0.0] * count
+    for i in range(count):
+        state = (state * _PCG_MULT + inc) & _MASK128
+        x = (state >> 64 ^ state) & _MASK64
+        rot = state >> 122
+        out[i] = (((x >> rot | x << 64 - rot) & _MASK64) >> 11) * 2.0**-52 - 1.0
+    return out
 
 
 def _greedy_keep(keys: np.ndarray, radius: float) -> np.ndarray:
@@ -368,9 +436,17 @@ def _pinv_step(jac: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Least-squares steps pinv(J) F, singular values below RANK_CUTOFF
     times the largest counted as zero.  A single-row or single-column J = g
     has one singular value |g|, which the relative cutoff always keeps: its
-    pinv is g^T / |g|^2, and zero where g = 0, with no SVD."""
+    pinv is g^T / |g|^2, and zero where g = 0, with no SVD.  A J of two rows
+    or two columns takes the closed form of _two_rank_step, except on the
+    rows that form does not trust; those, and every wider J, take the
+    batched SVD of np.linalg.pinv."""
     if 1 not in jac.shape[1:]:
-        return (np.linalg.pinv(jac, rcond=RANK_CUTOFF) @ vals[:, :, None])[:, :, 0]
+        if 2 not in jac.shape[1:]:
+            return _svd_step(jac, vals)
+        step, trusted = _two_rank_step(jac, vals)
+        if not trusted.all():
+            step[~trusted] = _svd_step(jac[~trusted], vals[~trusted])
+        return step
     g = jac[:, 0] if jac.shape[1] == 1 else jac[:, :, 0]
     # g / |g|^2 = h / (m |h|^2) for h = g / m: scaled by its largest entry m,
     # |h|^2 neither under- nor overflows
@@ -383,6 +459,49 @@ def _pinv_step(jac: np.ndarray, vals: np.ndarray) -> np.ndarray:
     if jac.shape[1] == 1:
         return pinv_t * vals
     return (pinv_t * vals).sum(axis=1, keepdims=True)
+
+
+def _svd_step(jac: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    return (np.linalg.pinv(jac, rcond=RANK_CUTOFF) @ vals[:, :, None])[:, :, 0]
+
+
+def _two_rank_step(jac: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """pinv(J) F for J of two rows (the least-norm solution) or of two
+    columns (the least-squares solution), and per row whether to trust it.
+
+    An LQ solve: Gram-Schmidt on the two rows (columns), the longer first,
+    then back-substitution against the 2x2 triangle l11, l21, l22; the
+    normal equations would square the condition number.  A row is trusted
+    when its step is finite (J and F were) and l22 >= TWO_RANK_TRUST * l11.
+    Then sigma_2 / sigma_1 = l11 l22 / sigma_1^2 >= TWO_RANK_TRUST / 2, far
+    above RANK_CUTOFF, so the SVD would have truncated nothing there."""
+    two_rows = jac.shape[1] == 2
+    # pinv(J) = pinv(J / s) / s: scaled by its largest entry s, no square
+    # below under- or overflows
+    s = np.abs(jac).max(axis=(1, 2))[:, None]
+    u, v = (jac[:, 0], jac[:, 1]) if two_rows else (jac[:, :, 0], jac[:, :, 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u, v = u / s, v / s
+        norm_u, norm_v = np.linalg.norm(u, axis=1), np.linalg.norm(v, axis=1)
+        swap = (norm_v > norm_u)[:, None]
+        u, v = np.where(swap, v, u), np.where(swap, u, v)
+        l11 = np.maximum(norm_u, norm_v)[:, None]
+        q1 = u / l11
+        l21 = (q1 * v).sum(axis=1, keepdims=True)
+        w = v - l21 * q1
+        l22 = np.linalg.norm(w, axis=1, keepdims=True)
+        q2 = w / l22
+        if two_rows:
+            f = np.where(swap, vals[:, ::-1], vals)
+            y1 = f[:, :1] / l11
+            y2 = (f[:, 1:] - l21 * y1) / l22
+            step = (y1 * q1 + y2 * q2) / s
+        else:
+            x2 = (q2 * vals).sum(axis=1, keepdims=True) / l22
+            x1 = ((q1 * vals).sum(axis=1, keepdims=True) - l21 * x2) / l11
+            step = np.where(swap, np.hstack([x2, x1]), np.hstack([x1, x2])) / s
+        trusted = (l22 >= TWO_RANK_TRUST * l11)[:, 0] & np.isfinite(step).all(axis=1)
+    return step, trusted
 
 
 def _newton_step(jac: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, int]:
@@ -557,7 +676,7 @@ def find_bottlenecks(
     minor_c = _CompiledSystem(list(minor.polynomials), 2 * n)
     fs_c = _CompiledSystem(fs, n)
 
-    samples = sample_variety(fs, config)
+    samples = sample_variety(fs, config, fs_c)
     diagnostics = {"samples": int(len(samples))}
 
     idx_i, idx_j = np.triu_indices(len(samples), k=1)

@@ -592,11 +592,13 @@ def test_module_invocation():
 
 def _loaded_after(commands):
     """The exit codes of commands run by bnd.cli.main in one fresh process,
-    and whether numpy, bnd.solver and bnd.check were loaded after them."""
+    and whether numpy, bnd.solver, bnd.check and numpy.random were loaded
+    after them."""
     script = (
         "import sys, bnd.cli\n"
         f"codes = [bnd.cli.main(argv) for argv in {commands!r}]\n"
-        "print(codes, [m in sys.modules for m in ('numpy', 'bnd.solver', 'bnd.check')])\n"
+        "names = ('numpy', 'bnd.solver', 'bnd.check', 'numpy.random')\n"
+        "print(codes, [m in sys.modules for m in names])\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -612,7 +614,13 @@ def test_exact_commands_do_not_import_numpy(tmp_path, ellipse_path):
         ["system", "--input", ellipse_path, "--form", "minor", "--output", str(tmp_path / "m")],
         ["system", "--input", ellipse_path, "--form", "lagrange", "--json"],
     ]
-    assert _loaded_after(commands) == "[0, 0, 0, 0, 0] [False, False, False]"
+    assert _loaded_after(commands) == "[0, 0, 0, 0, 0] [False, False, False, False]"
     # the exact rows of the table load the table alone (exit 1: the two
     # standing ambient-stability rows)
-    assert _loaded_after([["check", "--fast"]]) == "[1] [False, False, True]"
+    assert _loaded_after([["check", "--fast"]]) == "[1] [False, False, True, False]"
+
+
+def test_solve_does_not_import_numpy_random(ellipse_path):
+    # the sampling jitter is numpy's PCG64 stream, computed in pure Python
+    solve = ["solve", "--input", ellipse_path, "--density", "8"]
+    assert _loaded_after([solve]) == "[0] [True, True, False, False]"

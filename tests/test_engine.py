@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -201,6 +203,33 @@ def test_epsilon_oracle_validates_profile():
 def test_ed_degree_is_polar_sum():
     assert ed_degree(plane_curve(3)) == 9  # classical: d^2 for a plane curve
     assert ed_degree(surface(2)) == 6
+
+
+def closed_form_ed_degree(n, degrees):
+    """d_1...d_k * sum over s <= n - k of h_s(d_1 - 1, .., d_k - 1), h_s the
+    complete homogeneous symmetric polynomial (Draisma, Horobet, Ottaviani,
+    Sturmfels, Thomas): h[s] after the i-th degree is h_s of the first i
+    values, one k x m dynamic program."""
+    m = n - len(degrees)
+    h = [1] + [0] * m
+    for d in degrees:
+        for s in range(1, m + 1):
+            h[s] += (d - 1) * h[s - 1]
+    return math.prod(degrees) * sum(h)
+
+
+def test_ed_degree_equals_the_closed_form():
+    """The profile recurrence against the closed form on all 444 ordered
+    shapes with ambient 2..8, codimension 1..3 and degrees 1..4."""
+    shapes = [
+        (n, ds)
+        for n in range(2, 9)
+        for k in range(1, min(3, n - 1) + 1)
+        for ds in itertools.product(range(1, 5), repeat=k)
+    ]
+    assert len(shapes) == 444
+    for n, ds in shapes:
+        assert ed_degree(ci_profile(VarietySpec(n, ds))) == closed_form_ed_degree(n, ds), (n, ds)
 
 
 # -- bottleneck degrees ------------------------------------------------------

@@ -195,6 +195,34 @@ def test_evaluator_on_lagrange_system():
     _assert_matches_exact(list(lag.polynomials), len(lag.variables))
 
 
+def _eval_terms(p, z):
+    """p at the complex point z, term by term in Python complex arithmetic."""
+    return sum(float(c) * math.prod(z[v] ** d for v, d in enumerate(e)) for e, c in p.terms.items())
+
+
+@pytest.mark.parametrize("nvars,degree", [(2, 5), (3, 4), (6, 2)])
+def test_evaluator_keeps_complex_points_complex(nvars, degree):
+    """At complex points F and J are complex (no ComplexWarning, which the
+    suite turns into an error) and equal a direct term-by-term evaluation."""
+    rng = np.random.default_rng(nvars + 20)
+    polys = [_dense_poly(rng, nvars, degree), _dense_poly(rng, nvars, degree - 1)]
+    pts = rng.uniform(-1.5, 1.5, (300, nvars)) + 1j * rng.uniform(-1.5, 1.5, (300, nvars))
+    sysc = _CompiledSystem(polys, nvars)
+    vals, jac = sysc.eval(pts), sysc.jacobian(pts)
+    assert vals.dtype == jac.dtype == np.complex128
+    z = pts.tolist()
+    want_vals = [[_eval_terms(p, pt) for p in polys] for pt in z]
+    want_jac = [[[_eval_terms(p.diff(j), pt) for j in range(nvars)] for p in polys] for pt in z]
+    scale = np.abs(want_vals).max()
+    np.testing.assert_allclose(vals, want_vals, rtol=1e-12, atol=1e-12 * scale)
+    scale = np.abs(want_jac).max()
+    np.testing.assert_allclose(jac, want_jac, rtol=1e-12, atol=1e-12 * scale)
+    # the ellipse at (1 + i, i/2): (1 + i)^2 + (i/2)^2 / 2 - 1 = -9/8 + 2i, exactly
+    at = np.array([[1 + 1j, 0.5j]])
+    assert _CompiledSystem(ELLIPSE, 2).eval(at).tolist() == [[-1.125 + 2j]]
+    assert _CompiledSystem(ELLIPSE, 2).jacobian(at).tolist() == [[[2 + 2j, 0.5j]]]
+
+
 # The reduceat kernel that the level-wise products replaced, kept as the
 # reference: row r of the result is the product of the power-table rows
 # factors[starts[r]:starts[r + 1]], multiplied left to right in variable order.
@@ -392,9 +420,9 @@ def test_solve_samples_through_sample_variety_once(monkeypatch):
     monkeypatch.setattr(solver, "sample_variety", counted)
     find_bottlenecks(ELLIPSE, FAST)
     assert len(sampled) == 1
-    # the Lagrange, minor and defining systems, then the defining system
-    # again inside sample_variety
-    assert built == [6, 4, 2, 2]
+    # the Lagrange, minor and defining systems, each once: sample_variety
+    # takes the defining system find_bottlenecks compiled
+    assert built == [6, 4, 2]
 
 
 def test_sample_ellipsoid_residual():
@@ -536,8 +564,10 @@ def test_rank_one_pinv_step_equals_pinv(monkeypatch, shape):
     assert not step[::17].any()  # g = 0: a zero step
 
 
-@pytest.mark.parametrize("shape", [(50, 2, 3), (50, 2, 6), (50, 3, 2), (50, 4, 4)])
+@pytest.mark.parametrize("shape", [(50, 3, 3), (50, 3, 6), (50, 6, 3), (50, 4, 4)])
 def test_pinv_step_keeps_the_svd_beyond_rank_one(monkeypatch, shape):
+    """A J of three or more rows and columns takes the batched SVD, all
+    rows in one np.linalg.pinv call."""
     rng = np.random.default_rng(shape[1] * 10 + shape[2])
     jac, vals = rng.normal(size=shape), rng.normal(size=shape[:2])
     want = _pinv_reference(jac, vals)
@@ -550,6 +580,54 @@ def test_pinv_step_keeps_the_svd_beyond_rank_one(monkeypatch, shape):
     monkeypatch.setattr(np.linalg, "pinv", counted)
     assert np.array_equal(_pinv_step(jac, vals), want)
     assert calls == [shape]
+
+
+@pytest.mark.parametrize("shape", [(50, 2, 3), (50, 2, 6), (50, 3, 2), (50, 2, 2), (343, 2, 3)])
+def test_two_rank_pinv_step_takes_the_svd_only_where_untrusted(monkeypatch, shape):
+    """A J of two rows or two columns takes the closed-form LQ step: no SVD
+    on well-conditioned rows at any scale, and per row within 1e-12 of
+    np.linalg.pinv.  Rows whose second row (column) is 1e-6 off a multiple
+    of the first or exactly one, a zero J, and a nan in F take the SVD, all
+    in one np.linalg.pinv call, and get exactly its result."""
+    rng = np.random.default_rng(shape[0] + shape[1] * 10 + shape[2])
+    jac, vals = rng.normal(size=shape), rng.normal(size=shape[:2])
+    scale = 10.0 ** rng.choice([0, 0, 0, 200, -200], (shape[0], 1, 1))
+    well, well_vals = jac * scale, vals.copy()
+    want_well = _pinv_reference(well, well_vals)
+
+    bad = np.zeros(shape[0], dtype=bool)
+    bad[::7] = True
+    first, second = (jac[:, 0], jac[:, 1]) if shape[1] == 2 else (jac[:, :, 0], jac[:, :, 1])
+    second[bad] = 3 * first[bad] + np.resize([1e-6, 0.0], bad.sum())[:, None] * second[bad]
+    jac[14] = 0.0
+    vals[3] = np.nan
+    bad[3] = True
+    jac *= scale
+    want = _pinv_reference(jac, vals)
+    want_bad = _pinv_reference(jac[bad], vals[bad])
+
+    pinv, calls = np.linalg.pinv, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return pinv(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", counted)
+    step = _pinv_step(well, well_vals)
+    assert calls == []
+    assert _relative_row_error(step, want_well).max() <= 1e-12
+
+    step = _pinv_step(jac, vals)
+    assert calls == [(bad.sum(), *shape[1:])]
+    assert np.array_equal(step[bad], want_bad, equal_nan=True)
+    assert _relative_row_error(step[~bad], want[~bad]).max() <= 1e-12
+
+
+def _relative_row_error(step, want):
+    """|step - want| / |want| per row, each row scaled by its largest entry
+    first, so that no square overflows."""
+    m = np.abs(want).max(axis=1, keepdims=True)
+    return np.linalg.norm((step - want) / m, axis=1) / np.linalg.norm(want / m, axis=1)
 
 
 def test_newton_step_equals_pinv_step_when_well_conditioned():
@@ -964,6 +1042,20 @@ def test_fixed_seed_is_deterministic():
     second = find_bottlenecks(ELLIPSE, FAST)
     assert first.pairs == second.pairs
     assert first.diagnostics == second.diagnostics
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32, 2**64 + 1, 2**130])
+@pytest.mark.parametrize("count", [0, 1, 1100])
+def test_jitter_stream_equals_numpy_random(seed, count):
+    """The sampling jitter is np.random.default_rng(seed).uniform(-1, 1)
+    bit for bit (1,100 doubles: more than the 1,029 of a 7^3 grid)."""
+    want = np.random.default_rng(seed).uniform(-1, 1, count)
+    assert np.array(solver._uniform(seed, count), dtype=float).tobytes() == want.tobytes()
+
+
+def test_negative_seed_is_refused():
+    with pytest.raises(ValueError, match="non-negative"):
+        sample_variety(ELLIPSE, SolverConfig(density=8, seed=-1))
 
 
 def test_zero_start_path_reports_zero_counts():
