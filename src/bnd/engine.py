@@ -23,8 +23,11 @@ Chern classes of N.  Reduction by R is plain monic division.
 One conormal reduction, taking c(T_X) as a ring element, serves both
 routes: _xi_relation builds c(N) and R, checked against its dual form, and
 _point_class reduces a class to xi^(n-m-1) * (base class).  compute_B runs
-the double point correction through it with the symbolic 1 + c_1 + ... +
-c_m, epsilon_oracle the Schubert pullbacks with a profile's sum gamma_i h^i.
+the double point correction through it with c(T_X) written in the polar
+classes, so the base class is B_{m,n} itself; epsilon_oracle runs the
+Schubert pullbacks through it with a profile's sum gamma_i h^i.  The
+Grassmannian enters only through f*e1 = xi and f*e2 = h*xi - h^2, so the
+tangent class of Gr(2, n+1) is formed already pulled back.
 """
 
 from __future__ import annotations
@@ -50,24 +53,17 @@ from .ring import (
     divide_monic,
     graded_piece,
     render,
-    substitute,
     unit_quotient,
 )
-from .schubert import (
-    SchubertIndex,
-    chern_tangent_grassmannian,
-    pullback_f,
-    schubert_pullback_direct,
-)
+from .schubert import SchubertIndex, schubert_pullback_direct
 
 
 # Largest ambient dimension the exact engine works in.  A query about an
 # m-dimensional variety in P^n runs in n_eff = max(2m+1, n) (compute_B(m, n)
-# in n itself), and the cost grows about 2x per dimension and with n through
-# the Chern class of Gr(2, n+1).  Cold, in a fresh process on a shared
-# 2-vCPU host (Python 3.11): compute_B(10, 21) takes 0.16-0.25 s, of which
-# chern_tangent_grassmannian(21) is 0.005-0.008 s (seven runs), and
-# compute_B(11, 23), with the bound lifted, 0.29-0.41 s (five runs).
+# in n itself), and the cost grows about 2x per dimension.  Cold, in a fresh
+# process on a shared 2-vCPU host (Python 3.11): compute_B(10, 21) takes
+# 0.18-0.27 s (seven runs), and compute_B(11, 23), with the bound lifted,
+# 0.41-0.55 s (five runs).
 MAX_AMBIENT = 21
 
 # Largest ambient dimension `edd` answers in.  It runs no ring, only the
@@ -124,12 +120,12 @@ def formula_context(m: int) -> RingContext:
 
 
 def conormal_context(m: int, n: int) -> RingContext:
-    """Working ring over C_X: xi plus pullback symbols h, c_1..c_m.
+    """Working ring over C_X: xi plus pullback symbols h, p_1..p_m.
 
     Truncation n-1 = dim C_X; classes pulled back from X die above codim m.
     """
     syms = [SymbolSpec("xi", 1), SymbolSpec("h", 1, pullback=True)]
-    syms += [SymbolSpec(f"c{i}", i, pullback=True) for i in range(1, m + 1)]
+    syms += [SymbolSpec(f"p{i}", i, pullback=True) for i in range(1, m + 1)]
     return declare_ring(syms, truncation=n - 1, pullback_bound=m)
 
 
@@ -183,18 +179,31 @@ def _point_class(cls: ClassPoly, relation: ClassPoly, m: int, n: int) -> ClassPo
     return rem.coefficient_of("xi", n - m - 1)
 
 
+def _grassmannian_tangent_over(u: ClassPoly, n: int) -> ClassPoly:
+    """f*c(T Gr(2, n+1)) / u for a unit u of a ring over C_X, in one
+    unit_quotient.
+
+    T_G = S^ (x) Q = S^ (x) V - End(S) in K-theory, with S the tautological
+    rank-2 subbundle and V the trivial rank-(n+1) bundle.  End(S) has Chern
+    roots 0, 0 and +-(x1 - x2), so c(T_G) = (1 + e1 + e2)^(n+1) /
+    (1 - e1^2 + 4*e2) in e1 = c1(S^), e2 = c2(S^).  f* is a ring map with
+    f*e1 = xi and f*e2 = h*xi - h^2, which gives
+
+        f*c(T_G) = (1 + xi + h*xi - h^2)^(n+1) / (1 - (xi - 2h)^2).
+    """
+    xi, h = u.ctx.sym("xi"), u.ctx.sym("h")
+    return unit_quotient((1 + xi + h * xi - h * h) ** (n + 1), (1 - (xi - 2 * h) ** 2) * u)
+
+
 def _double_point_class(c_tx: ClassPoly, m: int, n: int) -> ClassPoly:
     """Base class of the double point correction of the normal-line map
     f: C_X -> Gr(2, n+1): (f*c(T_G) / c(T_CX)) in codim n-1, reduced to
     xi^(n-m-1) * (base class)."""
-    ctx = c_tx.ctx
-    xi = ctx.sym("xi")
+    xi = c_tx.ctx.sym("xi")
     pieces, relation = _xi_relation(c_tx, m, n)
     # relative tangent twist of rank n-m: c(pi*N^ (x) O(1))
     twist = sum((-1) ** j * pieces[j] * (1 + xi) ** (n - m - j) for j in range(n - m + 1))
-    correction = graded_piece(
-        unit_quotient(pullback_f(chern_tangent_grassmannian(n), ctx), c_tx * twist), n - 1
-    )
+    correction = graded_piece(_grassmannian_tangent_over(c_tx * twist, n), n - 1)
     return _point_class(correction, relation, m, n)
 
 
@@ -202,22 +211,20 @@ def _double_point_class(c_tx: ClassPoly, m: int, n: int) -> ClassPoly:
 def compute_B(m: int, n: int) -> BFormula:
     """The universal bottleneck polynomial B_{m,n}.
 
-    The double point reduction with the symbolic c(T_X) = 1 + c_1 + ... +
-    c_m, its base class re-expressed in polar classes.  Raises RuntimeError
-    if an internal reduction step fails, which would mean a pipeline bug
-    rather than bad input.
+    The double point reduction with c(T_X) = 1 + c_1 + ... + c_m, each
+    c_j written in h and the polar classes, so that its base class is
+    already a polynomial in h, p_1..p_m.  Raises RuntimeError if an
+    internal reduction step fails, which would mean a pipeline bug rather
+    than bad input.
     """
     if not 0 < m < n:
         raise ValueError(f"need 0 < m < n, got m={m}, n={n}")
     check_work_bound(m, n)
     ctx = conormal_context(m, n)
-    base_class = _double_point_class(1 + sum(ctx.sym(f"c{i}") for i in range(1, m + 1)), m, n)
-
-    fctx = formula_context(m)
-    images = {"h": fctx.sym("h")}
-    for j in range(1, m + 1):
-        images[f"c{j}"] = _chern_in_polar(fctx, m, j)
-    out = substitute(base_class, images, fctx)
+    c_tx = 1 + sum(_chern_in_polar(ctx, m, j) for j in range(1, m + 1))
+    base_class = _double_point_class(c_tx, m, n)
+    # the base class has no xi: drop that slot to land in h, p_1..p_m
+    out = formula_context(m).poly({e[1:]: c for e, c in base_class.terms.items()})
 
     if not out.is_homogeneous(m):
         raise RuntimeError(f"B_{{{m},{n}}} is not homogeneous of codim {m}")

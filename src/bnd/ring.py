@@ -285,6 +285,17 @@ class ClassPoly:
         return p
 
     @classmethod
+    def _of_groups(cls, ctx: RingContext, groups: list[tuple[int, int, list]]) -> "ClassPoly":
+        """Wrap grade groups (codim, pullback codim, [(packed key, coeff)])
+        with no zero coefficient in ctx; the result keeps them."""
+        exponents = ctx._unpacked.get
+        p = cls._of(
+            ctx, {exponents(k) or ctx._unpack(k): c for _, _, items in groups for k, c in items}
+        )
+        p._groups = groups
+        return p
+
+    @classmethod
     def const(cls, ctx: RingContext | int, c) -> "ClassPoly":
         return _context(ctx).constant(c)
 
@@ -402,17 +413,11 @@ class ClassPoly:
                         else:
                             acc[k] = c1 * c2
         groups = []
-        terms: dict[Exponents, Coefficient] = {}
-        exponents = ctx._unpacked.get
         for (d, p), acc in out.items():
             items = [(k, c) for k, c in acc.items() if c != 0]
             if items:
                 groups.append((d, p, items))
-                for k, c in items:
-                    terms[exponents(k) or ctx._unpack(k)] = c
-        result = ClassPoly._of(ctx, terms)
-        result._groups = groups
-        return result
+        return ClassPoly._of_groups(ctx, groups)
 
     def __mul__(self, other) -> "ClassPoly":
         other = self._coerce(other)
@@ -574,14 +579,7 @@ def unit_quotient(a: ClassPoly, u: ClassPoly) -> ClassPoly:
                 piece.append((p, items))
                 groups.append((d, p, items))
         w.append(piece)
-    terms: dict[Exponents, Coefficient] = {}
-    exponents = ctx._unpacked.get
-    for _, _, items in groups:
-        for k, c in items:
-            terms[exponents(k) or ctx._unpack(k)] = c
-    result = ClassPoly._of(ctx, terms)
-    result._groups = groups
-    return result
+    return ClassPoly._of_groups(ctx, groups)
 
 
 def invert_unit(a: ClassPoly) -> ClassPoly:

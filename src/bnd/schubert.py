@@ -1,4 +1,4 @@
-"""Chern classes on the Grassmannian of lines and their conormal pullbacks.
+"""Schubert classes on the Grassmannian of lines and their conormal pullbacks.
 
 G = Gr(2, n+1) carries the tautological rank-2 subbundle S and rank-(n-1)
 quotient Q.  Everything here is written in the Chern classes of the dual
@@ -11,28 +11,15 @@ conormal model to the line it spans, and on these generators
 
     f* e1 = xi,     f* e2 = h*xi - h^2,
 
-which is all we need to pull back arbitrary classes.
-
-The tangent class comes from T_G = S^ (x) Q and the sequence
-0 -> S -> V -> Q -> 0, which gives S^ (x) Q = S^ (x) V - S^ (x) S, so
-
-    c(T_G) = c(S^)^(n+1) / c(End S) = (1 + e1 + e2)^(n+1) / (1 - e1^2 + 4*e2).
-
-Any representative of c(Q) serves: the class is only ever read through
-the conormal model C_X, whose ring is truncated at n-1 = dim C_X.  Take
-the truncated c(Q) = h_0 + ... + h_(n-1), with h_l the degree-l piece of
-1/c(S), against the whole series 1/c(S) used here.  The two
-representatives of c(T_G) differ by a sum of terms each of which contains
-an h_l with l >= n.  So they agree exactly in degrees 0..n-1, which is all
-that the pullback to C_X keeps, and they are equal in A*(G), because h_n
-and h_(n+1) generate the relations of the Grassmannian.
+which is all we need to pull back arbitrary classes.  The engine's
+epsilon oracle reads Schubert pullbacks in the closed form of
+schubert_pullback_direct; the representative route, a Giambelli
+polynomial pulled back by substitution, is the check on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import comb
 
 from .ring import ClassPoly, RingContext, SymbolSpec, declare_ring, substitute
 
@@ -87,40 +74,6 @@ def _segre(ctx: RingContext, l: int) -> ClassPoly:
 # ---------------------------------------------------------------------------
 # public surface
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def chern_tangent_grassmannian(n: int) -> ClassPoly:
-    """Total Chern class of T(Gr(2, n+1)) as a polynomial in e1, e2.
-
-    T_G = S^ (x) Q = S^ (x) V - S^ (x) S in K-theory, with V the trivial
-    rank-(n+1) bundle, and S^ (x) S = End(S) has Chern roots 0, 0 and
-    +-(x1 - x2), so
-
-        c(T_G) = (1 + e1 + e2)^(n+1) * sum_k (e1^2 - 4*e2)^k.
-
-    The first factor has the coefficient C(n+1, a+b)*C(a+b, b) at
-    e1^a*e2^b, the second C(k, j)*(-4)^j at e1^(2k-2j)*e2^j (a distinct
-    monomial for each k, j); both are written down term by term and the
-    class is their one product in the ring truncated at dim G.  This
-    representative takes c(Q) to be the whole series 1/c(S); the one built
-    on the truncated c(Q) = h_0 + ... + h_(n-1) differs from it by terms
-    that each contain an h_l with l >= n, so the two agree in degrees
-    0..n-1 and are equal in A*(G) (see the module docstring).
-    """
-    ctx = grassmannian_context(n)
-    top = 2 * (n - 1)
-    bundle = ctx.poly(
-        {
-            (a, b): comb(n + 1, a + b) * comb(a + b, b)
-            for b in range(top // 2 + 1)
-            for a in range(top - 2 * b + 1)
-        }
-    )
-    inverse = ctx.poly(
-        {(2 * (k - j), j): comb(k, j) * (-4) ** j for k in range(n) for j in range(k + 1)}
-    )
-    return bundle * inverse
 
 
 def schubert_representative(index: SchubertIndex, n: int) -> ClassPoly:

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -125,6 +124,8 @@ class SolverConfig:
             raise ValueError(f"density must be an integer, got {self.density!r}")
         if not isinstance(self.newton_max_iter, numbers.Integral):
             raise ValueError(f"newton_max_iter must be an integer, got {self.newton_max_iter!r}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.density is not None and self.density < 2:
             raise ValueError("density must be >= 2")
         if not 0 < self.residual_tol < math.inf:
@@ -312,7 +313,7 @@ def sample_variety(
     when given, is the _CompiledSystem of fs, which is then not built again.
     The jitter of grid point coordinate i is the i-th double of
     np.random.default_rng(config.seed).uniform(-1, 1), drawn by _uniform
-    without loading numpy.random; a negative seed raises ValueError.
+    without loading numpy.random.
     """
     config = config or SolverConfig()
     sysc = compiled or _CompiledSystem(list(fs), fs[0].nvars)
@@ -323,7 +324,7 @@ def sample_variety(
     axes = [np.linspace(lo, hi, density) for lo, hi in box]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
     jitter = np.array([(hi - lo) / density for lo, hi in box]) * 0.25
-    pts = grid + np.array(_uniform(config.seed, grid.size)).reshape(grid.shape) * jitter
+    pts = grid + np.array(_uniform(int(config.seed), grid.size)).reshape(grid.shape) * jitter
 
     for _ in range(40):
         vals = sysc.eval(pts)
@@ -354,12 +355,10 @@ def sample_variety(
 
 
 def _uniform(seed: int, count: int) -> list[float]:
-    """The first count doubles of np.random.default_rng(seed).uniform(-1, 1),
-    bit for bit, in pure Python: numpy's SeedSequence seeds its PCG64, whose
-    XSL-RR outputs give 53-bit doubles u in [0, 1), returned as -1 + 2u."""
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    """The first count doubles of np.random.default_rng(seed).uniform(-1, 1)
+    for an int seed >= 0, bit for bit, in pure Python: numpy's SeedSequence
+    seeds its PCG64, whose XSL-RR outputs give 53-bit doubles u in [0, 1),
+    returned as -1 + 2u."""
     # SeedSequence: the seed's 32-bit words mixed into a pool of four
     words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
     hash_a = 0x43B0D7E5

@@ -451,6 +451,7 @@ def test_solve_bad_box_is_usage_error(capsys, ellipse_path):
         (("--tol", "-1"), "residual_tol"),
         (("--box=-inf:inf",), "box"),
         (("--box=0:nan",), "box"),
+        (("--seed", "-1"), "seed"),
     ],
 )
 def test_solve_non_finite_tolerance_or_box_is_usage_error(capsys, ellipse_path, option, field):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -47,6 +48,30 @@ def test_compute_b_matches_pinned_reference():
     for key, text in pinned.items():
         m, n = map(int, key.split(","))
         assert compute_B(m, n).text == text, key
+
+
+# per m = 1..10, the sha256 of compute_B(m, n).text for n = m+1..21, one
+# line each: all 155 shapes with n_eff <= 21, where perfbench's formula.json
+# pins only the 30 with m <= 5
+FORMULA_SHA256 = {
+    1: "97160d9dbb9097150ba1adfac37f762d22a8c701f0c0566127f529bce4493bc5",
+    2: "f0a8635ed112f5094dd14be4694e57b131db0d51e1e52f987617162b96ad543b",
+    3: "489470d0eeeb4c0cd54802a753d3ac9caa2886a02ce5cd368049f3518a6d092f",
+    4: "63679e9440f573ff4d0138b78cff6c127642a346b11cbd9086c99716079e3bae",
+    5: "9b5bb9f84ba32e631e95d8842e0e8ec7230be9e78599a5626ec31122941d6dcd",
+    6: "31db377a0b411ebc8c4ba2c70ca1c22e892fdc041035826b190aafe5852f1320",
+    7: "251d8dfac9d6e2f8185ffbf72623ca0336ff39995fbf0ede8bc78c7b5bdf5834",
+    8: "ff462f1159ccb673083fd0b9350b281cc0095c49069cc4fc82bf090388f96071",
+    9: "2206fe2afffc8824e06b9e54f427cb1aa1cbb6d8c2e96255955f7ebe3db0877f",
+    10: "780e0b04d37a711988683c17f7eac1a4c75152aa10dddeb5fb7bd8359b4730be",
+}
+
+
+def test_compute_b_text_is_pinned_on_every_shape():
+    assert list(FORMULA_SHA256) == list(range(1, 11))
+    for m, want in FORMULA_SHA256.items():
+        text = "\n".join(compute_B(m, n).text for n in range(m + 1, 22))
+        assert hashlib.sha256(text.encode()).hexdigest() == want, m
 
 
 def test_work_bound():
@@ -131,7 +156,7 @@ def test_double_point_reduction_two_routes():
 def test_xi_relation_is_monic_of_degree_n_minus_m():
     for m, n in ((1, 2), (1, 4), (2, 5), (3, 7), (4, 6)):
         ctx = conormal_context(m, n)
-        symbolic = 1 + sum(ctx.sym(f"c{i}") for i in range(1, m + 1))
+        symbolic = 1 + sum(ctx.sym(f"p{i}") for i in range(1, m + 1))
         numeric = numeric_chern(ctx, ci_profile(VarietySpec(n, (2,) * (n - m))))
         for c_tx in (symbolic, numeric):
             pieces, relation = _xi_relation(c_tx, m, n)
@@ -144,7 +169,7 @@ def test_point_class_rejects_a_class_off_the_point_form():
     m, n = 2, 5
     ctx = conormal_context(m, n)
     xi, h = ctx.sym("xi"), ctx.sym("h")
-    symbolic = 1 + ctx.sym("c1") + ctx.sym("c2")
+    symbolic = 1 + ctx.sym("p1") + ctx.sym("p2")
     numeric = numeric_chern(ctx, surface(3))
     for c_tx in (symbolic, numeric):
         _, relation = _xi_relation(c_tx, m, n)

@@ -324,7 +324,7 @@ def test_emitted_system_parses_as_the_character_parser_does():
         # a monomial that dies in the ring is dropped, a group that is
         # truncated keeps its surviving terms
         ("formula", "h^3 + p1 - h*p2 + (h + h^2)^2", [(0, 1, 0), (2, 0, 0)]),
-        ("conormal", "h^3 + xi*c2 + xi^4 + h*c1", [(1, 0, 0, 1), (0, 1, 1, 0)]),
+        ("conormal", "h^3 + xi*p2 + xi^4 + h*p1", [(1, 0, 0, 1), (0, 1, 1, 0)]),
     ],
 )
 def test_term_order(ring, text, want):
@@ -549,7 +549,7 @@ def test_random_canonical_lines_read_as_the_descent_does(ring):
         ("coordinate", "\t  -x2^3 + 5  ", [((0, 3, 0), -1), ((0, 0, 0), 5)]),
         # a monomial that dies in the ring is dropped
         ("formula", "h^3 + p1 - h*p2 + 2*h^2", [((0, 1, 0), 1), ((2, 0, 0), 2)]),
-        ("conormal", "h^3 + xi*c2 + xi^4 + h*c1", [((1, 0, 0, 1), 1), ((0, 1, 1, 0), 1)]),
+        ("conormal", "h^3 + xi*p2 + xi^4 + h*p1", [((1, 0, 0, 1), 1), ((0, 1, 1, 0), 1)]),
         # p/q is p * (1/q): an int when q is 1, a Fraction otherwise, even
         # when the value is integral
         ("coordinate", "2/3*x1", [((1, 0, 0), Fraction(2, 3))]),

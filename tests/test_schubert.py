@@ -3,14 +3,14 @@ from math import comb
 
 import pytest
 
+import bnd.engine
 import bnd.ring
 import bnd.schubert
-from bnd.engine import MAX_AMBIENT, conormal_context
-from bnd.ring import ClassPoly, SymbolSpec, declare_ring, graded_piece, substitute
+from bnd.engine import MAX_AMBIENT, _grassmannian_tangent_over, compute_B, conormal_context
+from bnd.ring import SymbolSpec, declare_ring, graded_piece, substitute
 from bnd.schubert import (
     SchubertIndex,
     _segre,
-    chern_tangent_grassmannian,
     grassmannian_context,
     pullback_f,
     schubert_pullback_direct,
@@ -131,28 +131,23 @@ def reference_chern_tangent(n):
     return reference_symmetrize(total, ctx_e)
 
 
+def pulled_back_tangent(m, n):
+    """The engine's f*c(T Gr(2, n+1)) in the conormal ring of (m, n)."""
+    ctx = conormal_context(m, n)
+    return _grassmannian_tangent_over(ctx.one(), n)
+
+
 def test_chern_tangent_n2_frozen():
     ctx = grassmannian_context(2)
     e1, e2 = ctx.sym("e1"), ctx.sym("e2")
-    assert chern_tangent_grassmannian(2) == 1 + 3 * e1 + 4 * e1 ** 2 - e2
-    # the substitution route's representative differs by 2*sigma_2 in degree 2
     assert reference_chern_tangent(2) == 1 + 3 * e1 + 2 * e1 ** 2 + e2
+    # dim C_X = 1 keeps only 1 + c1(T_G) = 1 + 3*sigma_1
+    assert pulled_back_tangent(1, 2) == 1 + 3 * conormal_context(1, 2).sym("xi")
 
 
 def test_chern_tangent_n3_frozen():
     ctx = grassmannian_context(3)
     e1, e2 = ctx.sym("e1"), ctx.sym("e2")
-    expected = (
-        1
-        + 4 * e1
-        + 7 * e1 ** 2
-        + 8 * e1 ** 3
-        - 4 * e1 * e2
-        + 8 * e1 ** 4
-        - 16 * e1 ** 2 * e2
-        + 6 * e2 ** 2
-    )
-    assert chern_tangent_grassmannian(3) == expected
     reference = (
         1
         + 4 * e1
@@ -163,72 +158,51 @@ def test_chern_tangent_n3_frozen():
         + 4 * e2 ** 2
     )
     assert reference_chern_tangent(3) == reference
+    xi = conormal_context(2, 3).sym("xi")
+    assert pulled_back_tangent(2, 3) == 1 + 4 * xi + 7 * xi ** 2
 
 
 def test_chern_tangent_first_piece_is_anticanonical():
-    # c1(T_G) = (n+1) * sigma_1
+    # c1(T_G) = (n+1) * sigma_1, and f*sigma_1 = xi
     for n in range(2, MAX_AMBIENT + 1):
-        ctg = chern_tangent_grassmannian(n)
-        assert graded_piece(ctg, 0) == 1
-        assert graded_piece(ctg, 1) == (n + 1) * grassmannian_context(n).sym("e1")
+        for m in range(1, n):
+            got = pulled_back_tangent(m, n)
+            assert graded_piece(got, 0) == 1
+            assert graded_piece(got, 1) == (n + 1) * got.ctx.sym("xi"), (m, n)
 
 
 def test_chern_tangent_top_integrates_to_euler_characteristic():
-    # chi(Gr(2, n+1)) = number of Schubert cells = C(n+1, 2)
+    # chi(Gr(2, n+1)) = number of Schubert cells = C(n+1, 2): a check of
+    # the reference route against which the engine's class is tested
     for n in range(2, MAX_AMBIENT + 1):
-        top = graded_piece(chern_tangent_grassmannian(n), 2 * (n - 1))
+        top = graded_piece(reference_chern_tangent(n), 2 * (n - 1))
         assert integral(top, n) == comb(n + 1, 2)
 
 
 def test_chern_tangent_equals_the_substitution_route():
-    # identical in degrees 0..n-1, the degrees the conormal pullback keeps,
-    # with the same (int) coefficients
+    # in every conormal ring of a small ambient, with the same (int)
+    # coefficients: the degrees 0..n-1 that C_X keeps are all compared
     for n in range(2, 15):
-        got = chern_tangent_grassmannian(n)
         want = reference_chern_tangent(n)
-        for k in range(n):
-            assert graded_piece(got, k).terms == graded_piece(want, k).terms, (n, k)
-        assert all(type(c) is int for c in got.terms.values()), n
-
-
-def test_chern_tangent_agrees_with_the_substitution_route_in_the_chow_ring():
-    # above degree n-1 the representatives differ, but each difference pairs
-    # to 0 against every Schubert class of complementary codimension, so by
-    # Poincare duality they are one class in A*(Gr(2, n+1))
-    for n in range(2, 15):
-        got = chern_tangent_grassmannian(n)
-        want = reference_chern_tangent(n)
-        top = 2 * (n - 1)
-        for k in range(n, top + 1):
-            diff = graded_piece(got, k) - graded_piece(want, k)
-            for b in range((top - k) // 2 + 1):
-                dual = schubert_representative(SchubertIndex(top - k - b, b), n)
-                assert integral(diff * dual, n) == 0, (n, k, b)
+        for m in range(1, n):
+            got = pulled_back_tangent(m, n)
+            assert got == pullback_f(want, got.ctx), (m, n)
+            assert all(type(c) is int for c in got.terms.values()), (m, n)
 
 
 def test_chern_tangent_builds_without_substitution(monkeypatch):
-    # one multiplication, the product of the two factors, and no substitute
-    calls = []
-
+    # compute_B forms f*c(T_G) in the conormal ring and reads its base class
+    # in h, p_1..p_m there: no substitution anywhere on its path
     def refuse(*args, **kwargs):
-        raise AssertionError("chern_tangent_grassmannian called substitute")
-
-    multiply = ClassPoly.__mul__
-
-    def counted(self, other):
-        calls.append(1)
-        return multiply(self, other)
+        raise AssertionError("compute_B called substitute")
 
     monkeypatch.setattr(bnd.ring, "substitute", refuse)
+    monkeypatch.setattr(bnd.engine, "substitute", refuse, raising=False)
     monkeypatch.setattr(bnd.schubert, "substitute", refuse)
-    monkeypatch.setattr(ClassPoly, "__mul__", counted)
-    monkeypatch.setattr(ClassPoly, "__rmul__", counted)
-    for n in (2, 7, 12):
-        chern_tangent_grassmannian.cache_clear()
-        calls.clear()
-        chern_tangent_grassmannian(n)
-        assert len(calls) <= 1, (n, len(calls))
-    chern_tangent_grassmannian.cache_clear()
+    for m, n in ((1, 2), (2, 5), (4, 11), (5, 7)):
+        compute_B.cache_clear()
+        assert compute_B(m, n).poly.is_homogeneous(m)
+    compute_B.cache_clear()
 
 
 # -- pullbacks ---------------------------------------------------------------
@@ -277,11 +251,14 @@ def test_pullback_routes_agree_in_bounded_ring():
 
 @pytest.mark.parametrize("n", range(3, MAX_AMBIENT + 1))
 def test_tangent_class_pullback_equals_the_untruncated_expansion(n):
-    # substitute skips each source term above the target's truncation; in
-    # the conormal ring with its truncation lifted to dim G = 2n-2 none is
-    # skipped, and that expansion, normalized back, must be the same class
-    c_tg = chern_tangent_grassmannian(n)
+    # the engine's class is the reference pulled back.  substitute skips
+    # each source term above the target's truncation; in the conormal ring
+    # with its truncation lifted to dim G = 2n-2 none is skipped, and that
+    # expansion, normalized back, must be the same class
+    c_tg = reference_chern_tangent(n)
     for m in sorted({1, n // 2, n - 1}):
         ctx = conormal_context(m, n)
         wide = declare_ring(ctx.symbols, truncation=2 * n - 2, pullback_bound=m)
-        assert pullback_f(c_tg, ctx) == ctx.poly(pullback_f(c_tg, wide).terms), (m, n)
+        want = pullback_f(c_tg, ctx)
+        assert _grassmannian_tangent_over(ctx.one(), n) == want, (m, n)
+        assert want == ctx.poly(pullback_f(c_tg, wide).terms), (m, n)
