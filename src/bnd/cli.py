@@ -11,7 +11,10 @@ Subcommands
 Exit codes: 0 success, 1 computational failure, 2 usage error.  Every
 subcommand accepts --json for machine-readable output.  The argument
 parser is built on the first call to main and reused by every later call
-in the process; each call still parses into a fresh namespace.
+in the process; each call still parses into a fresh namespace.  A known
+command is parsed by its own subparser alone; the top-level parser
+handles help, a missing command and an unknown one, and reports the
+arguments a subparser leaves over, in the same words as a full parse.
 
 Variety input files (for system/solve) use the system text format: a
 `vars:` line naming the coordinates, then one defining polynomial per
@@ -366,6 +369,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "computations and numeric real-pair search.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # main looks a command up here to parse it with its subparser alone
+    parser.commands = sub.choices
 
     p = sub.add_parser("formula", help="universal bottleneck-class polynomial")
     p.add_argument("--dim", type=int, required=True, help="variety dimension m")
@@ -420,7 +425,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser()
+    subparser = parser.commands.get(argv[0]) if argv else None
+    if subparser is None:
+        args = parser.parse_args(argv)
+    else:
+        # the top-level pass would hand every argument after the command to
+        # this subparser anyway; leftovers get the top-level parser's words
+        args, extras = subparser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.func(args)
     except UsageError as exc:

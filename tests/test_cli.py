@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -153,6 +154,75 @@ def test_cached_parser_keeps_calls_independent(capsys):
     assert info.value.code == 2
     capsys.readouterr()
     assert run(capsys, *quadric, "--affine")[:2] == (0, "6\n")
+
+
+# argv cases whose route through main depends on how it dispatches: help,
+# a missing or unknown command, `--`, leftover arguments, and errors or help
+# raised inside a subparser
+DISPATCH_CASES = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["-h", "bnd"],
+    ["nope"],
+    ["nope", "--ambient", "3"],
+    ["bnd", "-h"],
+    ["edd", "--help"],
+    ["bnd", "--ambient", "3", "--degrees", "2"],
+    ["bnd", "--ambient", "3"],
+    ["bnd", "--ambient", "x", "--degrees", "2"],
+    ["bnd", "--ambient", "3", "--degrees", "2", "--bogus"],
+    ["bnd", "--ambient", "3", "--degrees", "2", "extra", "-x"],
+    ["bnd", "--amb", "3", "--degrees", "2"],
+    ["bnd", "--ambient=3", "--degrees", "2", "--affine", "--json"],
+    ["--", "bnd", "--ambient", "3", "--degrees", "2"],
+    ["bnd", "--ambient", "3", "--degrees", "2", "--"],
+    ["bnd", "--", "--ambient", "3", "--degrees", "2"],
+    ["system", "--input", "x", "--form", "cubic"],
+]
+
+
+def outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", DISPATCH_CASES, ids=lambda argv: " ".join(argv) or "-")
+def test_dispatch_prints_what_a_full_parse_prints(capsys, monkeypatch, argv):
+    direct = outcome(capsys, argv)
+    # with no command known to main, every argv takes one top-level parse
+    monkeypatch.setattr(_build_parser(), "commands", {})
+    assert direct == outcome(capsys, argv)
+
+
+def test_module_reports_unrecognized_arguments_as_the_top_level_parser():
+    # main(argv=None) reads sys.argv
+    proc = subprocess.run(
+        [sys.executable, "-m", "bnd.cli", "bnd", "--ambient", "3", "--degrees", "2", "--bogus"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "COLUMNS": "80"},
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "usage: bnd [-h] {formula,bnd,edd,system,solve,check} ...\n"
+        "bnd: error: unrecognized arguments: --bogus\n"
+    )
+
+
+def test_known_command_skips_the_top_level_parse(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("top-level parse")
+
+    monkeypatch.setattr(_build_parser(), "parse_known_args", refuse)
+    assert run(capsys, "bnd", "--ambient", "3", "--degrees", "2")[:2] == (0, "12\n")
+    for argv in ([], ["-h"]):
+        with pytest.raises(RuntimeError, match="top-level parse"):
+            main(argv)
 
 
 def test_degrees_validation(capsys):

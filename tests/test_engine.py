@@ -267,13 +267,22 @@ def test_bnd_projective_examples():
 
 
 def test_bnd_is_independent_of_formula_ambient():
-    # the count is geometric; any valid (m, n) formula paired with its own
-    # epsilon combinatorics must give the same answer
+    # the count is geometric: every formula B_{m,n} with n from the ambient
+    # on, paired with its own epsilon combinatorics, gives the answer that
+    # bnd_variety takes at n_eff = max(2m+1, ambient); 203 shapes, 559 checks
+    for ambient in range(2, 8):
+        for codim in range(1, ambient):
+            for degrees in itertools.combinations_with_replacement((2, 3, 4), codim):
+                spec = VarietySpec(ambient, degrees)
+                expected = bnd_variety(spec)
+                profile = ci_profile(spec)
+                for n in range(ambient, max(2 * spec.dim + 1, ambient) + 2):
+                    assert bnd_projective(compute_B(spec.dim, n), profile) == expected, (spec, n)
+    # and far beyond: plane curves re-embedded up to P^9, surfaces in P^3 up to P^8
     for d in (2, 3, 4):
-        values = {bnd_projective(compute_B(2, n), surface(d)) for n in (3, 4, 5, 6, 8)}
-        assert len(values) == 1
-        values = {bnd_projective(compute_B(1, n), plane_curve(d)) for n in (2, 3, 5, 9)}
-        assert len(values) == 1
+        for n in (5, 9):
+            assert bnd_projective(compute_B(1, n), plane_curve(d)) == bnd_variety(VarietySpec(2, (d,)))
+        assert bnd_projective(compute_B(2, 8), surface(d)) == bnd_variety(VarietySpec(3, (d,)))
 
 
 def test_bnd_projective_dimension_mismatch():
