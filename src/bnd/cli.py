@@ -9,12 +9,17 @@ Subcommands
     check    regression table of known values; nonzero exit on any failure
 
 Exit codes: 0 success, 1 computational failure, 2 usage error.  Every
-subcommand accepts --json for machine-readable output.  The argument
-parser is built on the first call to main and reused by every later call
-in the process; each call still parses into a fresh namespace.  A known
-command is parsed by its own subparser alone; the top-level parser
-handles help, a missing command and an unknown one, and reports the
-arguments a subparser leaves over, in the same words as a full parse.
+subcommand accepts --json for machine-readable output.  Each command's
+options are declared once, in COMMANDS.  main reads a canonical argv
+straight into the namespace argparse would return: a known command, then
+its options spelled out in full, each at most once and every required one
+present, a flag alone and any other option as `--name value`, the value
+not starting with '-' and accepted by the option's type and choices.
+Every other argv (no command, help, abbreviations, `--name=value`, `--`,
+repeats, values starting with '-', unknown or missing options, refused
+values) takes one full argparse parse, with argparse's help, usage and
+error text and exit codes.  That parser is built only when such an argv
+first comes, and reused by every later one in the process.
 
 Variety input files (for system/solve) use the system text format: a
 `vars:` line naming the coordinates, then one defining polynomial per
@@ -246,6 +251,10 @@ def cmd_system(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.plot == "-" and (args.json or args.output == "-"):
+        other = "--json" if args.json else "--output -"
+        raise UsageError(f"--plot - and {other} both write to stdout; give --plot a file")
+
     # imported here, so that the exact commands never load numpy
     from .solver import (
         SolverConfig,
@@ -361,6 +370,83 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Each command's options, declared once: _build_parser hands them to
+# argparse as they stand, and _read_argv reads the canonical argv from them.
+# A command maps to (function, help, {option: add_argument keywords}).
+COMMANDS = {
+    "formula": (
+        cmd_formula,
+        "universal bottleneck-class polynomial",
+        {
+            "--dim": {"type": int, "required": True, "help": "variety dimension m"},
+            "--ambient": {
+                "type": int,
+                "required": True,
+                "help": "ambient projective dimension n",
+            },
+            "--stability": {
+                "type": int,
+                "metavar": "N_MAX",
+                "help": "compare the formula across ambient dimensions up to N_MAX",
+            },
+            "--json": {"action": "store_true"},
+        },
+    ),
+    "bnd": (
+        cmd_bnd,
+        "bottleneck degree of a complete intersection",
+        {
+            "--ambient": {"type": int, "required": True},
+            "--degrees": {"required": True, "help": "comma-separated degrees, e.g. 2,3"},
+            "--affine": {"action": "store_true", "help": "count for the affine part only"},
+            "--json": {"action": "store_true"},
+        },
+    ),
+    "edd": (
+        cmd_edd,
+        "Euclidean distance degree",
+        {
+            "--ambient": {"type": int, "required": True},
+            "--degrees": {"required": True},
+            "--json": {"action": "store_true"},
+        },
+    ),
+    "system": (
+        cmd_system,
+        "emit a critical-pair system",
+        {
+            "--input": {"required": True, "help": "variety file ('-' for stdin)"},
+            "--form": {"choices": ("minor", "lagrange"), "default": "minor"},
+            "--output": {"help": "output file (default stdout)"},
+            "--json": {"action": "store_true"},
+        },
+    ),
+    "solve": (
+        cmd_solve,
+        "find real bottleneck pairs numerically",
+        {
+            "--input": {"required": True, "help": "variety file ('-' for stdin)"},
+            "--box": {"help": "search box lo:hi[,lo:hi...] (single interval broadcasts)"},
+            "--density": {"type": int, "help": "grid density per axis"},
+            "--seed": {"type": int, "help": "sampling seed"},
+            "--tol": {"type": float, "help": "residual tolerance"},
+            "--max-iter": {"type": int, "help": "Newton iteration cap"},
+            "--output": {"help": "write the --json result to this file ('-' for stdout)"},
+            "--plot": {"help": "write a plain segment list to this file ('-' for stdout)"},
+            "--json": {"action": "store_true"},
+        },
+    ),
+    "check": (
+        cmd_check,
+        "regression table of known values",
+        {
+            "--fast": {"action": "store_true", "help": "skip the solver rows"},
+            "--json": {"action": "store_true"},
+        },
+    ),
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -369,74 +455,63 @@ def _build_parser() -> argparse.ArgumentParser:
         "computations and numeric real-pair search.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # main looks a command up here to parse it with its subparser alone
-    parser.commands = sub.choices
-
-    p = sub.add_parser("formula", help="universal bottleneck-class polynomial")
-    p.add_argument("--dim", type=int, required=True, help="variety dimension m")
-    p.add_argument("--ambient", type=int, required=True, help="ambient projective dimension n")
-    p.add_argument(
-        "--stability",
-        type=int,
-        metavar="N_MAX",
-        help="compare the formula across ambient dimensions up to N_MAX",
-    )
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_formula)
-
-    p = sub.add_parser("bnd", help="bottleneck degree of a complete intersection")
-    p.add_argument("--ambient", type=int, required=True)
-    p.add_argument("--degrees", required=True, help="comma-separated degrees, e.g. 2,3")
-    p.add_argument("--affine", action="store_true", help="count for the affine part only")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_bnd)
-
-    p = sub.add_parser("edd", help="Euclidean distance degree")
-    p.add_argument("--ambient", type=int, required=True)
-    p.add_argument("--degrees", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_edd)
-
-    p = sub.add_parser("system", help="emit a critical-pair system")
-    p.add_argument("--input", required=True, help="variety file ('-' for stdin)")
-    p.add_argument("--form", choices=("minor", "lagrange"), default="minor")
-    p.add_argument("--output", help="output file (default stdout)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_system)
-
-    p = sub.add_parser("solve", help="find real bottleneck pairs numerically")
-    p.add_argument("--input", required=True, help="variety file ('-' for stdin)")
-    p.add_argument("--box", help="search box lo:hi[,lo:hi...] (single interval broadcasts)")
-    p.add_argument("--density", type=int, help="grid density per axis")
-    p.add_argument("--seed", type=int, help="sampling seed")
-    p.add_argument("--tol", type=float, help="residual tolerance")
-    p.add_argument("--max-iter", type=int, help="Newton iteration cap")
-    p.add_argument("--output", help="write the --json result to this file ('-' for stdout)")
-    p.add_argument("--plot", help="write a plain segment list to this file ('-' for stdout)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("check", help="regression table of known values")
-    p.add_argument("--fast", action="store_true", help="skip the solver rows")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_check)
-
+    for name, (func, help_text, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in options.items():
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=func)
     return parser
+
+
+def _read_argv(argv) -> argparse.Namespace | None:
+    """The namespace that _build_parser().parse_args(argv) returns, read in
+    one pass without argparse when argv is canonical (as the module
+    docstring says), and None otherwise."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _, options = COMMANDS[argv[0]]
+    given = {}
+    i = 1
+    while i < len(argv):
+        flag = argv[i]
+        keywords = options.get(flag)
+        if keywords is None or flag in given:
+            return None
+        if keywords.get("action") == "store_true":
+            given[flag] = True
+            i += 1
+            continue
+        if i + 1 == len(argv) or argv[i + 1].startswith("-"):
+            return None
+        convert = keywords.get("type")
+        try:
+            value = argv[i + 1] if convert is None else convert(argv[i + 1])
+        except ValueError:
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        given[flag] = value
+        i += 2
+    args = argparse.Namespace(command=argv[0])
+    for flag, keywords in options.items():
+        if flag in given:
+            value = given[flag]
+        elif keywords.get("required"):
+            return None
+        else:
+            is_flag = keywords.get("action") == "store_true"
+            value = keywords.get("default", False if is_flag else None)
+        setattr(args, flag[2:].replace("-", "_"), value)
+    args.func = func
+    return args
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser()
-    subparser = parser.commands.get(argv[0]) if argv else None
-    if subparser is None:
-        args = parser.parse_args(argv)
-    else:
-        # the top-level pass would hand every argument after the command to
-        # this subparser anyway; leftovers get the top-level parser's words
-        args, extras = subparser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if extras:
-            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args = _read_argv(argv)
+    if args is None:
+        args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -1,8 +1,10 @@
 """Tests for the command-line interface."""
 
+import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -157,8 +159,9 @@ def test_cached_parser_keeps_calls_independent(capsys):
 
 
 # argv cases whose route through main depends on how it dispatches: help,
-# a missing or unknown command, `--`, leftover arguments, and errors or help
-# raised inside a subparser
+# a missing or unknown command, `--`, leftover arguments, values starting
+# with '-' or refused by an option's choices, and errors or help raised
+# inside a subparser
 DISPATCH_CASES = [
     [],
     ["-h"],
@@ -179,10 +182,16 @@ DISPATCH_CASES = [
     ["bnd", "--ambient", "3", "--degrees", "2", "--"],
     ["bnd", "--", "--ambient", "3", "--degrees", "2"],
     ["system", "--input", "x", "--form", "cubic"],
+    *([command, "-h"] for command in ("formula", "edd", "system", "solve", "check")),
+    ["system", "--input", "x", "--form", "bogus"],
+    ["system", "--input", "-"],
+    ["solve", "--input", "-", "--seed", "-1"],
 ]
 
 
-def outcome(capsys, argv):
+def outcome(capsys, monkeypatch, argv):
+    """(exit code, stdout, stderr) of main(argv), with the ellipse on stdin."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(ELLIPSE_FILE))
     try:
         code = main(argv)
     except SystemExit as exc:
@@ -191,12 +200,16 @@ def outcome(capsys, argv):
     return code, out.out, out.err
 
 
+def without_reader(monkeypatch):
+    """Send every argv through one full argparse parse."""
+    monkeypatch.setattr(cli, "_read_argv", lambda argv: None)
+
+
 @pytest.mark.parametrize("argv", DISPATCH_CASES, ids=lambda argv: " ".join(argv) or "-")
 def test_dispatch_prints_what_a_full_parse_prints(capsys, monkeypatch, argv):
-    direct = outcome(capsys, argv)
-    # with no command known to main, every argv takes one top-level parse
-    monkeypatch.setattr(_build_parser(), "commands", {})
-    assert direct == outcome(capsys, argv)
+    direct = outcome(capsys, monkeypatch, argv)
+    without_reader(monkeypatch)
+    assert direct == outcome(capsys, monkeypatch, argv)
 
 
 def test_module_reports_unrecognized_arguments_as_the_top_level_parser():
@@ -214,15 +227,130 @@ def test_module_reports_unrecognized_arguments_as_the_top_level_parser():
     )
 
 
-def test_known_command_skips_the_top_level_parse(capsys, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise RuntimeError("top-level parse")
+def test_canonical_argv_builds_no_parser(capsys, monkeypatch, ellipse_path):
+    def refuse():
+        raise RuntimeError("parser built")
 
-    monkeypatch.setattr(_build_parser(), "parse_known_args", refuse)
-    assert run(capsys, "bnd", "--ambient", "3", "--degrees", "2")[:2] == (0, "12\n")
-    for argv in ([], ["-h"]):
-        with pytest.raises(RuntimeError, match="top-level parse"):
+    monkeypatch.setattr(cli, "_build_parser", refuse)
+    monkeypatch.setattr(solver, "find_bottlenecks", lambda fs, config=None: _fake_result(2))
+    canonical = [
+        ["formula", "--dim", "1", "--ambient", "3"],
+        ["bnd", "--ambient", "3", "--degrees", "2"],
+        ["edd", "--ambient", "3", "--degrees", "2", "--json"],
+        ["system", "--input", ellipse_path, "--form", "lagrange"],
+        ["solve", "--input", ellipse_path, "--density", "8", "--json"],
+        ["check", "--fast"],
+    ]
+    assert [run(capsys, *argv)[0] for argv in canonical] == [0, 0, 0, 0, 0, 1]
+    for argv in ([], ["-h"], ["bnd", "--amb", "3", "--degrees", "2"]):
+        with pytest.raises(RuntimeError, match="parser built"):
             main(argv)
+
+
+# Values that generated argv give each option: the canonical ones, then
+# those that the option's type or choices refuse, then some that start
+# with '-'.  Canonical values keep every command cheap: formula and bnd
+# stay at small ambients, and solve and check run with a stubbed solver.
+ARGV_VALUES = {
+    "--dim": ["1", "2"],
+    "--ambient": ["2", "3", "4"],
+    "--stability": ["4", "5"],
+    "--degrees": ["2", "2,3", "3", "0", "x", ""],
+    "--form": ["minor", "lagrange"],
+    "--box": ["0:1", "0:2,0:3", "1:2:3"],
+    "--density": ["3", "4"],
+    "--seed": ["0", "7"],
+    "--tol": ["1e-8", "nan", "inf"],
+    "--max-iter": ["5", "50"],
+}
+REFUSED_VALUES = {int: ["x", "1.5", ""], float: ["x", ""], None: ["cubic", "Minor"]}
+DASH_VALUES = ["-", "-1", "-0.5", "-x", "--"]
+# the deviations that insert one word, anywhere in the argv
+INSERTED = {
+    "help": ["-h", "--help"],
+    "double dash": ["--"],
+    "unknown option": ["--bogus", "--json=1", "-x"],
+    "extra argument": ["extra", "3"],
+}
+DEVIATIONS = (
+    "no command", "unknown command", "abbreviation", "equals sign", "repeat", "dash value",
+    "missing option", "refused value", *INSERTED,
+)
+
+
+def generated_argv(rng, command, paths):
+    """One argv for command, canonical or canonical but for one deviation,
+    and whether it is canonical."""
+    options = cli.COMMANDS[command][2]
+    values = {**ARGV_VALUES, "--input": paths[:2], "--output": paths[2:3], "--plot": paths[3:]}
+    chosen = [flag for flag, kw in options.items() if kw.get("required") or rng.random() < 0.5]
+    rng.shuffle(chosen)
+    pairs = [
+        [flag] if options[flag].get("action") else [flag, rng.choice(values[flag])]
+        for flag in chosen
+    ]
+    valued = [pair for pair in pairs if len(pair) == 2]
+    # the deviations that rewrite one option, and the options each can rewrite
+    targets = {
+        "repeat": pairs,
+        "dash value": valued,
+        "refused value": [p for p in valued if {"type", "choices"} & set(options[p[0]])],
+        "equals sign": valued,
+        "abbreviation": pairs,
+        "missing option": [p for p in pairs if options[p[0]].get("required")],
+    }
+    deviation = rng.choice(DEVIATIONS) if rng.random() < 0.6 else None
+    if deviation in targets:
+        if not targets[deviation]:
+            deviation = None  # nothing to rewrite: the argv stays canonical
+        else:
+            pair = rng.choice(targets[deviation])
+            if deviation == "repeat":
+                pairs.insert(rng.randrange(len(pairs) + 1), list(pair))
+            elif deviation == "dash value":
+                pair[1] = rng.choice(DASH_VALUES)
+            elif deviation == "refused value":
+                pair[1] = rng.choice(REFUSED_VALUES[options[pair[0]].get("type")])
+            elif deviation == "equals sign":
+                pair[:] = [f"{pair[0]}={pair[1]}"]
+            elif deviation == "abbreviation":
+                pair[0] = pair[0][: rng.randrange(3, len(pair[0]))]
+            else:
+                pairs.remove(pair)
+    argv = [command] + [word for pair in pairs for word in pair]
+    if deviation == "no command":
+        argv = argv[1:]
+    elif deviation == "unknown command":
+        argv[0] = rng.choice(["nope", command[:-1], command.upper()])
+    elif deviation in INSERTED:
+        argv.insert(rng.randrange(len(argv) + 1), rng.choice(INSERTED[deviation]))
+    return argv, deviation is None
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_reader_agrees_with_argparse_on_generated_argv(
+    capsys, monkeypatch, tmp_path, ellipse_path, command
+):
+    paths = [ellipse_path] + [str(tmp_path / name) for name in ("missing.txt", "out", "plot")]
+    monkeypatch.setattr(solver, "find_bottlenecks", lambda fs, config=None: _fake_result(2))
+    solver_row = next(row for row in CHECKS if row[0] == "solver: ellipse axis pairs")
+    monkeypatch.setattr("bnd.check.CHECKS", [CHECKS[0], solver_row])
+    rng = random.Random(f"argv {command}")
+    cases = [generated_argv(rng, command, paths) for _ in range(250)]
+    accepted = 0
+    for argv, canonical in cases:
+        args = cli._read_argv(argv)
+        assert (args is not None) == canonical, argv
+        if args is not None:
+            accepted += 1
+            # repr, so that a NaN value compares equal to itself
+            parsed = _build_parser().parse_args(argv)
+            assert repr(sorted(vars(args).items())) == repr(sorted(vars(parsed).items()))
+    assert 50 <= accepted <= 200
+    direct = [outcome(capsys, monkeypatch, argv) for argv, _ in cases]
+    without_reader(monkeypatch)
+    for (argv, _), seen in zip(cases, direct):
+        assert outcome(capsys, monkeypatch, argv) == seen, argv
 
 
 def test_degrees_validation(capsys):
@@ -338,8 +466,6 @@ def test_system_json(capsys, ellipse_path):
 
 
 def test_system_reads_stdin(capsys, monkeypatch):
-    import io
-
     monkeypatch.setattr(sys, "stdin", io.StringIO(ELLIPSE_FILE))
     code, out, _ = run(capsys, "system", "--input", "-")
     assert code == 0
@@ -457,6 +583,28 @@ def test_solve_plot_dash_prints_the_segment_list(capsys, ellipse_path, tmp_path,
     assert code == 0
     assert not (tmp_path / "-").exists()
     assert stdout == segments + table
+
+
+@pytest.mark.parametrize(
+    "option, named",
+    [
+        (["--json"], "--json"),
+        (["--output", "-"], "--output -"),
+        (["--json", "--output", "-"], "--json"),
+    ],
+)
+def test_solve_refuses_plot_dash_beside_json_on_stdout(
+    capsys, monkeypatch, ellipse_path, option, named
+):
+    # the segment list ahead of the JSON document would leave stdout
+    # unreadable as JSON; the refusal comes before any solving
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(solver, "find_bottlenecks", refuse)
+    code, out, err = run(capsys, "solve", "--input", ellipse_path, *option, "--plot", "-")
+    assert (code, out) == (2, "")
+    assert err == f"error: --plot - and {named} both write to stdout; give --plot a file\n"
 
 
 def test_solve_json_reports_step_telemetry(capsys, ellipse_path):
