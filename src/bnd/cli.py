@@ -296,6 +296,8 @@ def cmd_solve(args) -> int:
         _, sep = narrowest_bottleneck(result.pairs)
     except ValueError:
         sep = None
+    # --output - gives stdout what --json gives it: the JSON document alone
+    json_stdout = args.json or args.output == "-"
     if args.output or args.json:
         payload = result_json(result)
         payload["complex_pair_bound"] = bound
@@ -303,12 +305,12 @@ def cmd_solve(args) -> int:
         if sep is not None:
             payload["reach_upper_bound"] = sep / 2
         text = json.dumps(payload, indent=2)
-        if args.output and not (args.json and args.output == "-"):
+        if args.output and args.output != "-":
             _emit(text, args.output)
     if args.plot:
         _emit(plot_data(result), args.plot)
 
-    if args.json:
+    if json_stdout:
         print(text)
         return 0
 

@@ -28,6 +28,15 @@ classes, so the base class is B_{m,n} itself; epsilon_oracle runs the
 Schubert pullbacks through it with a profile's sum gamma_i h^i.  The
 Grassmannian enters only through f*e1 = xi and f*e2 = h*xi - h^2, so the
 tangent class of Gr(2, n+1) is formed already pulled back.
+
+The fixed factors are written down as term dicts, not multiplied out in
+the ring: c(T_X) in the polar classes one term per binomial coefficient,
+(1 +- h)^(n+1) and the relative twist's (1 + xi)^k by the binomial
+theorem, each piece * xi^k of the relation as a shift of the xi exponent,
+and the numerator (1 + xi + h*xi - h^2)^(n+1) of f*c(T_G) by the
+multinomial theorem.  What remains are ring operations on classes that
+depend on c(T_X): the unit quotients, one product for c(T_X) * twist, one
+for the Grassmannian denominator times it, and the monic division.
 """
 
 from __future__ import annotations
@@ -62,8 +71,8 @@ from .schubert import SchubertIndex, schubert_pullback_direct
 # m-dimensional variety in P^n runs in n_eff = max(2m+1, n) (compute_B(m, n)
 # in n itself), and the cost grows about 2x per dimension.  Cold, in a fresh
 # process on a shared 2-vCPU host (Python 3.11): compute_B(10, 21) takes
-# 0.18-0.27 s (seven runs), and compute_B(11, 23), with the bound lifted,
-# 0.41-0.55 s (five runs).
+# 0.12-0.17 s (seven runs), and compute_B(11, 23), with the bound lifted,
+# 0.26-0.33 s (five runs).
 MAX_AMBIENT = 21
 
 # Largest ambient dimension `edd` answers in.  It runs no ring, only the
@@ -129,16 +138,50 @@ def conormal_context(m: int, n: int) -> RingContext:
     return declare_ring(syms, truncation=n - 1, pullback_bound=m)
 
 
-def _chern_in_polar(ctx: RingContext, m: int, j: int) -> ClassPoly:
-    # c_j(T_X) = sum_{i=0}^{j} (-1)^i C(m-i+1, j-i) h^(j-i) p_i, with p_0 = 1
-    h = ctx.sym("h")
-    acc = ctx.zero()
-    for i in range(j + 1):
-        term = ctx.constant((-1) ** i * comb(m - i + 1, j - i)) * h ** (j - i)
-        if i:
-            term = term * ctx.sym(f"p{i}")
-        acc = acc + term
-    return acc
+def _xi_h_poly(ctx: RingContext, coeffs: dict[tuple[int, int], int]) -> ClassPoly:
+    """The sum of c * xi^a * h^b over coeffs {(a, b): c}, in ctx."""
+    ix, ih = ctx.index("xi"), ctx.index("h")
+    raw = {}
+    for (a, b), c in coeffs.items():
+        e = [0] * len(ctx.symbols)
+        e[ix], e[ih] = a, b
+        raw[tuple(e)] = c
+    return ctx.poly(raw)
+
+
+def _h_binomial(ctx: RingContext, sign: int, k: int) -> ClassPoly:
+    """(1 + sign * h)^k by the binomial theorem."""
+    return _xi_h_poly(ctx, {(0, i): sign**i * comb(k, i) for i in range(k + 1)})
+
+
+def _times_xi_powers(
+    ctx: RingContext, factors: list[tuple[ClassPoly, dict[int, int]]]
+) -> ClassPoly:
+    """The sum of c * piece * xi^a over factors [(piece, {a: c})], each
+    product formed as exponent shifts of the piece's terms."""
+    ix = ctx.index("xi")
+    raw: dict = {}
+    for piece, powers in factors:
+        for e, c in piece.terms.items():
+            for a, k in powers.items():
+                shifted = e[:ix] + (e[ix] + a,) + e[ix + 1 :]
+                raw[shifted] = raw.get(shifted, 0) + k * c
+    return ctx.poly(raw)
+
+
+def _chern_tangent_in_polar(ctx: RingContext, m: int) -> ClassPoly:
+    """c(T_X) = sum_j c_j with c_j = sum_{i=0}^{j} (-1)^i C(m-i+1, j-i)
+    h^(j-i) p_i (p_0 = 1), one term per (j, i)."""
+    ih = ctx.index("h")
+    raw = {}
+    for j in range(m + 1):
+        for i in range(j + 1):
+            e = [0] * len(ctx.symbols)
+            e[ih] = j - i
+            if i:
+                e[ctx.index(f"p{i}")] = 1
+            raw[tuple(e)] = (-1) ** i * comb(m - i + 1, j - i)
+    return ctx.poly(raw)
 
 
 def _xi_relation(c_tx: ClassPoly, m: int, n: int) -> tuple[list[ClassPoly], ClassPoly]:
@@ -150,13 +193,16 @@ def _xi_relation(c_tx: ClassPoly, m: int, n: int) -> tuple[list[ClassPoly], Clas
     each odd-codim term negated; they must agree.
     """
     ctx = c_tx.ctx
-    xi, h = ctx.sym("xi"), ctx.sym("h")
-    c_n = unit_quotient((1 + h) ** (n + 1), c_tx)
+    c_n = unit_quotient(_h_binomial(ctx, 1, n + 1), c_tx)
     pieces = [graded_piece(c_n, j) for j in range(n - m + 1)]
     c_omega_x = ctx.poly({e: (-1) ** ctx.codim_of(e) * c for e, c in c_tx.terms.items()})
-    c_n_dual = unit_quotient((1 - h) ** (n + 1), c_omega_x)
-    relation = sum((-1) ** j * pieces[j] * xi ** (n - m - j) for j in range(n - m + 1))
-    relation_dual = sum(graded_piece(c_n_dual, j) * xi ** (n - m - j) for j in range(n - m + 1))
+    c_n_dual = unit_quotient(_h_binomial(ctx, -1, n + 1), c_omega_x)
+    relation = _times_xi_powers(
+        ctx, [(pieces[j], {n - m - j: (-1) ** j}) for j in range(n - m + 1)]
+    )
+    relation_dual = _times_xi_powers(
+        ctx, [(graded_piece(c_n_dual, j), {n - m - j: 1}) for j in range(n - m + 1)]
+    )
     if relation != relation_dual:
         raise RuntimeError(
             f"relation presentations disagree for (m,n)=({m},{n}): "
@@ -191,18 +237,42 @@ def _grassmannian_tangent_over(u: ClassPoly, n: int) -> ClassPoly:
 
         f*c(T_G) = (1 + xi + h*xi - h^2)^(n+1) / (1 - (xi - 2h)^2).
     """
-    xi, h = u.ctx.sym("xi"), u.ctx.sym("h")
-    return unit_quotient((1 + xi + h * xi - h * h) ** (n + 1), (1 - (xi - 2 * h) ** 2) * u)
+    ctx = u.ctx
+    # 1 - (xi - 2h)^2 = 1 - xi^2 + 4*h*xi - 4*h^2
+    denominator = _xi_h_poly(ctx, {(0, 0): 1, (2, 0): -1, (1, 1): 4, (0, 2): -4})
+    return unit_quotient(_grassmannian_numerator(ctx, n), denominator * u)
+
+
+def _grassmannian_numerator(ctx: RingContext, n: int) -> ClassPoly:
+    """(1 + xi + h*xi - h^2)^(n+1) by the multinomial theorem: the terms
+    C(n+1; k1, k2, k3) xi^k1 (h*xi)^k2 (-h^2)^k3 with k1 + k2 + k3 <= n+1,
+    formed only where the codim k1 + 2k2 + 2k3 is within the truncation
+    and the h-degree k2 + 2k3 within the pullback bound."""
+    top, bound = ctx.truncation, ctx.pullback_bound
+    coeffs: dict[tuple[int, int], int] = {}
+    for k3 in range(bound // 2 + 1):
+        for k2 in range(bound - 2 * k3 + 1):
+            for k1 in range(min(top - 2 * (k2 + k3), n + 1 - k2 - k3) + 1):
+                c = (-1) ** k3 * comb(n + 1, k1) * comb(n + 1 - k1, k2) * comb(n + 1 - k1 - k2, k3)
+                key = (k1 + k2, k2 + 2 * k3)
+                coeffs[key] = coeffs.get(key, 0) + c
+    return _xi_h_poly(ctx, coeffs)
 
 
 def _double_point_class(c_tx: ClassPoly, m: int, n: int) -> ClassPoly:
     """Base class of the double point correction of the normal-line map
     f: C_X -> Gr(2, n+1): (f*c(T_G) / c(T_CX)) in codim n-1, reduced to
     xi^(n-m-1) * (base class)."""
-    xi = c_tx.ctx.sym("xi")
     pieces, relation = _xi_relation(c_tx, m, n)
-    # relative tangent twist of rank n-m: c(pi*N^ (x) O(1))
-    twist = sum((-1) ** j * pieces[j] * (1 + xi) ** (n - m - j) for j in range(n - m + 1))
+    # relative tangent twist of rank n-m: c(pi*N^ (x) O(1)), the sum of
+    # (-1)^j c_j(N) (1 + xi)^(n-m-j) expanded by the binomial theorem
+    twist = _times_xi_powers(
+        c_tx.ctx,
+        [
+            (pieces[j], {i: (-1) ** j * comb(n - m - j, i) for i in range(n - m - j + 1)})
+            for j in range(n - m + 1)
+        ],
+    )
     correction = graded_piece(_grassmannian_tangent_over(c_tx * twist, n), n - 1)
     return _point_class(correction, relation, m, n)
 
@@ -221,8 +291,7 @@ def compute_B(m: int, n: int) -> BFormula:
         raise ValueError(f"need 0 < m < n, got m={m}, n={n}")
     check_work_bound(m, n)
     ctx = conormal_context(m, n)
-    c_tx = 1 + sum(_chern_in_polar(ctx, m, j) for j in range(1, m + 1))
-    base_class = _double_point_class(c_tx, m, n)
+    base_class = _double_point_class(_chern_tangent_in_polar(ctx, m), m, n)
     # the base class has no xi: drop that slot to land in h, p_1..p_m
     out = formula_context(m).poly({e[1:]: c for e, c in base_class.terms.items()})
 

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, prod
+from operator import mul
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -78,11 +80,21 @@ def hyperplane_section_spec(spec: VarietySpec) -> VarietySpec:
 # ---------------------------------------------------------------------------
 
 
-def _binomial_transform(m: int, coeffs: tuple[int, ...]) -> tuple[int, ...]:
+# A process meets few dimensions (a CLI query one or two, `bnd check` a
+# handful), while a table near the largest m `edd` accepts (299) holds
+# about 45,000 integers; the cache keeps the tables of the last few m.
+@lru_cache(maxsize=16)
+def _signed_binomial_rows(m: int) -> tuple[tuple[int, ...], ...]:
+    """Row j = ((-1)^i C(m-i+1, j-i) for i = 0..j), for j = 0..m."""
     return tuple(
-        sum((-1) ** i * comb(m - i + 1, j - i) * coeffs[i] for i in range(j + 1))
-        for j in range(m + 1)
+        tuple((-1) ** i * comb(m - i + 1, j - i) for i in range(j + 1)) for j in range(m + 1)
     )
+
+
+def _binomial_transform(m: int, coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    if len(coeffs) != m + 1:
+        raise ValueError(f"need m+1 = {m + 1} coefficients, got {len(coeffs)}")
+    return tuple(sum(map(mul, row, coeffs)) for row in _signed_binomial_rows(m))
 
 
 def chern_to_polar(m: int, gammas: tuple[int, ...]) -> tuple[int, ...]:

@@ -560,7 +560,7 @@ def test_solve_output_file_equals_json_stdout(capsys, ellipse_path, tmp_path, mo
     code, stdout, _ = run(capsys, *argv, "--output", "-")
     assert code == 0
     assert not (tmp_path / "-").exists()
-    assert stdout.startswith(out)
+    assert stdout == out
     code, stdout, _ = run(capsys, *argv, "--output", "-", "--json")
     assert code == 0
     assert stdout == out

@@ -6,10 +6,16 @@ from pathlib import Path
 
 import pytest
 
+from bnd import ring
 from bnd.engine import (
     MAX_AMBIENT,
+    _chern_tangent_in_polar,
     _double_point_class,
+    _grassmannian_numerator,
+    _grassmannian_tangent_over,
+    _h_binomial,
     _point_class,
+    _times_xi_powers,
     _xi_relation,
     ambient_stability,
     bnd_affine,
@@ -25,7 +31,7 @@ from bnd.engine import (
     formula_context,
 )
 from bnd.profiles import PolarProfile, VarietySpec, ci_profile, evaluate_class, polar_degrees
-from bnd.ring import SymbolSpec, declare_ring, parse
+from bnd.ring import SymbolSpec, declare_ring, graded_piece, parse, unit_quotient
 
 
 def plane_curve(d):
@@ -115,6 +121,97 @@ def test_compute_b_output_shape():
         f = compute_B(m, n)
         assert f.poly.is_homogeneous(m)
         assert all(c.denominator == 1 for c in f.poly.terms.values())
+
+
+# -- the fixed factors in closed form -----------------------------------------
+
+# every shape 0 < m < n with n_eff = max(2m+1, n) <= MAX_AMBIENT
+SHAPES = [
+    (m, n)
+    for n in range(2, MAX_AMBIENT + 1)
+    for m in range(1, n)
+    if max(2 * m + 1, n) <= MAX_AMBIENT
+]
+
+
+def chern_by_products(ctx, m):
+    """c(T_X) = 1 + sum_{j>=1} sum_i (-1)^i C(m-i+1, j-i) h^(j-i) p_i as ring
+    products, the construction _chern_tangent_in_polar replaces."""
+    h = ctx.sym("h")
+    acc = ctx.one()
+    for j in range(1, m + 1):
+        for i in range(j + 1):
+            term = ctx.constant((-1) ** i * math.comb(m - i + 1, j - i)) * h ** (j - i)
+            if i:
+                term = term * ctx.sym(f"p{i}")
+            acc = acc + term
+    return acc
+
+
+def test_fixed_factors_equal_their_ring_products():
+    # each closed form against the ring-product construction it replaces,
+    # term for term, on all 155 shapes
+    assert len(SHAPES) == 155
+    for m, n in SHAPES:
+        ctx = conormal_context(m, n)
+        xi, h = ctx.sym("xi"), ctx.sym("h")
+        c_tx = _chern_tangent_in_polar(ctx, m)
+        assert c_tx == chern_by_products(ctx, m), (m, n)
+        assert _h_binomial(ctx, 1, n + 1) == (1 + h) ** (n + 1), (m, n)
+        assert _h_binomial(ctx, -1, n + 1) == (1 - h) ** (n + 1), (m, n)
+        numerator = (1 + xi + h * xi - h * h) ** (n + 1)
+        assert _grassmannian_numerator(ctx, n) == numerator, (m, n)
+        pieces, relation = _xi_relation(c_tx, m, n)
+        for j, piece in enumerate(pieces):
+            k = n - m - j
+            binomial = {i: math.comb(k, i) for i in range(k + 1)}
+            assert _times_xi_powers(ctx, [(piece, {k: 1})]) == piece * xi**k, (m, n, j)
+            assert _times_xi_powers(ctx, [(piece, binomial)]) == piece * (1 + xi) ** k, (m, n, j)
+        assert relation == sum((-1) ** j * pieces[j] * xi ** (n - m - j) for j in range(n - m + 1))
+        # over u = 1 this is the numerator over the literal denominator
+        want = unit_quotient(numerator, 1 - (xi - 2 * h) ** 2)
+        assert _grassmannian_tangent_over(ctx.one(), n) == want, (m, n)
+
+
+def test_fixed_factors_in_the_numeric_ring():
+    # the same forms in the two-generator ring xi, h of a numeric c(T_X),
+    # where there is no polar class
+    for m, n in ((1, 2), (2, 5), (3, 4), (4, 9), (5, 11)):
+        ctx = declare_ring(
+            [SymbolSpec("xi", 1), SymbolSpec("h", 1, pullback=True)],
+            truncation=n - 1,
+            pullback_bound=m,
+        )
+        xi, h = ctx.sym("xi"), ctx.sym("h")
+        assert _h_binomial(ctx, -1, n + 1) == (1 - h) ** (n + 1)
+        assert _grassmannian_numerator(ctx, n) == (1 + xi + h * xi - h * h) ** (n + 1)
+        c_tx = numeric_chern(ctx, ci_profile(VarietySpec(n, (2,) * (n - m))))
+        pieces, relation = _xi_relation(c_tx, m, n)
+        assert relation == sum((-1) ** j * pieces[j] * xi ** (n - m - j) for j in range(n - m + 1))
+
+
+# products of a cold compute_B(m, 2m+1): the fixed factors take none, so
+# what is left is c(T_X) * twist, the Grassmannian denominator times that
+# unit, and divide_monic's steps
+COLD_PRODUCTS = {1: 4, 2: 7, 3: 11, 4: 16, 5: 21}
+
+
+def test_compute_b_product_counts(monkeypatch):
+    calls = []
+    product = ring.ClassPoly._product
+
+    def counted(self, other):
+        calls.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(ring.ClassPoly, "_product", counted)
+    counts = {}
+    for m in COLD_PRODUCTS:
+        calls.clear()
+        # past the lru_cache, so each shape is computed afresh
+        compute_B.__wrapped__(m, 2 * m + 1)
+        counts[m] = len(calls)
+    assert counts == COLD_PRODUCTS
 
 
 # -- the conormal reduction ---------------------------------------------------

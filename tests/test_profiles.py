@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -85,6 +86,27 @@ def test_chern_polar_transform_is_an_involution():
         for _ in range(20):
             gammas = (1,) + tuple(rng.randrange(-9, 10) for _ in range(m))
             assert polar_to_chern(m, chern_to_polar(m, gammas)) == gammas
+
+
+def binomial_transform_by_comb(m, coeffs):
+    """q_j = sum_{i<=j} (-1)^i C(m-i+1, j-i) c_i, entry by entry."""
+    return tuple(
+        sum((-1) ** i * math.comb(m - i + 1, j - i) * coeffs[i] for i in range(j + 1))
+        for j in range(m + 1)
+    )
+
+
+def test_tabled_transform_equals_the_comb_formula():
+    rng = random.Random(2718)
+    for m in range(31):
+        for _ in range(5):
+            coeffs = tuple(rng.randrange(-10**6, 10**6) for _ in range(m + 1))
+            want = binomial_transform_by_comb(m, coeffs)
+            assert chern_to_polar(m, coeffs) == want, m
+            assert polar_to_chern(m, coeffs) == want, m
+    for m, coeffs in ((2, (1, 3)), (2, (1, 3, 3, 1)), (0, ())):
+        with pytest.raises(ValueError, match="coefficients"):
+            chern_to_polar(m, coeffs)
 
 
 def test_profile_constructors_agree():
