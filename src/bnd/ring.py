@@ -205,12 +205,6 @@ class RingContext:
     def sym(self, name: str) -> "ClassPoly":
         return self.var(self.index(name))
 
-    def monomial(self, coeff, **powers: int) -> "ClassPoly":
-        expts = [0] * len(self.symbols)
-        for name, e in powers.items():
-            expts[self.index(name)] = e
-        return self.poly({tuple(expts): coeff})
-
     def poly(self, raw: Mapping[Exponents, Coefficient]) -> "ClassPoly":
         return ClassPoly(self, raw)
 
@@ -247,16 +241,11 @@ def coordinate_ring(nvars: int) -> RingContext:
     return RingContext(tuple(SymbolSpec(f"v{i}", 1) for i in range(nvars)), None, None)
 
 
-def _context(ctx: RingContext | int) -> RingContext:
-    # an int stands for the coordinate ring with that many variables
-    return coordinate_ring(ctx) if isinstance(ctx, int) else ctx
-
-
 class ClassPoly:
     """Immutable sparse polynomial over a RingContext.
 
     The one exact polynomial type: cycle classes in a truncated ring, and
-    (as `bnd.systems.Poly`) polynomials in the coordinate ring of a system.
+    polynomials in the coordinate ring of a system.
 
     Example::
 
@@ -265,14 +254,14 @@ class ClassPoly:
         (1 + h) * (1 + h)        # 1 + 2*h + h^2
         graded_piece(_, 1)       # 2*h
 
-        f = ClassPoly(2, {(2, 0): 1, (0, 0): -1})   # v0^2 - 1 in coordinate_ring(2)
+        f = coordinate_ring(2).poly({(2, 0): 1, (0, 0): -1})   # v0^2 - 1
     """
 
     __slots__ = ("ctx", "terms", "_groups")
 
-    def __init__(self, ctx: RingContext | int, terms: Mapping[Exponents, Coefficient]):
-        self.ctx = _context(ctx)
-        self.terms = self.ctx.normalize(terms)
+    def __init__(self, ctx: RingContext, terms: Mapping[Exponents, Coefficient]):
+        self.ctx = ctx
+        self.terms = ctx.normalize(terms)
         self._groups = None
 
     @classmethod
@@ -294,14 +283,6 @@ class ClassPoly:
         )
         p._groups = groups
         return p
-
-    @classmethod
-    def const(cls, ctx: RingContext | int, c) -> "ClassPoly":
-        return _context(ctx).constant(c)
-
-    @classmethod
-    def var(cls, ctx: RingContext | int, i: int) -> "ClassPoly":
-        return _context(ctx).var(i)
 
     # -- predicates ---------------------------------------------------------
 
@@ -441,7 +422,7 @@ class ClassPoly:
 
     def __pow__(self, k: int) -> "ClassPoly":
         if k < 0:
-            raise ValueError("negative powers are not ring elements; use invert_unit")
+            raise ValueError("negative powers are not ring elements; use unit_quotient")
         result = self.ctx.one()
         base = self
         while k:
@@ -580,12 +561,6 @@ def unit_quotient(a: ClassPoly, u: ClassPoly) -> ClassPoly:
                 groups.append((d, p, items))
         w.append(piece)
     return ClassPoly._of_groups(ctx, groups)
-
-
-def invert_unit(a: ClassPoly) -> ClassPoly:
-    """Inverse of a unit 1 + a_1 + a_2 + ... (a_j of codim j) in a
-    truncated ring: unit_quotient(1, a)."""
-    return unit_quotient(a.ctx.one(), a)
 
 
 def graded_piece(a: ClassPoly, k: int) -> ClassPoly:
@@ -965,7 +940,8 @@ def parse(
     monomials: dict[str, Exponents] | None = None,
 ) -> ClassPoly:
     """Parse polynomial text into ctx; names[i] spells symbol i (default:
-    the symbol names).  Raises SystemParseError, located by line and column.
+    the symbol names).  Raises SystemParseError, located by line and column,
+    and ValueError when names is not one distinct name per symbol.
 
     A line in the canonical form that render and render_poly write
     (integer or p/q coefficients times monomials), which is every line the
@@ -982,6 +958,10 @@ def parse(
     """
     if names is None:
         names = [s.name for s in ctx.symbols]
+    elif len(names) != len(ctx.symbols):
+        raise ValueError(f"{len(names)} names {list(names)} for {len(ctx.symbols)} symbols")
+    elif len(set(names)) != len(names):
+        raise ValueError(f"duplicate names in {list(names)}")
     if monomials is None:
         monomials = {}
     terms = _read_canonical(ctx, text, names, monomials)

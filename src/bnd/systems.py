@@ -30,10 +30,6 @@ from typing import Sequence
 from .ring import IDENTIFIER, ClassPoly, SystemParseError, coordinate_ring, render_poly
 from .ring import parse as parse_text
 
-# Polynomials in positional coordinates are elements of the coordinate ring
-# with that many variables; see bnd.ring for the one polynomial type.
-Poly = ClassPoly
-
 
 # ===========================================================================
 # systems
@@ -51,7 +47,7 @@ class SystemMeta:
 @dataclass(frozen=True)
 class PolySystem:
     variables: tuple[str, ...]
-    polynomials: tuple[Poly, ...]
+    polynomials: tuple[ClassPoly, ...]
     metadata: SystemMeta | None = None
 
     def __post_init__(self) -> None:
@@ -67,7 +63,7 @@ def _xy_names(n: int) -> tuple[str, ...]:
     )
 
 
-def _check_input(fs: Sequence[Poly], m: int) -> tuple[int, int]:
+def _check_input(fs: Sequence[ClassPoly], m: int) -> tuple[int, int]:
     fs = list(fs)
     if not fs:
         raise ValueError("need at least one defining polynomial")
@@ -93,7 +89,7 @@ def _swap(n: int, k: int = 0) -> tuple[int, ...]:
     return (*ys, *xs, *mus, *lams)
 
 
-def build_minor_system(fs: Sequence[Poly], m: int) -> PolySystem:
+def build_minor_system(fs: Sequence[ClassPoly], m: int) -> PolySystem:
     """Minor formulation in the 2n variables x1..xn, y1..yn.
 
     Equation order: f_i(x), f_i(y), then the minors of J(x,y), then the
@@ -108,18 +104,19 @@ def build_minor_system(fs: Sequence[Poly], m: int) -> PolySystem:
     n, k = _check_input(fs, m)
     total = 2 * n
     fx = [f.embed(total, 0) for f in fs]
-    x = [Poly.var(total, i) for i in range(n)]
-    y = [Poly.var(total, n + i) for i in range(n)]
+    ring = coordinate_ring(total)
+    x = [ring.var(i) for i in range(n)]
+    y = [ring.var(n + i) for i in range(n)]
 
     # gradient rows: partials of each embedded f in x
     grad_x = [[p.diff(j) for j in range(n)] for p in fx]
 
-    def minors(rows: list[list[Poly]]) -> list[Poly]:
+    def minors(rows: list[list[ClassPoly]]) -> list[ClassPoly]:
         # each minor is a Laplace expansion along its first row; the minors of
         # the rows below it are computed once and shared across column sets
-        done: dict[tuple[tuple[int, ...], tuple[int, ...]], Poly] = {}
+        done: dict[tuple[tuple[int, ...], tuple[int, ...]], ClassPoly] = {}
 
-        def minor(ri: tuple[int, ...], ci: tuple[int, ...]) -> Poly:
+        def minor(ri: tuple[int, ...], ci: tuple[int, ...]) -> ClassPoly:
             if len(ri) == 1:
                 return rows[ri[0]][ci[0]]
             if (ri, ci) not in done:
@@ -144,7 +141,7 @@ def build_minor_system(fs: Sequence[Poly], m: int) -> PolySystem:
     return PolySystem(_xy_names(n), tuple(polys), SystemMeta(n, k, m, "minors"))
 
 
-def build_lagrange_system(fs: Sequence[Poly]) -> PolySystem:
+def build_lagrange_system(fs: Sequence[ClassPoly]) -> PolySystem:
     """Square multiplier formulation: 2(n+k) equations in
     x1..xn, y1..yn, lam1..lamk, mu1..muk.
 
@@ -164,13 +161,14 @@ def build_lagrange_system(fs: Sequence[Poly]) -> PolySystem:
     names += tuple(f"mu{i}" for i in range(1, k + 1))
 
     fx = [f.embed(total, 0) for f in fs]
-    x = [Poly.var(total, i) for i in range(n)]
-    y = [Poly.var(total, n + i) for i in range(n)]
-    lam = [Poly.var(total, 2 * n + i) for i in range(k)]
+    ring = coordinate_ring(total)
+    x = [ring.var(i) for i in range(n)]
+    y = [ring.var(n + i) for i in range(n)]
+    lam = [ring.var(2 * n + i) for i in range(k)]
 
     swap = _swap(n, k)
     lam_sums = [
-        sum((lam[i] * fx[i].diff(j) for i in range(k)), Poly(total, {})) for j in range(n)
+        sum((lam[i] * fx[i].diff(j) for i in range(k)), ring.zero()) for j in range(n)
     ]
     lam_block = [x[j] - y[j] - s for j, s in enumerate(lam_sums)]
     mu_block = [x[j] - y[j] - s.relabel(swap) for j, s in enumerate(lam_sums)]
@@ -183,7 +181,7 @@ def build_lagrange_system(fs: Sequence[Poly]) -> PolySystem:
 # ===========================================================================
 
 
-def parse_poly(text: str, names: Sequence[str], line: int = 1) -> Poly:
+def parse_poly(text: str, names: Sequence[str], line: int = 1) -> ClassPoly:
     """One polynomial over the coordinates names (grammar: bnd.ring.parse)."""
     return parse_text(coordinate_ring(len(names)), text, names, line)
 
@@ -206,7 +204,7 @@ _META_LINE = re.compile(r"#\s*(n|k|m|formulation)\s*:\s*(\S+)\s*$")
 def parse_system_text(text: str) -> PolySystem:
     variables: tuple[str, ...] | None = None
     meta: dict[str, int | str] = {}
-    polys: list[Poly] = []
+    polys: list[ClassPoly] = []
     # the exponent vectors of the monomials seen so far in this text
     monomials: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -426,6 +426,18 @@ def test_malformed_text_fails_as_in_the_character_parser(text):
     assert got[0] == "error" and got[3] == 4
 
 
+def test_names_must_be_one_distinct_name_per_symbol():
+    # checked before either reader runs, canonical line or descent alike
+    for text in ("x2", "(x2)"):
+        with pytest.raises(ValueError, match="2 names .* for 1 symbols"):
+            parse(coordinate_ring(1), text, ("x1", "x2"))
+        with pytest.raises(ValueError, match="1 names .* for 2 symbols"):
+            parse(coordinate_ring(2), text, ("x2",))
+        with pytest.raises(ValueError, match="duplicate names"):
+            parse_poly(text.replace("2", "1"), ("x1", "x1"))
+    assert parse(coordinate_ring(2), "x2", ("x1", "x2")) == coordinate_ring(2).var(1)
+
+
 @pytest.mark.parametrize("text", ["h/h^3", "h/(h^3 + 2)", "p1/(p2*h)", "h^0/p2^0", "h/2^0"])
 def test_division_in_a_truncated_ring(text):
     ctx, names = RINGS["formula"]

@@ -16,7 +16,7 @@ import pytest
 
 from bnd.engine import compute_B
 from bnd.profiles import PolarProfile, VarietySpec, ci_profile, evaluate_class
-from bnd.ring import SymbolSpec, declare_ring, invert_unit
+from bnd.ring import SymbolSpec, declare_ring, unit_quotient
 
 
 def ring_ci_profile(spec: VarietySpec) -> PolarProfile:
@@ -29,7 +29,7 @@ def ring_ci_profile(spec: VarietySpec) -> PolarProfile:
     h = ctx.sym("h")
     total = (1 + h) ** (spec.ambient_dim + 1)
     for d in spec.degrees:
-        total = total * invert_unit(1 + d * h)
+        total = total * unit_quotient(ctx.one(), 1 + d * h)
     gammas = tuple(total.terms.get((i,), Fraction(0)) for i in range(m + 1))
     return PolarProfile.from_chern(
         m, spec.fundamental_degree, gammas, ambient=spec.ambient_dim, degrees=spec.degrees

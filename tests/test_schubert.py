@@ -109,7 +109,7 @@ def reference_symmetrize(poly_x, ctx_e):
     while not rem.is_zero():
         (a, b), c = max(rem.terms.items(), key=lambda t: t[0])
         assert a >= b, f"not symmetric: leading x1^{a}*x2^{b}"
-        mono = ctx_e.monomial(c, e1=a - b, e2=b)
+        mono = ctx_e.poly({(a - b, b): c})
         out = out + mono
         rem = rem - substitute(mono, images, ctx_x)
     return out

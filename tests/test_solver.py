@@ -36,8 +36,8 @@ from bnd.solver import (
     result_table,
     sample_variety,
 )
+from bnd.ring import coordinate_ring
 from bnd.systems import (
-    Poly,
     build_lagrange_system,
     build_minor_system,
     parse_poly,
@@ -154,7 +154,7 @@ def _dense_poly(rng, nvars, degree, skip=()):
     for e in itertools.product(range(degree + 1), repeat=nvars):
         if sum(e) <= degree and not any(e[v] for v in skip):
             terms[e] = Fraction(int(rng.integers(-40, 41)), int(rng.integers(1, 9)))
-    return Poly(nvars, terms)
+    return coordinate_ring(nvars).poly(terms)
 
 
 def _assert_matches_exact(polys, nvars, seed=0):
@@ -181,11 +181,11 @@ def test_evaluator_matches_exact_dense(nvars, degree):
 
 def test_evaluator_zero_constant_and_absent_variable():
     rng = np.random.default_rng(1)
-    zero, const = Poly(4, {}), Poly.const(4, Fraction(5, 2))
+    zero, const = coordinate_ring(4).zero(), coordinate_ring(4).constant(Fraction(5, 2))
     no_x3 = _dense_poly(rng, 4, 3, skip=(2,))
     _assert_matches_exact([zero, const, no_x3], 4)
-    _assert_matches_exact([Poly(3, {})], 3)
-    _assert_matches_exact([Poly.const(2, -7), Poly(2, {})], 2)
+    _assert_matches_exact([coordinate_ring(3).zero()], 3)
+    _assert_matches_exact([coordinate_ring(2).constant(-7), coordinate_ring(2).zero()], 2)
     vals = _CompiledSystem([zero, const], 4).eval(np.ones((3, 4)))
     assert vals.tolist() == [[0.0, 2.5]] * 3
 
