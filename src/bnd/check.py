@@ -95,7 +95,7 @@ def _check_epsilon(*spec_lists):
             if combinatorial != geometric:
                 return False, (
                     f"{spec.degrees} in P^{spec.ambient_dim} at n={n}: "
-                    f"{combinatorial.values} vs {geometric.values}"
+                    f"{combinatorial} vs {geometric}"
                 )
     return True, ""
 

@@ -293,7 +293,7 @@ def cmd_solve(args) -> int:
         bound = None
 
     try:
-        _, sep = narrowest_bottleneck(result.pairs)
+        sep = narrowest_bottleneck(result.pairs).separation
     except ValueError:
         sep = None
     # --output - gives stdout what --json gives it: the JSON document alone

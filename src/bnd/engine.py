@@ -41,7 +41,7 @@ for the Grassmannian denominator times it, and the monic division.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, inf, log10
@@ -49,6 +49,7 @@ from math import comb, inf, log10
 from .profiles import (
     PolarProfile,
     VarietySpec,
+    _signed_binomial_rows,
     ci_profile,
     evaluate_class,
     hyperplane_section_spec,
@@ -107,21 +108,6 @@ class BFormula:
         return render(self.poly)
 
 
-@dataclass(frozen=True)
-class EpsilonVector:
-    """The degrees eps_0..eps_k of the conormal image class; eps_0 is the
-    Euclidean distance degree."""
-
-    values: tuple[int, ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.values) - 1
-
-    def sum_squares(self) -> int:
-        return sum(v * v for v in self.values)
-
-
 def formula_context(m: int) -> RingContext:
     """The ring h, p_1..p_m of codim-weighted class formulas, truncated at m."""
     syms = [SymbolSpec("h", 1)] + [SymbolSpec(f"p{i}", i) for i in range(1, m + 1)]
@@ -171,16 +157,17 @@ def _times_xi_powers(
 
 def _chern_tangent_in_polar(ctx: RingContext, m: int) -> ClassPoly:
     """c(T_X) = sum_j c_j with c_j = sum_{i=0}^{j} (-1)^i C(m-i+1, j-i)
-    h^(j-i) p_i (p_0 = 1), one term per (j, i)."""
+    h^(j-i) p_i (p_0 = 1), one term per (j, i), the coefficients read from
+    the table chern_to_polar uses."""
     ih = ctx.index("h")
     raw = {}
-    for j in range(m + 1):
-        for i in range(j + 1):
+    for j, row in enumerate(_signed_binomial_rows(m)):
+        for i, c in enumerate(row):
             e = [0] * len(ctx.symbols)
             e[ih] = j - i
             if i:
                 e[ctx.index(f"p{i}")] = 1
-            raw[tuple(e)] = (-1) ** i * comb(m - i + 1, j - i)
+            raw[tuple(e)] = c
     return ctx.poly(raw)
 
 
@@ -307,9 +294,10 @@ def compute_B(m: int, n: int) -> BFormula:
 # ---------------------------------------------------------------------------
 
 
-def epsilon_terms(m: int, n: int, polar_degs) -> EpsilonVector:
-    """Combinatorial route: eps_i = sum_{j=r_i}^{m-i} deg p_j with
-    r_i = max(0, m-n+1+i) and k = min((n-1)//2, m)."""
+def epsilon_terms(m: int, n: int, polar_degs) -> tuple[int, ...]:
+    """Combinatorial route: the degrees eps_0..eps_k of the conormal image
+    class (eps_0 is the Euclidean distance degree), eps_i = sum_{j=r_i}^{m-i}
+    deg p_j with r_i = max(0, m-n+1+i) and k = min((n-1)//2, m)."""
     if not 0 < m < n:
         raise ValueError(f"need 0 < m < n, got m={m}, n={n}")
     polar_degs = tuple(polar_degs)
@@ -322,10 +310,10 @@ def epsilon_terms(m: int, n: int, polar_degs) -> EpsilonVector:
     for i in range(k + 1):
         r_i = max(0, m - n + 1 + i)
         values.append(sum(polar_degs[j] for j in range(r_i, m - i + 1)))
-    return EpsilonVector(tuple(values))
+    return tuple(values)
 
 
-def epsilon_oracle(m: int, n: int, profile: PolarProfile) -> EpsilonVector:
+def epsilon_oracle(m: int, n: int, profile: PolarProfile) -> tuple[int, ...]:
     """Geometric route: eps_i = deg f*(sigma_{n-1-i, i}) on C_X.
 
     Runs the conormal reduction with the profile's numeric Chern scalars:
@@ -351,7 +339,7 @@ def epsilon_oracle(m: int, n: int, profile: PolarProfile) -> EpsilonVector:
         if coeff.denominator != 1:
             raise RuntimeError(f"non-integer epsilon degree {coeff}")
         values.append(int(coeff))
-    return EpsilonVector(tuple(values))
+    return tuple(values)
 
 
 def ed_degree(profile: PolarProfile) -> int:
@@ -385,7 +373,7 @@ def bnd_projective(formula: BFormula, profile: PolarProfile) -> int:
             f"dimension mismatch: formula for m={formula.m}, profile has m={profile.m}"
         )
     eps = epsilon_terms(formula.m, formula.n, polar_degrees(profile))
-    return eps.sum_squares() - evaluate_class(formula.poly, profile)
+    return sum(e * e for e in eps) - evaluate_class(formula.poly, profile)
 
 
 def bnd_of_profile(profile: PolarProfile) -> int:
@@ -404,27 +392,20 @@ def bnd_of_profile(profile: PolarProfile) -> int:
     return bnd_projective(compute_B(profile.m, n_eff), profile)
 
 
-def bnd_affine(spec: VarietySpec) -> int:
-    """BND of the affine variety cut by the spec's equations in C^n:
-    the projective count minus the count of the part at infinity.
-
-    A generic 0-dimensional intersection has no part at infinity: its
-    deg X points are all affine, so its count is the projective one.
-    """
-    closure = replace(spec, affine=False)
-    if spec.dim == 0:
-        return bnd_variety(closure)
-    infinity = hyperplane_section_spec(spec)
-    return bnd_variety(closure) - bnd_variety(infinity)
-
-
 def bnd_variety(spec: VarietySpec) -> int:
-    """BND of the variety described by the spec, affine or projective."""
-    if spec.affine:
-        return bnd_affine(spec)
+    """BND of the variety described by the spec, affine or projective.
+
+    An affine variety in C^n counts as its projective closure minus its
+    part at infinity, a generic hyperplane section of the closure.  A
+    generic 0-dimensional intersection has no part at infinity: its deg X
+    points are all affine, so its count is the projective one.
+    """
     if spec.dim >= 1:
         check_work_bound(spec.dim, spec.ambient_dim)
-    return bnd_of_profile(ci_profile(spec))
+    value = bnd_of_profile(ci_profile(spec))
+    if spec.affine and spec.dim >= 1:
+        value -= bnd_variety(hyperplane_section_spec(spec))
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,8 @@ class SolverConfig:
             raise ValueError(f"density must be an integer, got {self.density!r}")
         if not isinstance(self.newton_max_iter, numbers.Integral):
             raise ValueError(f"newton_max_iter must be an integer, got {self.newton_max_iter!r}")
+        if not isinstance(self.residual_tol, numbers.Real):
+            raise ValueError(f"residual_tol must be a real number, got {self.residual_tol!r}")
         if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.density is not None and self.density < 2:
@@ -134,6 +136,8 @@ class SolverConfig:
             raise ValueError("newton_max_iter must be >= 1")
         if self.box is not None:
             for lo, hi in self.box:
+                if not (isinstance(lo, numbers.Real) and isinstance(hi, numbers.Real)):
+                    raise ValueError(f"box bounds must be real numbers, got ({lo!r}, {hi!r})")
                 if not (math.isfinite(lo) and math.isfinite(hi)):
                     raise ValueError(f"box bounds must be finite, got ({lo}, {hi})")
                 if not lo < hi:
@@ -172,12 +176,6 @@ class SolveResult:
     pairs: tuple[BottleneckPair, ...]
     possibly_incomplete: bool
     diagnostics: dict = field(compare=False)
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def __len__(self) -> int:
-        return len(self.pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -662,6 +660,8 @@ def find_bottlenecks(
     if not fs or len(fs) > 2:
         raise ValueError("supported inputs: 1 or 2 defining polynomials")
     n = fs[0].nvars
+    if any(f.nvars != n for f in fs):
+        raise ValueError("defining polynomials disagree on variable count")
     k = len(fs)
     if k >= n:
         raise ValueError("need positive-dimensional variety (k < n)")
@@ -760,14 +760,13 @@ def classify_isolation(pair: BottleneckPair, system: PolySystem) -> bool:
     return bool(_isolated_rows(sysc, zvec[None, :])[0])
 
 
-def narrowest_bottleneck(pairs: Sequence[BottleneckPair]) -> tuple[BottleneckPair, float]:
+def narrowest_bottleneck(pairs: Sequence[BottleneckPair]) -> BottleneckPair:
     """Minimum-separation isolated pair; half its separation bounds the
     reach from above."""
     isolated = [p for p in pairs if p.isolated]
     if not isolated:
         raise ValueError("no isolated pairs to take the narrowest of")
-    best = min(isolated, key=lambda p: p.separation)
-    return best, best.separation
+    return min(isolated, key=lambda p: p.separation)
 
 
 # ---------------------------------------------------------------------------

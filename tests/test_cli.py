@@ -713,6 +713,23 @@ def test_solve_warns_above_the_complex_bound(capsys, monkeypatch, ellipse_path, 
     assert "warning" not in out
 
 
+def test_solve_without_a_complex_bound(capsys, monkeypatch, ellipse_path):
+    # a shape the exact engine refuses still gets its pairs, with no bound
+    def refuse(spec):
+        raise ValueError("no bound for this shape")
+
+    monkeypatch.setattr(cli, "bnd_variety", refuse)
+    argv = ["solve", "--input", ellipse_path, "--density", "8"]
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["complex_pair_bound"] is None and len(payload["pairs"]) == 2
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert "complex bound" not in out and "isolated pairs found" not in out
+    assert "narrowest isolated separation 2 " in out
+
+
 def test_solve_rejects_unsupported_codimension(capsys, tmp_path):
     path = tmp_path / "three.txt"
     path.write_text("vars: x1 x2 x3 x4\nx1\nx2\nx3\n")

@@ -122,6 +122,14 @@ def test_profile_constructors_agree():
         PolarProfile(1, 2, (1, 1), (1, 5))  # inconsistent pair
     with pytest.raises(ValueError):
         PolarProfile.from_chern(1, 2, (2, 1))  # leading scalar must be 1
+    for args, message in [
+        ((-1, 1, (), ()), "dimension must be >= 0"),
+        ((1, 0, (1, 1), (1, 1)), "fundamental degree must be >= 1"),
+        ((1, 2, (1,), (1, 1)), r"chern_coeffs must have length m\+1 = 2"),
+        ((1, 2, (2, 1), (2, 3)), r"chern_coeffs\[0\] must be 1"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            PolarProfile(*args)
 
 
 # -- evaluation --------------------------------------------------------------

@@ -74,6 +74,8 @@ def test_declare_ring_rejects_bad_input():
         SymbolSpec("h", 0)
     with pytest.raises(ValueError):
         SymbolSpec("bad name", 1)
+    with pytest.raises(ValueError, match="truncation must be >= 0"):
+        declare_ring([SymbolSpec("h", 1)], truncation=-1)
 
 
 def test_context_mismatch_raises():
@@ -81,6 +83,9 @@ def test_context_mismatch_raises():
     b = declare_ring([SymbolSpec("h", 1)], truncation=3).sym("h")
     with pytest.raises(ValueError):
         a + b
+    # a polynomial in 2 variables does not fit at offset 2 of 3
+    with pytest.raises(ValueError, match="embedding does not fit"):
+        coordinate_ring(2).var(0).embed(3, 2)
 
 
 def test_structurally_equal_contexts_interoperate():
@@ -406,6 +411,8 @@ def test_unit_quotient_refuses_what_is_not_a_unit():
         unit_quotient(coords.one(), coords.one())
     with pytest.raises(ValueError, match="context mismatch"):
         unit_quotient(a, conormal_ctx(m=2, n=6).one())
+    with pytest.raises(ValueError, match="use unit_quotient"):
+        coords.var(0) ** -1
 
 
 def test_integral_inputs_give_int_coefficients():
@@ -488,6 +495,9 @@ def test_divide_monic_rejects_non_monic():
         divide_monic(xi ** 2, 2 * xi + h, "xi")
     with pytest.raises(ValueError):
         divide_monic(xi ** 2, 1 + h, "xi")
+    other = conormal_ctx(m=1, n=5).sym("xi")
+    with pytest.raises(ValueError, match="context mismatch in divide_monic"):
+        divide_monic(xi ** 2, other, "xi")
 
 
 def test_divide_monic_exact_multiple_has_zero_remainder():

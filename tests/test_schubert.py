@@ -45,6 +45,10 @@ def test_index_validation():
         SchubertIndex(-1, -1)
     with pytest.raises(ValueError):
         schubert_representative(SchubertIndex(3, 1), n=3)  # needs a <= n-1
+    with pytest.raises(ValueError, match=r"not a class on Gr\(2,4\): need a <= 2"):
+        schubert_representative(SchubertIndex(5, 0), n=3)
+    with pytest.raises(ValueError, match="need ambient dimension n >= 2"):
+        grassmannian_context(1)
 
 
 def test_representative_small_cases():

@@ -86,6 +86,9 @@ def test_config_defaults():
         {"density": 2.5},
         {"newton_max_iter": 10.0},  # range would raise a TypeError
         {"newton_max_iter": "10"},
+        {"residual_tol": "1e-10"},  # comparisons would raise a TypeError
+        {"residual_tol": None},
+        {"box": (("a", 1.0),)},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -811,8 +814,8 @@ def test_step_search_counts_stalled_rows():
 
 
 def test_ellipse_finds_both_axis_pairs(ellipse_result):
-    assert len(ellipse_result) == 2
-    assert all(p.isolated for p in ellipse_result)
+    assert len(ellipse_result.pairs) == 2
+    assert all(p.isolated for p in ellipse_result.pairs)
     short, long = ellipse_result.pairs
     assert short.separation == pytest.approx(2.0, abs=1e-8)
     assert long.separation == pytest.approx(2 * math.sqrt(2), abs=1e-8)
@@ -828,7 +831,7 @@ def test_pairs_satisfy_both_formulations(ellipse_result):
     # i.e. canonicalization must keep the multipliers consistent
     lag = build_lagrange_system(ELLIPSE)
     minor = build_minor_system(ELLIPSE, 1)
-    for p in ellipse_result:
+    for p in ellipse_result.pairs:
         point = dict(zip(lag.variables, (*p.x, *p.y, *p.lam, *p.mu)))
         for eq in lag.polynomials:
             assert abs(float(eq.eval_exact([point[v] for v in lag.variables]))) < 1e-8
@@ -838,10 +841,10 @@ def test_pairs_satisfy_both_formulations(ellipse_result):
 
 
 def test_output_is_canonical(ellipse_result):
-    seps = [p.separation for p in ellipse_result]
+    seps = [p.separation for p in ellipse_result.pairs]
     assert seps == sorted(seps)
-    keys = np.array([(*p.x, *p.y) for p in ellipse_result])
-    for i, p in enumerate(ellipse_result):
+    keys = np.array([(*p.x, *p.y) for p in ellipse_result.pairs])
+    for i, p in enumerate(ellipse_result.pairs):
         assert p.separation > SEP_THRESHOLD
         # x lexicographically before y at the cluster tolerance
         for a, b in zip(p.x, p.y):
@@ -1070,8 +1073,8 @@ def test_zero_start_path_reports_zero_counts():
 def test_central_symmetry_preserved(ellipse_result):
     # the ellipse is symmetric under v -> -v, so the set of unordered pairs
     # must be too
-    keys = [np.array((*p.x, *p.y)) for p in ellipse_result]
-    for p in ellipse_result:
+    keys = [np.array((*p.x, *p.y)) for p in ellipse_result.pairs]
+    for p in ellipse_result.pairs:
         mirrored = np.array((*[-v for v in p.y], *[-v for v in p.x]))
         assert any(np.linalg.norm(mirrored - k) < 1e-6 for k in keys)
 
@@ -1079,7 +1082,7 @@ def test_central_symmetry_preserved(ellipse_result):
 def test_real_count_within_complex_bound(ellipse_result):
     bound = bnd_variety(VarietySpec(2, (2,), affine=True))
     assert bound == 4
-    assert sum(p.isolated for p in ellipse_result) <= bound // 2
+    assert sum(p.isolated for p in ellipse_result.pairs) <= bound // 2
 
 
 def test_input_validation():
@@ -1090,6 +1093,11 @@ def test_input_validation():
     f = parse_poly("x1^2 - 1", ("x1",))
     with pytest.raises(ValueError):
         find_bottlenecks([f])
+    # the variable counts are checked before the dimension, in either order
+    mixed = [parse_poly("x1^2 + x2^2 - 1", V2), parse_poly("x1 + x2 + x3", V3)]
+    for fs in (mixed, mixed[::-1]):
+        with pytest.raises(ValueError, match="defining polynomials disagree on variable count"):
+            find_bottlenecks(fs)
 
 
 # ---------------------------------------------------------------------------
@@ -1125,17 +1133,16 @@ def test_classify_isolation_checks_shape():
 
 
 def test_narrowest_bottleneck(ellipse_result):
-    best, sep = narrowest_bottleneck(ellipse_result.pairs)
-    assert sep == pytest.approx(2.0, abs=1e-8)
+    best = narrowest_bottleneck(ellipse_result.pairs)
+    assert best.separation == pytest.approx(2.0, abs=1e-8)
     assert np.allclose(best.x, (-1.0, 0.0), atol=1e-8)
 
 
 def test_narrowest_skips_non_isolated_and_rejects_empty():
     lone = _pair((0, -1), (0, 1), (1.0,), (-1.0,))
-    assert narrowest_bottleneck([lone])[0] is lone
+    assert narrowest_bottleneck([lone]) is lone
     fuzzy = _pair((0, -2), (0, 2), (1.0,), (-1.0,), isolated=False)
-    best, sep = narrowest_bottleneck([fuzzy, lone])
-    assert best is lone and sep == pytest.approx(2.0)
+    assert narrowest_bottleneck([fuzzy, lone]) is lone
     with pytest.raises(ValueError):
         narrowest_bottleneck([fuzzy])
     with pytest.raises(ValueError):
@@ -1160,7 +1167,7 @@ def test_result_json_shape(ellipse_result):
 def test_result_table_lists_every_pair(ellipse_result):
     table = result_table(ellipse_result)
     lines = table.splitlines()
-    assert len(lines) == 2 + len(ellipse_result)
+    assert len(lines) == 2 + len(ellipse_result.pairs)
     assert "possibly_incomplete=True" in lines[-1]
     assert "True" in lines[1]
     assert "converged" not in table
@@ -1169,7 +1176,7 @@ def test_result_table_lists_every_pair(ellipse_result):
 def test_plot_data_roundtrip(ellipse_result):
     body = plot_data(ellipse_result)
     rows = [r for r in body.splitlines() if not r.startswith("#")]
-    assert len(rows) == len(ellipse_result)
+    assert len(rows) == len(ellipse_result.pairs)
     parsed = np.array([[float(v) for v in r.split()] for r in rows])
-    expect = np.array([(*p.x, *p.y) for p in ellipse_result])
+    expect = np.array([(*p.x, *p.y) for p in ellipse_result.pairs])
     assert np.array_equal(parsed, expect)

@@ -251,6 +251,10 @@ def test_minor_system_input_validation():
         build_minor_system([p3("x1")], m=1)  # k=1 < n-m=2
     with pytest.raises(ValueError):
         build_minor_system([], m=1)
+    with pytest.raises(ValueError, match="disagree on variable count"):
+        build_minor_system([p2("x1"), p3("x1")], m=1)
+    with pytest.raises(ValueError, match="need at least one defining polynomial"):
+        build_lagrange_system([])
     # more equations than variables: m = n - k < 0
     over = [p2("x1 - 1"), p2("x2 - 1"), p2("x1 + x2 - 2")]
     with pytest.raises(ValueError, match="need m >= 0, got m=-1"):
