@@ -43,7 +43,7 @@ from .engine import (
     ed_degree,
     ed_degree_floor_log10,
 )
-from .profiles import VarietySpec, ci_profile, profile_json
+from .profiles import VarietySpec, ci_profile, polar_degrees
 from .systems import (
     build_lagrange_system,
     build_minor_system,
@@ -214,7 +214,15 @@ def cmd_edd(args) -> int:
     value = ed_degree(profile)
     text = _answer_text(value)
     if args.json:
-        print(json.dumps({**profile_json(profile), "edd": value}))
+        payload = {
+            "ambient": spec.ambient_dim,
+            "degrees": list(spec.degrees),
+            "m": spec.dim,
+            "fundamental_degree": spec.fundamental_degree,
+            "polar_degrees": list(polar_degrees(profile)),
+            "edd": value,
+        }
+        print(json.dumps(payload))
     else:
         print(text)
     return 0
@@ -256,14 +264,7 @@ def cmd_solve(args) -> int:
         raise UsageError(f"--plot - and {other} both write to stdout; give --plot a file")
 
     # imported here, so that the exact commands never load numpy
-    from .solver import (
-        SolverConfig,
-        find_bottlenecks,
-        narrowest_bottleneck,
-        plot_data,
-        result_json,
-        result_table,
-    )
+    from .solver import SolverConfig, find_bottlenecks, narrowest_bottleneck
 
     source = _load_system(args.input)
     fs = list(source.polynomials)
@@ -299,37 +300,72 @@ def cmd_solve(args) -> int:
     # --output - gives stdout what --json gives it: the JSON document alone
     json_stdout = args.json or args.output == "-"
     if args.output or args.json:
-        payload = result_json(result)
-        payload["complex_pair_bound"] = bound
-        payload["narrowest_separation"] = sep
+        payload = {
+            "pairs": [
+                {
+                    "x": list(p.x),
+                    "y": list(p.y),
+                    "separation": p.separation,
+                    "residual": p.residual,
+                    "isolated": p.isolated,
+                }
+                for p in result.pairs
+            ],
+            "possibly_incomplete": result.possibly_incomplete,
+            "diagnostics": result.diagnostics,
+            "complex_pair_bound": bound,
+            "narrowest_separation": sep,
+        }
         if sep is not None:
             payload["reach_upper_bound"] = sep / 2
         text = json.dumps(payload, indent=2)
         if args.output and args.output != "-":
             _emit(text, args.output)
     if args.plot:
-        _emit(plot_data(result), args.plot)
+        # a segment list for external plotting: the 2n endpoint coordinates
+        # of each pair, written to round-trip
+        segments = ["# segment list: x1..xn y1..yn, one bottleneck pair per line"]
+        segments += (" ".join(f"{v:.17g}" for v in (*p.x, *p.y)) for p in result.pairs)
+        _emit("\n".join(segments), args.plot)
 
     if json_stdout:
         print(text)
         return 0
 
-    print(result_table(result))
+    lines = [f"{'separation':>12}  {'isolated':>8}  {'residual':>9}  pair"]
+    for p in result.pairs:
+        xs = "(" + ", ".join(f"{v:.6g}" for v in p.x) + ")"
+        ys = "(" + ", ".join(f"{v:.6g}" for v in p.y) + ")"
+        lines.append(
+            f"{p.separation:12.8f}  {str(p.isolated):>8}  {p.residual:9.1e}  {xs} -- {ys}"
+        )
+    lines.append(
+        f"{len(result.pairs)} pair(s); search is heuristic "
+        f"(possibly_incomplete={result.possibly_incomplete})"
+    )
+    starts = result.diagnostics.get("start_pairs", 0)
+    if starts and not result.diagnostics.get("converged"):
+        # unlike an empty real locus, which leaves no start pairs at all
+        lines.append(
+            f"no start of {starts} converged; residual_tol is absolute, so a rescaled "
+            "equation or a non-reduced input (a repeated factor) may be the cause"
+        )
     isolated = sum(p.isolated for p in result.pairs)
     if bound is not None:
-        print(
+        lines.append(
             f"isolated pairs found: {isolated}; "
             f"complex bound for generic varieties of this shape: {bound} pairs"
         )
         if isolated > bound:
-            print(
+            lines.append(
                 f"warning: the count exceeds the complex bound by {isolated - bound}, "
                 "so some pairs are duplicates or spurious"
             )
     if sep is None:
-        print("no isolated pairs found")
+        lines.append("no isolated pairs found")
     else:
-        print(f"narrowest isolated separation {sep:.12g} (reach <= {sep / 2:.12g})")
+        lines.append(f"narrowest isolated separation {sep:.12g} (reach <= {sep / 2:.12g})")
+    print("\n".join(lines))
     return 0
 
 

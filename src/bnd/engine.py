@@ -417,15 +417,18 @@ def bnd_variety(spec: VarietySpec) -> int:
 class StabilityReport:
     """compute_B(m, n) across a range of ambient dimensions.
 
-    identical means every formula in the range is the same polynomial.
     stable_from is the first n of the maximal constant tail, i.e. the
-    formula equals the range's last formula from there on.
+    formula equals the range's last formula from there on; identical means
+    that tail is the whole range.
     """
 
     m: int
     formulas: tuple[BFormula, ...]
-    identical: bool
     stable_from: int
+
+    @property
+    def identical(self) -> bool:
+        return self.stable_from == self.formulas[0].n
 
 
 def ambient_stability(m: int, n_range) -> StabilityReport:
@@ -436,11 +439,10 @@ def ambient_stability(m: int, n_range) -> StabilityReport:
         raise ValueError(f"every n must exceed m={m}, got n={ns[0]}")
     check_work_bound(m, ns[-1])
     formulas = tuple(compute_B(m, n) for n in ns)
-    identical = all(f.poly == formulas[0].poly for f in formulas)
     stable_from = None
     for f in reversed(formulas):
         if f.poly == formulas[-1].poly:
             stable_from = f.n
         else:
             break
-    return StabilityReport(m, formulas, identical, stable_from)
+    return StabilityReport(m, formulas, stable_from)

@@ -6,9 +6,9 @@ the hyperplane class h:
 
     c_i(T_X) = gamma_i * h^i.
 
-A PolarProfile records those scalars together with the matching polar-class
-scalars q_j (p_j = q_j * h^j) and the degree d = d_1*...*d_k of X, which is
-all the data needed to evaluate any class formula in h, p_1, ..., p_m on X.
+A PolarProfile records the matching polar-class scalars q_j (p_j = q_j * h^j)
+and the degree d = d_1*...*d_k of X, which is all the data needed to
+evaluate any class formula in h, p_1, ..., p_m on X; it derives the gamma_i.
 
 The two scalar systems determine each other through one alternating
 binomial transform, `chern_to_polar`,
@@ -48,14 +48,15 @@ class VarietySpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "degrees", tuple(self.degrees))
-        # the int test comes first: an isinstance check against
+        # the plain-int test comes first: an isinstance check against
         # numbers.Integral takes about 0.8 us (Python 3.11), and on every
-        # value it cost a degree query about a tenth of its time
+        # value it cost a degree query about a tenth of its time.  bool is
+        # an Integral, so True would pass as 1.
         n = self.ambient_dim
-        if not (isinstance(n, int) or isinstance(n, numbers.Integral)):
+        if not (type(n) is int or isinstance(n, numbers.Integral) and not isinstance(n, bool)):
             raise ValueError(f"ambient_dim must be an integer, got {n!r}")
         for d in self.degrees:
-            if not (isinstance(d, int) or isinstance(d, numbers.Integral)):
+            if not (type(d) is int or isinstance(d, numbers.Integral) and not isinstance(d, bool)):
                 raise ValueError(f"degrees must be integers, got {self.degrees}")
         if self.ambient_dim < 1:
             raise ValueError("ambient dimension must be >= 1")
@@ -121,16 +122,17 @@ def _as_int_tuple(coeffs, what: str) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class PolarProfile:
-    """Scalar Chern and polar data of an m-dimensional variety.
+    """Scalar polar data of an m-dimensional variety.
 
-    chern_coeffs = (gamma_0, ..., gamma_m), polar_coeffs = (q_0, ..., q_m),
-    both starting at 1.  ambient/degrees are carried along when the profile
-    came from a VarietySpec, purely for reporting.
+    polar_coeffs = (q_0, ..., q_m), starting at 1; the Chern scalars
+    chern_coeffs are derived from them.  ambient/degrees are carried along
+    when the profile came from a VarietySpec: bnd_of_profile runs its
+    formula in ambient n_eff = max(2m+1, ambient), and the edd --json
+    payload reports both.
     """
 
     m: int
     fundamental_degree: int
-    chern_coeffs: tuple[int, ...]
     polar_coeffs: tuple[int, ...]
     ambient: int | None = None
     degrees: tuple[int, ...] | None = None
@@ -140,24 +142,25 @@ class PolarProfile:
             raise ValueError("dimension must be >= 0")
         if self.fundamental_degree < 1:
             raise ValueError("fundamental degree must be >= 1")
-        for name, coeffs in (("chern_coeffs", self.chern_coeffs), ("polar_coeffs", self.polar_coeffs)):
-            if len(coeffs) != self.m + 1:
-                raise ValueError(f"{name} must have length m+1 = {self.m + 1}")
-            if coeffs[0] != 1:
-                raise ValueError(f"{name}[0] must be 1 (the class of X itself)")
-        if chern_to_polar(self.m, self.chern_coeffs) != self.polar_coeffs:
-            raise ValueError("chern_coeffs and polar_coeffs are inconsistent")
+        if len(self.polar_coeffs) != self.m + 1:
+            raise ValueError(f"polar_coeffs must have length m+1 = {self.m + 1}")
+        if self.polar_coeffs[0] != 1:
+            raise ValueError("polar_coeffs[0] must be 1 (the class of X itself)")
+
+    @property
+    def chern_coeffs(self) -> tuple[int, ...]:
+        """(gamma_0, ..., gamma_m): the transform is an involution, so it
+        also maps polar to Chern scalars."""
+        return chern_to_polar(self.m, self.polar_coeffs)
 
     @classmethod
     def from_chern(cls, m, fundamental_degree, gammas, ambient=None, degrees=None):
         gammas = _as_int_tuple(gammas, "Chern coefficients")
-        return cls(m, fundamental_degree, gammas, chern_to_polar(m, gammas), ambient, degrees)
-
-    @classmethod
-    def from_polar(cls, m, fundamental_degree, qs, ambient=None, degrees=None):
-        qs = _as_int_tuple(qs, "polar coefficients")
-        # the transform is an involution, so it also maps polar to Chern scalars
-        return cls(m, fundamental_degree, chern_to_polar(m, qs), qs, ambient, degrees)
+        if len(gammas) != m + 1:
+            raise ValueError(f"Chern coefficients must have length m+1 = {m + 1}")
+        if gammas and gammas[0] != 1:
+            raise ValueError("Chern coefficients must start at 1 (the class of X itself)")
+        return cls(m, fundamental_degree, chern_to_polar(m, gammas), ambient, degrees)
 
 
 def ci_profile(spec: VarietySpec) -> PolarProfile:
@@ -173,9 +176,8 @@ def ci_profile(spec: VarietySpec) -> PolarProfile:
     for d in spec.degrees:
         for i in range(1, m + 1):
             gammas[i] -= d * gammas[i - 1]
-    gammas = tuple(gammas)
     return PolarProfile(
-        m, spec.fundamental_degree, gammas, chern_to_polar(m, gammas), spec.ambient_dim, spec.degrees
+        m, spec.fundamental_degree, chern_to_polar(m, gammas), spec.ambient_dim, spec.degrees
     )
 
 
@@ -212,13 +214,3 @@ def evaluate_class(a: ClassPoly, profile: PolarProfile) -> int:
     if total.denominator != 1:
         raise ValueError(f"class does not evaluate to an integer: {total}")
     return int(total)
-
-
-def profile_json(profile: PolarProfile) -> dict:
-    return {
-        "ambient": profile.ambient,
-        "degrees": None if profile.degrees is None else list(profile.degrees),
-        "m": profile.m,
-        "fundamental_degree": profile.fundamental_degree,
-        "polar_degrees": list(polar_degrees(profile)),
-    }

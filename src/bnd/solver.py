@@ -99,10 +99,10 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Search parameters.  box is one (lo, hi) interval per coordinate;
-    leave box/density as None for defaults chosen from the dimension
-    (box (-3.5, 3.5) everywhere; density 20 for curves in the plane,
-    10 in 3-space, 6 beyond).  A grid of density**n points above
+    """Search parameters.  box is one (lo, hi) interval per coordinate,
+    stored as a tuple of float pairs; leave box/density as None for
+    defaults chosen from the dimension (box (-3.5, 3.5) everywhere;
+    density 20 for curves in the plane, 10 in 3-space, 6 beyond).  A grid of density**n points above
     MAX_GRID_POINTS is refused, as is the default in 8 or more coordinates.
 
     A Newton row stops when its residual is below residual_tol / 100
@@ -120,13 +120,20 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.density, (numbers.Integral, type(None))):
+        # bool is a numbers.Integral, so True would pass as 1
+        def integral(v):
+            return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+        def real(v):
+            return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+        if not (self.density is None or integral(self.density)):
             raise ValueError(f"density must be an integer, got {self.density!r}")
-        if not isinstance(self.newton_max_iter, numbers.Integral):
+        if not integral(self.newton_max_iter):
             raise ValueError(f"newton_max_iter must be an integer, got {self.newton_max_iter!r}")
-        if not isinstance(self.residual_tol, numbers.Real):
+        if not real(self.residual_tol):
             raise ValueError(f"residual_tol must be a real number, got {self.residual_tol!r}")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+        if not integral(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.density is not None and self.density < 2:
             raise ValueError("density must be >= 2")
@@ -135,13 +142,18 @@ class SolverConfig:
         if self.newton_max_iter < 1:
             raise ValueError("newton_max_iter must be >= 1")
         if self.box is not None:
-            for lo, hi in self.box:
-                if not (isinstance(lo, numbers.Real) and isinstance(hi, numbers.Real)):
+            try:
+                box = tuple((lo, hi) for lo, hi in self.box)
+            except (TypeError, ValueError):
+                raise ValueError(f"box must be (lo, hi) intervals, got {self.box!r}") from None
+            for lo, hi in box:
+                if not (real(lo) and real(hi)):
                     raise ValueError(f"box bounds must be real numbers, got ({lo!r}, {hi!r})")
                 if not (math.isfinite(lo) and math.isfinite(hi)):
                     raise ValueError(f"box bounds must be finite, got ({lo}, {hi})")
                 if not lo < hi:
                     raise ValueError(f"empty box interval ({lo}, {hi})")
+            object.__setattr__(self, "box", tuple((float(lo), float(hi)) for lo, hi in box))
 
     def box_for(self, n: int) -> tuple[tuple[float, float], ...]:
         if self.box is not None:
@@ -767,56 +779,3 @@ def narrowest_bottleneck(pairs: Sequence[BottleneckPair]) -> BottleneckPair:
     if not isolated:
         raise ValueError("no isolated pairs to take the narrowest of")
     return min(isolated, key=lambda p: p.separation)
-
-
-# ---------------------------------------------------------------------------
-# reporting
-# ---------------------------------------------------------------------------
-
-
-def result_json(result: SolveResult) -> dict:
-    return {
-        "pairs": [
-            {
-                "x": list(p.x),
-                "y": list(p.y),
-                "separation": p.separation,
-                "residual": p.residual,
-                "isolated": p.isolated,
-            }
-            for p in result.pairs
-        ],
-        "possibly_incomplete": result.possibly_incomplete,
-        "diagnostics": result.diagnostics,
-    }
-
-
-def result_table(result: SolveResult) -> str:
-    lines = [f"{'separation':>12}  {'isolated':>8}  {'residual':>9}  pair"]
-    for p in result.pairs:
-        xs = "(" + ", ".join(f"{v:.6g}" for v in p.x) + ")"
-        ys = "(" + ", ".join(f"{v:.6g}" for v in p.y) + ")"
-        lines.append(
-            f"{p.separation:12.8f}  {str(p.isolated):>8}  {p.residual:9.1e}  {xs} -- {ys}"
-        )
-    lines.append(
-        f"{len(result.pairs)} pair(s); search is heuristic "
-        f"(possibly_incomplete={result.possibly_incomplete})"
-    )
-    starts = result.diagnostics.get("start_pairs", 0)
-    if starts and not result.diagnostics.get("converged"):
-        # unlike an empty real locus, which leaves no start pairs at all
-        lines.append(
-            f"no start of {starts} converged; residual_tol is absolute, so a rescaled "
-            "equation or a non-reduced input (a repeated factor) may be the cause"
-        )
-    return "\n".join(lines)
-
-
-def plot_data(result: SolveResult) -> str:
-    """Segment list for external plotting: one line per pair, the 2n
-    endpoint coordinates separated by spaces."""
-    lines = ["# segment list: x1..xn y1..yn, one bottleneck pair per line"]
-    for p in result.pairs:
-        lines.append(" ".join(f"{v:.17g}" for v in (*p.x, *p.y)))
-    return "\n".join(lines) + "\n"

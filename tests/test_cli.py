@@ -128,6 +128,15 @@ def test_bnd_json_declares_assumptions(capsys):
     assert payload["affine"] is False
 
 
+def test_edd_json_payload(capsys):
+    code, out, _ = run(capsys, "edd", "--ambient", "3", "--degrees", "2,3", "--json")
+    assert code == 0
+    assert out == (
+        '{"ambient": 3, "degrees": [2, 3], "m": 1, "fundamental_degree": 6, '
+        '"polar_degrees": [6, 18], "edd": 24}\n'
+    )
+
+
 @pytest.mark.parametrize("ambient, degrees, expected", [("1", "2", 2), ("2", "2,2", 12)])
 def test_zero_dimensional_affine_bnd_json(capsys, ambient, degrees, expected):
     code, out, _ = run(
@@ -541,6 +550,56 @@ def test_solve_json_and_files(capsys, ellipse_path, tmp_path):
     assert len(segments) == 2 and all(len(s.split()) == 4 for s in segments)
 
 
+def test_solve_json_shape(capsys, ellipse_path):
+    code, out, _ = run(capsys, "solve", "--input", ellipse_path, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload) == [
+        "pairs",
+        "possibly_incomplete",
+        "diagnostics",
+        "complex_pair_bound",
+        "narrowest_separation",
+        "reach_upper_bound",
+    ]
+    assert payload["possibly_incomplete"] is True
+    assert payload["diagnostics"]["samples"] > 0
+    assert len(payload["pairs"]) == 2
+    entry = payload["pairs"][0]
+    assert set(entry) == {"x", "y", "separation", "residual", "isolated"}
+    assert entry["separation"] == pytest.approx(2.0, abs=1e-8)
+
+
+def test_solve_table_lists_every_pair(capsys, ellipse_path):
+    code, out, _ = run(capsys, "solve", "--input", ellipse_path)
+    assert code == 0
+    pairs = _ellipse_pairs(ellipse_path, solver.SolverConfig())
+    lines = out.splitlines()
+    # a header, one row per pair and the count; then the complex bound and
+    # the narrowest separation
+    assert len(lines) == 2 + len(pairs) + 2
+    assert "possibly_incomplete=True" in lines[1 + len(pairs)]
+    assert "True" in lines[1]
+    assert "converged" not in out
+
+
+def test_solve_plot_roundtrip(capsys, ellipse_path, tmp_path):
+    plot_path = tmp_path / "segments.txt"
+    code, _, _ = run(capsys, "solve", "--input", ellipse_path, "--plot", str(plot_path))
+    assert code == 0
+    pairs = _ellipse_pairs(ellipse_path, solver.SolverConfig())
+    rows = [r for r in plot_path.read_text().splitlines() if not r.startswith("#")]
+    assert len(rows) == len(pairs)
+    # 17 significant digits read back to the same floats, bit for bit
+    assert [[float(v) for v in r.split()] for r in rows] == [[*p.x, *p.y] for p in pairs]
+
+
+def _ellipse_pairs(path, config):
+    with open(path, encoding="utf-8") as handle:
+        fs = list(parse_system_text(handle.read()).polynomials)
+    return solver.find_bottlenecks(fs, config).pairs
+
+
 def test_solve_output_file_equals_json_stdout(capsys, ellipse_path, tmp_path, monkeypatch):
     # --output alone writes the payload that --json prints, bound and
     # separation included, and "-" means stdout, not a file of that name
@@ -567,12 +626,13 @@ def test_solve_output_file_equals_json_stdout(capsys, ellipse_path, tmp_path, mo
 
 
 def test_solve_plot_dash_prints_the_segment_list(capsys, ellipse_path, tmp_path, monkeypatch):
-    # --plot FILE writes plot_data's text as it is; "-" prints that text
-    # to stdout, ahead of the table, and creates no file named "-"
+    # --plot FILE writes the segment list; "-" prints that text to stdout,
+    # ahead of the table, and creates no file named "-"
     argv = ("solve", "--input", ellipse_path, "--density", "8")
-    with open(ellipse_path, encoding="utf-8") as handle:
-        fs = list(parse_system_text(handle.read()).polynomials)
-    segments = solver.plot_data(solver.find_bottlenecks(fs, solver.SolverConfig(density=8)))
+    pairs = _ellipse_pairs(ellipse_path, solver.SolverConfig(density=8))
+    segments = "# segment list: x1..xn y1..yn, one bottleneck pair per line\n" + "".join(
+        " ".join(f"{v:.17g}" for v in (*p.x, *p.y)) + "\n" for p in pairs
+    )
     plot_path = tmp_path / "segments.txt"
     code, table, _ = run(capsys, *argv, "--plot", str(plot_path))
     assert code == 0

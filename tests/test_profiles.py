@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -12,7 +13,6 @@ from bnd.profiles import (
     evaluate_class,
     hyperplane_section_spec,
     polar_degrees,
-    profile_json,
 )
 from bnd.ring import SymbolSpec, declare_ring
 
@@ -37,6 +37,7 @@ def test_variety_spec_validation():
     for ambient, degrees, field in [
         (3, (2.5,), "degrees"), (3, (2, 2.0), "degrees"), (3.0, (2,), "ambient_dim"),
         (Fraction(3), (2,), "ambient_dim"), (3, (Fraction(2),), "degrees"),
+        (True, (2,), "ambient_dim"), (3, (True, 2), "degrees"),
     ]:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             VarietySpec(ambient, degrees)
@@ -115,18 +116,22 @@ def test_tabled_transform_equals_the_comb_formula():
 
 
 def test_profile_constructors_agree():
+    # the dataclass stores the polar vector alone and derives the Chern one
+    fields = [f.name for f in dataclasses.fields(PolarProfile)]
+    assert fields == ["m", "fundamental_degree", "polar_coeffs", "ambient", "degrees"]
     p = ci_profile(VarietySpec(5, (3,)))
-    q = PolarProfile.from_polar(p.m, p.fundamental_degree, p.polar_coeffs)
-    assert q.chern_coeffs == p.chern_coeffs
-    with pytest.raises(ValueError):
-        PolarProfile(1, 2, (1, 1), (1, 5))  # inconsistent pair
-    with pytest.raises(ValueError):
-        PolarProfile.from_chern(1, 2, (2, 1))  # leading scalar must be 1
+    q = PolarProfile.from_chern(p.m, p.fundamental_degree, p.chern_coeffs)
+    assert q.polar_coeffs == p.polar_coeffs
+    assert q == PolarProfile(p.m, p.fundamental_degree, p.polar_coeffs)
+    with pytest.raises(ValueError, match="Chern coefficients must start at 1"):
+        PolarProfile.from_chern(1, 2, (2, 1))
+    with pytest.raises(ValueError, match=r"Chern coefficients must have length m\+1 = 2"):
+        PolarProfile.from_chern(1, 2, (1,))
     for args, message in [
-        ((-1, 1, (), ()), "dimension must be >= 0"),
-        ((1, 0, (1, 1), (1, 1)), "fundamental degree must be >= 1"),
-        ((1, 2, (1,), (1, 1)), r"chern_coeffs must have length m\+1 = 2"),
-        ((1, 2, (2, 1), (2, 3)), r"chern_coeffs\[0\] must be 1"),
+        ((-1, 1, ()), "dimension must be >= 0"),
+        ((1, 0, (1, 1)), "fundamental degree must be >= 1"),
+        ((1, 2, (1,)), r"polar_coeffs must have length m\+1 = 2"),
+        ((1, 2, (2, 3)), r"polar_coeffs\[0\] must be 1"),
     ]:
         with pytest.raises(ValueError, match=message):
             PolarProfile(*args)
@@ -162,14 +167,3 @@ def test_evaluate_class_rejects_bad_input():
     with pytest.raises(ValueError):
         evaluate_class(h ** 2, curve)  # ring shape is for m=2, profile has m=1
 
-
-def test_profile_json_payload():
-    p = ci_profile(VarietySpec(3, (2, 3)))
-    payload = profile_json(p)
-    assert payload == {
-        "ambient": 3,
-        "degrees": [2, 3],
-        "m": 1,
-        "fundamental_degree": 6,
-        "polar_degrees": [6, 18],
-    }

@@ -31,9 +31,6 @@ from bnd.solver import (
     classify_isolation,
     find_bottlenecks,
     narrowest_bottleneck,
-    plot_data,
-    result_json,
-    result_table,
     sample_variety,
 )
 from bnd.ring import coordinate_ring
@@ -75,6 +72,15 @@ def test_config_defaults():
     assert explicit.density_for(7) == 4
 
 
+def test_config_stores_box_as_float_pairs():
+    # a box given as lists of ints is stored as a tuple of float pairs, so
+    # the frozen config can be hashed
+    config = SolverConfig(box=[[0, 1], [-2, 2]])
+    assert config.box == ((0.0, 1.0), (-2.0, 2.0))
+    assert {type(v) for interval in config.box for v in interval} == {float}
+    assert hash(config) == hash(SolverConfig(box=((0.0, 1.0), (-2.0, 2.0))))
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -89,6 +95,13 @@ def test_config_defaults():
         {"residual_tol": "1e-10"},  # comparisons would raise a TypeError
         {"residual_tol": None},
         {"box": (("a", 1.0),)},
+        {"box": (0.0, 1.0)},  # one interval, not a tuple of intervals
+        {"box": ((0.0,),)},
+        {"box": ((0, 1, 2),)},
+        {"residual_tol": True},  # bool is a numbers.Integral
+        {"newton_max_iter": True},
+        {"seed": True},
+        {"box": ((True, 2.0),)},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -1148,35 +1161,3 @@ def test_narrowest_skips_non_isolated_and_rejects_empty():
     with pytest.raises(ValueError):
         narrowest_bottleneck([])
 
-
-# ---------------------------------------------------------------------------
-# reporting
-# ---------------------------------------------------------------------------
-
-
-def test_result_json_shape(ellipse_result):
-    payload = result_json(ellipse_result)
-    assert payload["possibly_incomplete"] is True
-    assert payload["diagnostics"]["samples"] > 0
-    assert len(payload["pairs"]) == 2
-    entry = payload["pairs"][0]
-    assert set(entry) == {"x", "y", "separation", "residual", "isolated"}
-    assert entry["separation"] == pytest.approx(2.0, abs=1e-8)
-
-
-def test_result_table_lists_every_pair(ellipse_result):
-    table = result_table(ellipse_result)
-    lines = table.splitlines()
-    assert len(lines) == 2 + len(ellipse_result.pairs)
-    assert "possibly_incomplete=True" in lines[-1]
-    assert "True" in lines[1]
-    assert "converged" not in table
-
-
-def test_plot_data_roundtrip(ellipse_result):
-    body = plot_data(ellipse_result)
-    rows = [r for r in body.splitlines() if not r.startswith("#")]
-    assert len(rows) == len(ellipse_result.pairs)
-    parsed = np.array([[float(v) for v in r.split()] for r in rows])
-    expect = np.array([(*p.x, *p.y) for p in ellipse_result.pairs])
-    assert np.array_equal(parsed, expect)
