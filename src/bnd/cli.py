@@ -49,6 +49,7 @@ from .systems import (
     build_minor_system,
     format_system,
     parse_system_text,
+    require_nonconstant,
 )
 
 
@@ -236,6 +237,9 @@ def cmd_system(args) -> int:
         out = build_minor_system(fs, n - len(fs))
     else:
         out = build_lagrange_system(fs)
+    # after the builders' own checks, so a system of the wrong shape is
+    # refused for its shape first, as solve refuses it
+    require_nonconstant(fs)
     text = format_system(out)
     if args.json:
         # the polynomials are the last lines of the text, one each

@@ -40,6 +40,13 @@ unit_quotient, substitute, divide_monic) never regroup an operand.
 A coordinate ring has no grading: a product there is the plain double
 loop over both operands' terms, adding exponent tuples, and keeps its
 terms in first-insertion order.
+
+Text: `render` and `render_poly` write a polynomial in a canonical form,
+and `parse` reads that form term by term (`_read_canonical`) and any
+other text by recursive descent (`_Parser`).  A caller that writes or
+reads many polynomials over the same names, such as the lines of one
+system, passes them one `monomials` dict, so each monomial is spelled, or
+checked and read, once per system; the dict lives as long as the call.
 """
 
 from __future__ import annotations
@@ -669,18 +676,23 @@ def _render_terms(
             mono = monomials[expts] = "*".join(
                 name if k == 1 else f"{name}^{k}" for name, k in zip(names, expts) if k
             )
-        mag = abs(coeff)
+        if coeff > 0:
+            sign, mag = "+ ", coeff
+        else:
+            sign, mag = "- ", -coeff
         if not mono:
-            body = str(mag)
+            chunks.append(f"{sign}{mag}")
         elif mag == 1:
-            body = mono
+            chunks.append(sign + mono)
         else:
-            body = f"{mag}*{mono}"
-        if not chunks:
-            chunks.append(body if coeff > 0 else f"-{body}")
-        else:
-            chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(chunks) or "0"
+            chunks.append(f"{sign}{mag}*{mono}")
+    if not chunks:
+        return "0"
+    # every term is written with its sign and a space; the first keeps
+    # only a '-'
+    first = chunks[0]
+    chunks[0] = first[2:] if first[0] == "+" else "-" + first[2:]
+    return " ".join(chunks)
 
 
 def render(a: ClassPoly) -> str:
@@ -727,18 +739,6 @@ _NUMBER = re.compile(r"\d+\.\d+|\d+|\.\d+")
 # an exponent right after a number: 1e-3 is refused by name, never expanded
 # (Fraction("1e999999999") would write out a billion digits)
 _SCIENTIFIC = re.compile(r"[eE][+-]?\d")
-
-# A line in the form render and render_poly write, with any indentation:
-# signed terms joined by ' + ' and ' - ', each a coefficient, a monomial,
-# or a coefficient times a monomial, where a coefficient is an integer or
-# p/q (digits and slashes here; _read_canonical refuses any other) and a
-# monomial is factors 'name' or 'name^k' joined by '*'.  The lookahead
-# keeps backtracking from splitting a name.
-_POWER = rf"{IDENTIFIER.pattern}(?![A-Za-z_0-9])(?:\^[0-9]+)?"
-_MONO = rf"{_POWER}(?:\*{_POWER})*"
-_TERM = rf"(?:[0-9][0-9/]*(?:\*{_MONO})?|{_MONO})"
-_CANONICAL = re.compile(rf"\s*(-?{_TERM}(?: [+-] {_TERM})*)\s*")
-
 
 class _Parser:
     """Recursive descent over + - * / ^ with parentheses, for the text
@@ -861,39 +861,82 @@ class _Parser:
         self.error("expected a number, variable, or '('")
 
 
+_DIGITS = "0123456789"
+_COEFFICIENT = _DIGITS + "/"
+
+
+def _factors(names: Sequence[str]) -> dict[str, tuple[int, int]]:
+    """The factor table _vector starts from: each name the form can spell,
+    an ASCII identifier, as (its index, exponent 1)."""
+    return {name: (i, 1) for i, name in enumerate(names) if name.isascii() and name.isidentifier()}
+
+
+def _vector(mono: str, factors: dict[str, tuple[int, int]], width: int) -> Exponents | None:
+    """The exponent vector of a monomial text: factors 'name' or 'name^k'
+    joined by '*', each name in factors (see _factors) and each k ASCII
+    digits of at most MAX_EXPONENT; '' is the constant monomial.  None for
+    any other text.  factors maps each factor text read so far to (index,
+    exponent), and a new 'name^k' is added to it."""
+    vector = [0] * width
+    for factor in mono.split("*") if mono else ():
+        ik = factors.get(factor)
+        if ik is None:
+            name, caret, power = factor.partition("^")
+            base = factors.get(name)
+            if base is None or not caret or not (power.isascii() and power.isdigit()):
+                return None
+            k = _exponent(power)
+            if k is None:
+                return None
+            ik = factors[factor] = (base[0], k)
+        vector[ik[0]] += ik[1]
+    return tuple(vector)
+
+
 def _read_canonical(
     ctx: RingContext, text: str, names: Sequence[str], monomials: dict[str, Exponents]
 ) -> dict[Exponents, Coefficient] | None:
-    """The terms of a line in the form render and render_poly write (see
-    _CANONICAL), summed as the ring sums them: in the same order, with the
-    same coefficients and int/Fraction types (p/q is p * (1/q), as _Parser
-    divides), a key whose sum is 0 deleted and a zero or dead term dropped.
-    None when the line is in another form, has a coefficient other than an
-    integer or p/q, names an undeclared symbol, has an exponent above
-    MAX_EXPONENT, a zero denominator or a literal too long for int();
-    _Parser then reads it and reports any error.
+    """The terms of a line in the form render and render_poly write, summed
+    as the ring sums them: in the same order, with the same coefficients and
+    int/Fraction types (p/q is p * (1/q), as _Parser divides), a key whose
+    sum is 0 deleted and a zero or dead term dropped.
 
-    The exponent vector of each monomial text is kept in monomials under
-    that text.
+    The form: any indentation around signed terms joined by ' + ' and
+    ' - ', the first term alone may start with '-', and each term is a
+    coefficient, a monomial (see _vector) or a coefficient, '*' and a
+    monomial, where a coefficient is ASCII digits and '/'.  None for a line
+    in another form, a coefficient other than an integer or p/q, an
+    undeclared symbol, an exponent above MAX_EXPONENT, a zero denominator or
+    a literal too long for int(); _Parser then reads it and reports any
+    error.
+
+    monomials maps monomial texts to exponent vectors over names.  A text
+    it lacks is checked and added; a text it holds has passed that check.
     """
-    m = _CANONICAL.fullmatch(text)
-    if m is None:
+    parts = text.strip().split(" ")
+    if not len(parts) % 2:
         return None
     dies = ctx._dies if ctx.truncation is not None else None
-    index = None
+    factors = None
     out: dict[Exponents, Coefficient] = {}
-    parts = m[1].split(" ")
     # parts alternates terms and the signs between them
     for j in range(0, len(parts), 2):
         body = parts[j]
         if j:
-            negate = parts[j - 1] == "-"
+            sign = parts[j - 1]
+            if sign != "+" and sign != "-":
+                return None
+            negate = sign == "-"
         else:
-            negate = body[0] == "-"
+            negate = body[:1] == "-"
             if negate:
                 body = body[1:]
-        if body[0] <= "9":
-            literal, _, mono = body.partition("*")
+        if not body:
+            return None
+        if body[0] in _DIGITS:
+            literal, star, mono = body.partition("*")
+            if literal.strip(_COEFFICIENT) or (star and not mono):
+                return None
             try:
                 c = int(literal)
             except ValueError:  # p/q, or a literal of over 4300 digits
@@ -906,17 +949,12 @@ def _read_canonical(
             c, mono = 1, body
         e = monomials.get(mono)
         if e is None:
-            if index is None:
-                index = {name: i for i, name in enumerate(names)}
-            vector = [0] * len(ctx.symbols)
-            for factor in mono.split("*") if mono else ():
-                name, _, power = factor.partition("^")
-                i = index.get(name)
-                k = _exponent(power) if power else 1
-                if i is None or k is None:
-                    return None
-                vector[i] += k
-            e = monomials[mono] = tuple(vector)
+            if factors is None:
+                factors = _factors(names)
+            e = _vector(mono, factors, len(names))
+            if e is None:
+                return None
+            monomials[mono] = e
         if not c or (dies and dies(e)):
             continue
         if negate:
@@ -945,16 +983,16 @@ def parse(
 
     A line in the canonical form that render and render_poly write
     (integer or p/q coefficients times monomials), which is every line the
-    program writes, is read by _read_canonical with one regex match and
-    string splits; any other text, and any canonical line with an error in
-    it, goes through the recursive descent of _Parser.  Both give the same
-    terms in the same order with the same coefficient types, and both
-    refuse an exponent above MAX_EXPONENT, so errors, their messages and
-    their columns are the descent's on every input.
+    program writes, is read by _read_canonical with string splits, one term
+    at a time; any other text, and any canonical line with an error in it,
+    goes through the recursive descent of _Parser.  Both give the same terms
+    in the same order with the same coefficient types, and both refuse an
+    exponent above MAX_EXPONENT, so errors, their messages and their columns
+    are the descent's on every input.
 
     monomials caches the exponent vectors of monomial texts; pass one dict
     to every line parsed with the same ctx and names, such as the lines of
-    a system, and each distinct monomial is read once.
+    a system, and each distinct monomial is checked and read once.
     """
     if names is None:
         names = [s.name for s in ctx.symbols]

@@ -57,7 +57,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .ring import ClassPoly
-from .systems import PolySystem, build_lagrange_system, build_minor_system
+from .systems import PolySystem, build_lagrange_system, build_minor_system, require_nonconstant
 
 # singular values below RANK_CUTOFF * sigma_max count as zero, both for the
 # Newton pseudoinverse and for the isolation flag
@@ -677,9 +677,7 @@ def find_bottlenecks(
     k = len(fs)
     if k >= n:
         raise ValueError("need positive-dimensional variety (k < n)")
-    for i, f in enumerate(fs, start=1):
-        if f.total_degree() < 1:
-            raise ValueError(f"defining polynomial {i} is zero or constant")
+    require_nonconstant(fs)
 
     lag = build_lagrange_system(fs)
     minor = build_minor_system(fs, n - k)

@@ -80,6 +80,16 @@ def _check_input(fs: Sequence[ClassPoly], m: int) -> tuple[int, int]:
     return n, k
 
 
+def require_nonconstant(fs: Sequence[ClassPoly]) -> None:
+    """Refuse a defining polynomial that is zero or constant: it cuts out all
+    of C^n or nothing, so no bottleneck pair of it has a meaning.  The
+    builders take such input (their systems are well formed); bnd system
+    and the solver refuse it here."""
+    for i, f in enumerate(fs, start=1):
+        if f.total_degree() < 1:
+            raise ValueError(f"defining polynomial {i} is zero or constant")
+
+
 def _swap(n: int, k: int = 0) -> tuple[int, ...]:
     """The relabelling (see ClassPoly.relabel) of x1..xn, y1..yn followed by
     k multipliers of each point that exchanges the two points: x with y

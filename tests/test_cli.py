@@ -504,6 +504,35 @@ def test_system_refuses_more_equations_than_variables(capsys, tmp_path, form):
     assert "need m >= 0, got m=-1: 3 equations in 2 variables" in err
 
 
+@pytest.mark.parametrize("form", ["minor", "lagrange"])
+def test_system_refuses_the_shape_before_a_constant_polynomial(capsys, tmp_path, form):
+    # a constant equation does not change which check answers: the
+    # builders' shape check comes first, as solve's shape checks do
+    over = tmp_path / "over.txt"
+    over.write_text("vars: x1 x2\n1\nx2 - 1\nx1 + x2 - 2\n")
+    want = "error: need m >= 0, got m=-1: 3 equations in 2 variables\n"
+    assert run(capsys, "system", "--input", str(over), "--form", form) == (1, "", want)
+
+
+@pytest.mark.parametrize("form", ["minor", "lagrange"])
+@pytest.mark.parametrize(
+    "body, index",
+    [("0", 1), ("1", 1), ("x1^2 + x2^2 + x3^2 - 1\n0", 2), ("3\nx1 - x3", 1)],
+    ids=["zero", "one", "codim2-zero", "codim2-constant-first"],
+)
+def test_system_refuses_constant_polynomial_as_solve_does(capsys, tmp_path, form, body, index):
+    nvars = 3 if "x3" in body else 2
+    path = tmp_path / "constant.txt"
+    path.write_text(f"vars: {' '.join(f'x{i}' for i in range(1, nvars + 1))}\n{body}\n")
+    want = f"error: defining polynomial {index} is zero or constant\n"
+    for argv in (
+        ["system", "--input", str(path), "--form", form],
+        ["system", "--input", str(path), "--form", form, "--json"],
+        ["solve", "--input", str(path)],
+    ):
+        assert run(capsys, *argv) == (1, "", want), argv
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ render_poly (integer or p/q coefficients) with its line reader and any
 other text with its recursive descent, _Parser; the tests at the end hold
 the reader to the descent and to _CharParser, and check that the text the
 program writes (emitted systems, class formulas) never reaches the
-descent.
+descent.  The reader checks the form one term at a time; the whole-line
+regex it once used is kept here as its reference.
 """
 
 import random
@@ -577,6 +578,17 @@ def test_canonical_lines(ring, text, want):
     assert got[1] == want and got[2] == [type(c) for _, c in want]
 
 
+# canonical pieces, and near-misses one character or one piece away
+# from the form: doubled spaces, a tab, a dangling '*' or '^', a second
+# exponent, non-ASCII digits in a coefficient or a name, '_' in a literal,
+# a second '/', a zero denominator, a leading '+', '--' and an exponent
+# above MAX_EXPONENT
+NEAR_MISSES = [
+    "  ", "\t", "3*", "**", "x1^", "x1^2^3", "٣", "x١", "1_0", "1/2/3",
+    "1/0", "+", "--", f"x1^{MAX_EXPONENT + 1}",
+]
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -603,6 +615,8 @@ def test_canonical_lines(ring, text, want):
         "x1+x2",
         "",
         "x1 +",
+        *(f"x1 + {miss}" for miss in NEAR_MISSES),
+        *(f"3*{miss} - 2*x2" for miss in NEAR_MISSES),
     ],
 )
 def test_other_lines_fall_back_to_the_descent(text):
@@ -665,3 +679,145 @@ def test_class_formulas_never_reach_the_descent(descent_lines):
             formula = compute_B(m, n)
             assert parse(ctx, formula.text) == formula.poly
     assert descent_lines == []
+
+
+# -- the whole-line regex the line reader once used, as its reference ---------
+
+# A line in the form render and render_poly write, with any indentation:
+# signed terms joined by ' + ' and ' - ', each a coefficient, a monomial,
+# or a coefficient times a monomial, where a coefficient is an integer or
+# p/q (digits and slashes here; the reader refuses any other) and a
+# monomial is factors 'name' or 'name^k' joined by '*'.  The lookahead
+# keeps backtracking from splitting a name.
+_POWER = rf"{IDENTIFIER.pattern}(?![A-Za-z_0-9])(?:\^[0-9]+)?"
+_MONO = rf"{_POWER}(?:\*{_POWER})*"
+_TERM = rf"(?:[0-9][0-9/]*(?:\*{_MONO})?|{_MONO})"
+_CANONICAL = re.compile(rf"\s*(-?{_TERM}(?: [+-] {_TERM})*)\s*")
+
+
+def regex_read_canonical(ctx, text, names):
+    """The line reader as it was when one _CANONICAL match checked the whole
+    line, with a fresh monomial dict per line."""
+    m = _CANONICAL.fullmatch(text)
+    if m is None:
+        return None
+    dies = ctx._dies if ctx.truncation is not None else None
+    index = {name: i for i, name in enumerate(names)}
+    monomials = {}
+    out = {}
+    parts = m[1].split(" ")
+    for j in range(0, len(parts), 2):
+        body = parts[j]
+        if j:
+            negate = parts[j - 1] == "-"
+        else:
+            negate = body[0] == "-"
+            if negate:
+                body = body[1:]
+        if body[0] <= "9":
+            literal, _, mono = body.partition("*")
+            try:
+                c = int(literal)
+            except ValueError:
+                p, _, q = literal.partition("/")
+                try:
+                    c = int(p) * bnd.ring._exact(Fraction(1, int(q)))
+                except (ValueError, ZeroDivisionError):
+                    return None
+        else:
+            c, mono = 1, body
+        e = monomials.get(mono)
+        if e is None:
+            vector = [0] * len(ctx.symbols)
+            for factor in mono.split("*") if mono else ():
+                name, _, power = factor.partition("^")
+                i = index.get(name)
+                k = bnd.ring._exponent(power) if power else 1
+                if i is None or k is None:
+                    return None
+                vector[i] += k
+            e = monomials[mono] = tuple(vector)
+        if not c or (dies and dies(e)):
+            continue
+        if negate:
+            c = -c
+        if e in out:
+            s = out[e] + c
+            if s == 0:
+                del out[e]
+            else:
+                out[e] = s
+        else:
+            out[e] = c
+    return out
+
+
+def reading(terms):
+    """A reader's answer: None, or the terms in order with their types."""
+    if terms is None:
+        return None
+    return [(e, c, type(c)) for e, c in terms.items()]
+
+
+def fuzz_line(rng, names):
+    """A canonical line (random_canonical), then up to three edits: a
+    canonical piece or a near-miss put in, a character dropped, or the
+    line cut short."""
+    text = random_canonical(rng, names)
+    pieces = [*names, *NEAR_MISSES, " + ", " - ", "-", "*", "^2", "^0", "2", "1/2", "07", " ", "x"]
+    for _ in range(rng.choice([0, 1, 1, 2, 3])):
+        at = rng.randint(0, len(text))
+        r = rng.random()
+        if r < 0.6:
+            text = text[:at] + rng.choice(pieces) + text[at:]
+        elif r < 0.85:
+            text = text[:at] + text[at + 1 :]
+        else:
+            text = text[:at]
+    return text
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+def test_line_reader_agrees_with_the_whole_line_regex(ring):
+    """The per-term check takes exactly the lines _CANONICAL took, and reads
+    them alike, with a fresh monomials dict per line and with one shared
+    over all lines."""
+    ctx, names = RINGS[ring]
+    spelled = tuple(names or [s.name for s in ctx.symbols])
+    rng = random.Random(3500 + sorted(RINGS).index(ring))
+    shared: dict = {}
+    taken = refused = 0
+    for _ in range(34_000):
+        text = fuzz_line(rng, spelled)
+        want = reading(regex_read_canonical(ctx, text, spelled))
+        assert reading(_read_canonical(ctx, text, spelled, {})) == want, repr(text)
+        assert reading(_read_canonical(ctx, text, spelled, shared)) == want, repr(text)
+        if want is None:
+            refused += 1
+        else:
+            taken += 1
+    # both sides of the form are well covered
+    assert taken > 8_000 and refused > 8_000, (taken, refused)
+    # the shared dict holds checked texts only, each with its vector
+    factors = bnd.ring._factors(spelled)
+    assert all(bnd.ring._vector(mono, factors, len(spelled)) == e for mono, e in shared.items())
+
+
+def test_names_that_are_not_ascii_identifiers_leave_the_line_to_the_descent():
+    # a name the form cannot spell is refused even when names declares it
+    ctx = coordinate_ring(2)
+    for names in (("x١", "x2"), ("x-1", "x2"), ("é", "x2")):
+        for text in (f"{names[0]} + x2", f"3*{names[0]}^2", f"x2*{names[0]}"):
+            assert regex_read_canonical(ctx, text, names) is None
+            assert _read_canonical(ctx, text, names, {}) is None, (names, text)
+            assert_same(ctx, text, names)
+
+
+def test_each_order_of_the_names_is_written_and_read_as_its_own():
+    ctx = coordinate_ring(2)
+    p = ctx.poly({(2, 0): 1, (1, 1): -3, (0, 3): 2})
+    assert bnd.ring.render_poly(p, ("x1", "x2")) == "2*x2^3 + x1^2 - 3*x1*x2"
+    assert bnd.ring.render_poly(p, ("x2", "x1")) == "2*x1^3 + x2^2 - 3*x2*x1"
+    text = "x1^2*x2 + 5*x2 - x1^0"
+    assert parse(ctx, text, ("x1", "x2")).terms == {(2, 1): 1, (0, 1): 5, (0, 0): -1}
+    assert parse(ctx, text, ("x2", "x1")).terms == {(1, 2): 1, (1, 0): 5, (0, 0): -1}
